@@ -13,7 +13,7 @@ from rootbounds.bounds import (
     local_bound,
     local_facet_bound_from_counts,
 )
-from rootbounds.newton import SparsePolynomial, SparseSystem, candidate_valuations, valuation_face_bound
+from rootbounds.newton import SparsePolynomial, SparseSystem, newton_data
 from rootbounds.oracle import count_univariate_padic, product_system, rational_root_search
 
 
@@ -38,8 +38,8 @@ def main() -> None:
     system = SparseSystem.of([f])
     count = count_univariate_padic(f, 2)
     print(f"   3*x^10 + x^2 - 4 over Q_2: exactly {count.count} nonzero roots")
-    for r in candidate_valuations(system, 2):
-        print(f"   valuation {r[0]}: at most {valuation_face_bound(system, 2, r)} roots")
+    for r, bound in newton_data(system, 2).face_bounds():
+        print(f"   valuation {r[0]}: at most {bound} roots")
     bound = local_bound(q2, m=3, n=1, k=1)
     print(f"   trinomial bound: {bound.integer_bound}")
 

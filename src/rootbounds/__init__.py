@@ -38,6 +38,7 @@ from .bounds import (
     valuation_vector_cap,
 )
 from .newton import (
+    NewtonData,
     ScaledSimplex,
     SparsePolynomial,
     SparseSystem,
@@ -45,6 +46,7 @@ from .newton import (
     containment_check,
     containment_report,
     facet_count,
+    newton_data,
     newton_polytope,
     shift_polynomial,
     shift_system,

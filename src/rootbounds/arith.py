@@ -329,20 +329,12 @@ class Interval:
         o = Interval._coerce(other)
         return self.hi <= o.lo
 
-    def certainly_lt(self, other: "IntervalLike") -> bool:
-        o = Interval._coerce(other)
-        return self.hi < o.lo
-
     def possibly_le(self, other: "IntervalLike") -> bool:
         o = Interval._coerce(other)
         return self.lo <= o.hi
 
-    def is_separated_from(self, other: "IntervalLike") -> bool:
-        o = Interval._coerce(other)
-        return self.hi < o.lo or o.hi < self.lo
-
     def upper(self) -> "UpperReal":
-        return UpperReal(self.hi, guaranteed_upper=True)
+        return UpperReal(self.hi)
 
 
 IntervalLike = Union[Interval, Fraction, int]
@@ -398,7 +390,6 @@ class UpperReal:
     """A decimal known to lie at or above the exact real it represents."""
 
     value: Decimal
-    guaranteed_upper: bool = True
 
     def floor_int(self) -> int:
         return int(self.value.to_integral_value(rounding=ROUND_FLOOR))

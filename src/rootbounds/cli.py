@@ -27,14 +27,7 @@ from .bounds import (
     local_bound,
     local_facet_bound,
 )
-from .newton import (
-    CancellationError,
-    SparseSystem,
-    candidate_valuations,
-    facet_count,
-    system_polytope,
-    valuation_face_bound,
-)
+from .newton import CancellationError, SparseSystem, newton_data
 from .oracle import (
     IntegerMatrix,
     count_binomial_system,
@@ -43,7 +36,7 @@ from .oracle import (
     reduce_to_square,
 )
 from .parsing import ParseError, parse_system_text
-from .polyhedra import lower_facets
+from .polyhedra import lower_facets  # noqa: F401  (unused; bench/spans.py traces this binding)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -186,38 +179,30 @@ def cmd_facets(cfg: RunConfig) -> int:
         raise CliError("facet data needs k >= n", EXIT_BAD_PARAMS)
     p = cfg.prime
     notes = []
-    square = system
+    data = square = newton_data(system, p)
     if system.k > system.n:
-        square = reduce_to_square(system, cfg.seed)
+        square = newton_data(reduce_to_square(system, cfg.seed), p)
         notes.append(
             "overdetermined input replaced by a seeded random square reduction; "
             "multiplicities are not tracked through it"
         )
-    try:
-        polytope = system_polytope(system, p)
-    except CancellationError as exc:
-        raise CliError(str(exc), EXIT_BAD_PARAMS)
-    facets = lower_facets(polytope)
-    cands = candidate_valuations(square, p)
+    bounds = square.face_bounds()
     payload = {
         "prime": p,
-        "facet_count": facet_count(system, p),
+        "facet_count": len(data.facets),
         "lower_facets": [
             {
                 "normal": [format_rational(x) for x in fn.normal],
                 "vertices": facet.to_json_obj(),
             }
-            for fn, facet in facets
+            for fn, facet in data.facets
         ],
         "candidate_valuations": [
-            [format_rational(x) for x in r] for r in cands
+            [format_rational(x) for x in r] for r, _bound in bounds
         ],
         "face_bounds": [
-            {
-                "r": [format_rational(x) for x in r],
-                "bound": valuation_face_bound(square, p, r),
-            }
-            for r in cands
+            {"r": [format_rational(x) for x in r], "bound": bound}
+            for r, bound in bounds
         ],
         "notes": notes,
     }
@@ -407,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
             if cfg.command == "binom":
                 return cmd_binom(cfg, args.m, args.t, args.support)
             raise CliError(f"unknown command {cfg.command}", EXIT_BAD_PARAMS)
-        except ValueError as exc:
+        except (ValueError, CancellationError) as exc:
             raise CliError(str(exc), EXIT_BAD_PARAMS)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,14 +26,6 @@ def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(c: Fraction, a: Sequence[Fraction]) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     m = [list(map(Fraction, r)) for r in rows]
     if not m:

@@ -4,9 +4,10 @@ A sparse polynomial lifts to the hull of its (exponent, coefficient
 valuation) points; the lower facets of the aggregated system polytope
 enumerate every valuation vector a torus root can have, and the mixed volume
 of the projected faces at a given valuation bounds the number of roots
-carrying it.  The shift f(1+x) and the scaled-simplex containment check at
-the bottom of the file exercise the slow-valuation-decay phenomenon that
-drives the near-one root bounds.
+carrying it.  :func:`newton_data` builds that analysis once per (system,
+prime) and every public view below reads it.  The shift f(1+x) and the
+scaled-simplex containment check at the bottom of the file exercise the
+slow-valuation-decay phenomenon that drives the near-one root bounds.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .arith import (
 )
 from .linalg import dot, nonneg_solution_exists, to_vec
 from .polyhedra import (
+    FacetNormal,
     Polytope,
     convex_hull,
     face,
@@ -216,73 +218,97 @@ def newton_polytope(f: SparsePolynomial, p: int) -> Polytope:
     return convex_hull(pts)
 
 
-def system_polytope(F: SparseSystem, p: int) -> Polytope:
-    """Aggregated lift: Newton polytope of the sum for k > n, else the
-    Minkowski sum of the individual Newton polytopes."""
+def _face_bound(lifts: Sequence[Polytope], w: Sequence[Fraction]) -> int:
+    """Mixed volume of the projected faces of the lifts minimizing w; an
+    integer under the standard-simplex normalization, asserted not assumed."""
+    mv = mixed_volume([project_pi(face(q, w)) for q in lifts])
+    if mv.denominator != 1:
+        raise ArithmeticError(
+            f"face mixed volume {mv} is not an integer; normalization broken"
+        )
+    return int(mv)
+
+
+@dataclass(frozen=True)
+class NewtonData:
+    """The Newton analysis of one system at one prime: the per-equation
+    lifts (empty for k > n, where no face bound is defined), the aggregated
+    lift, and the lower facets of the aggregate."""
+
+    system: SparseSystem
+    lifts: tuple[Polytope, ...]
+    aggregate: Polytope
+    facets: tuple[tuple[FacetNormal, Polytope], ...]
+
+    def face_bounds(self) -> list[tuple[tuple[Fraction, ...], int]]:
+        """Sorted (r, bound) over the lower facet normals (r, 1) with a
+        positive face mixed volume: the candidate valuation vectors, each with
+        its bound on the torus roots carrying it.  Requires k = n."""
+        if self.system.k != self.system.n:
+            raise ValueError("candidate valuations require k = n (reduce the system first)")
+        out = {}
+        for fn, _facet in self.facets:
+            bound = _face_bound(self.lifts, fn.normal)
+            if bound > 0:
+                out[fn.normal[:-1]] = bound
+        return sorted(out.items())
+
+
+def newton_data(F: SparseSystem, p: int) -> NewtonData:
+    """Build the lifts, the aggregated lift (their Minkowski sum for k = n,
+    the lift of the coefficient-wise sum for k > n) and its lower facets,
+    whose count is checked against the cap on valuation vectors."""
     if F.k < F.n:
         raise ValueError("aggregated polytope needs k >= n")
     if F.k > F.n:
-        return newton_polytope(poly_sum(F.polynomials), p)
-    acc = newton_polytope(F.polynomials[0], p)
-    for f in F.polynomials[1:]:
-        acc = minkowski_sum(acc, newton_polytope(f, p))
-    return acc
+        lifts: tuple[Polytope, ...] = ()
+        aggregate = newton_polytope(poly_sum(F.polynomials), p)
+    else:
+        lifts = tuple(newton_polytope(f, p) for f in F.polynomials)
+        aggregate = lifts[0]
+        for q in lifts[1:]:
+            aggregate = minkowski_sum(aggregate, q)
+    facets = tuple(lower_facets(aggregate))
+    from .bounds import valuation_vector_cap
+
+    cap = valuation_vector_cap(F.m, F.n) if F.m >= 2 else 1
+    if len(facets) > cap:
+        raise ArithmeticError(
+            f"lower facet count {len(facets)} exceeds the combinatorial cap {cap}"
+        )
+    return NewtonData(F, lifts, aggregate, facets)
+
+
+def system_polytope(F: SparseSystem, p: int) -> Polytope:
+    """Aggregated lift: Newton polytope of the sum for k > n, else the
+    Minkowski sum of the individual Newton polytopes."""
+    return newton_data(F, p).aggregate
 
 
 def facet_count(F: SparseSystem, p: int) -> int:
     """Number of lower facets of the aggregated lift."""
-    count = len(lower_facets(system_polytope(F, p)))
-    from .bounds import valuation_vector_cap
-
-    cap = valuation_vector_cap(F.m, F.n) if F.m >= 2 else 1
-    if count > cap:
-        raise ArithmeticError(
-            f"lower facet count {count} exceeds the combinatorial cap {cap}"
-        )
-    return count
+    return len(newton_data(F, p).facets)
 
 
 def candidate_valuations(F: SparseSystem, p: int) -> list[tuple[Fraction, ...]]:
     """All r with (r, 1) a lower facet normal of the aggregated lift and a
-    positive mixed volume of the projected face tuple.
-
-    Requires a square system; reduce overdetermined systems first.
-    """
-    if F.k != F.n:
-        raise ValueError("candidate valuations require k = n (reduce the system first)")
-    lifted = [newton_polytope(f, p) for f in F.polynomials]
-    acc = lifted[0]
-    for q in lifted[1:]:
-        acc = minkowski_sum(acc, q)
-    out = []
-    for fn, _facet in lower_facets(acc):
-        r = fn.normal[:-1]
-        faces = [project_pi(face(q, fn.normal)) for q in lifted]
-        if mixed_volume(faces) > 0:
-            out.append(r)
-    return sorted(set(out))
+    positive mixed volume of the projected face tuple."""
+    return [r for r, _bound in newton_data(F, p).face_bounds()]
 
 
 def valuation_face_bound(F: SparseSystem, p: int, r: Sequence[Fraction]) -> int:
     """Mixed volume of the projected faces at valuation vector r.
 
     Bounds the number of torus roots whose coordinatewise valuations equal
-    r; an integer under the standard-simplex normalization, which is
-    asserted rather than assumed.
+    r; zero when r is not a candidate valuation.
     """
     if F.k != F.n:
         raise ValueError("face bound requires k = n")
     rv = to_vec(r)
     if len(rv) != F.n:
         raise ValueError("valuation vector has wrong dimension")
-    w = rv + (Fraction(1),)
-    faces = [project_pi(face(newton_polytope(f, p), w)) for f in F.polynomials]
-    mv = mixed_volume(faces)
-    if mv.denominator != 1:
-        raise ArithmeticError(
-            f"face mixed volume {mv} is not an integer; normalization broken"
-        )
-    return int(mv)
+    lifts = [newton_polytope(f, p) for f in F.polynomials]
+    return _face_bound(lifts, rv + (Fraction(1),))
 
 
 # ---------------------------------------------------------------------------

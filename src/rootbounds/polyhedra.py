@@ -15,7 +15,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .linalg import Vector, det, dot, gram_solve, mat_rank, to_vec, vec_sub
@@ -38,7 +37,6 @@ class FacetNormal:
     """Inner normal of a lower facet, scaled so the last coordinate is 1."""
 
     normal: Vector
-    is_lower: bool = True
 
 
 @dataclass(frozen=True)
@@ -52,10 +50,6 @@ class Polytope:
     def __post_init__(self) -> None:
         if not self.vertices:
             raise ValueError("empty polytopes are not constructed")
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
 
     def to_json_obj(self) -> list[list[str]]:
         from .arith import format_rational
@@ -316,7 +310,6 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     return Polytope(verts, ambient, adim)
 
 
-@lru_cache(maxsize=None)
 def _structure(p: Polytope) -> _Hull:
     """Hull structure of P computed inside its own affine hull."""
     pts = list(p.vertices)
@@ -380,7 +373,6 @@ def _full_dim_volume(pts: Sequence[Point], dim: int) -> Fraction:
     return _Hull(pts, dim).volume
 
 
-@lru_cache(maxsize=None)
 def volume(p: Polytope) -> Fraction:
     """Exact Euclidean volume in the ambient dimension; 0 when degenerate."""
     if p.affine_dim < p.ambient_dim:

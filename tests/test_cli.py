@@ -288,3 +288,14 @@ def test_text_format_output(tmp_path, capsys):
     out, _ = capsys.readouterr()
     assert code == EXIT_OK
     assert "thm1_local" in out and "integer_bound" in out
+
+
+@pytest.mark.parametrize("command", ["bound", "facets", "verify"])
+def test_cancelling_system_is_bad_params(capsys, monkeypatch, command):
+    # k > n and the coefficient-wise sum of the equations is zero
+    code, out, err = run_cli(
+        capsys, [command, "-", "--prime", "2"], stdin_text="x1 - 1\n1 - x1\n", monkeypatch=monkeypatch
+    )
+    assert code == EXIT_BAD_PARAMS
+    assert out == ""
+    assert err.startswith("error: ")

@@ -1,4 +1,7 @@
+import io
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +20,7 @@ from rootbounds.newton import (
     containment_report,
     facet_count,
     laurent_normalize,
+    newton_data,
     newton_polytope,
     shift_polynomial,
     shift_system,
@@ -24,7 +28,14 @@ from rootbounds.newton import (
     valuation_face_bound,
 )
 from rootbounds.oracle import IntegerMatrix, count_binomial_system
-from rootbounds.polyhedra import convex_hull, lower_facets, mixed_volume, project_pi
+from rootbounds.polyhedra import (
+    convex_hull,
+    face,
+    lower_facets,
+    minkowski_sum,
+    mixed_volume,
+    project_pi,
+)
 
 SEED = 0x5EED
 
@@ -246,6 +257,50 @@ def test_face_bound_sum_no_more_than_full_mixed_volume():
             [project_pi(newton_polytope(f, 2)) for f in s.polynomials]
         )
         assert total <= full
+
+
+def test_facets_request_builds_each_newton_object_once(capsys, monkeypatch):
+    from rootbounds import cli, newton
+
+    calls = {}
+    for name in ("newton_polytope", "minkowski_sum", "lower_facets", "mixed_volume"):
+        def counted(*args, _name=name, _original=getattr(newton, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(newton, name, counted)
+    text = "x1^2*x2 + 2*x1 - 3*x2^3 + 4\nx1*x2^2 - 6*x2 + 8*x1^3 - 1\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main(["facets", "-"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert calls["newton_polytope"] == 2
+    assert calls["minkowski_sum"] == 1
+    assert calls["lower_facets"] == 1
+    assert calls["mixed_volume"] <= len(payload["lower_facets"])
+
+
+def _reference_face_bounds(s, p):
+    # the Minkowski chain, its lower facets, and a positive face mixed volume
+    lifted = [newton_polytope(f, p) for f in s.polynomials]
+    acc = lifted[0]
+    for q in lifted[1:]:
+        acc = minkowski_sum(acc, q)
+    out = set()
+    for fn, _facet in lower_facets(acc):
+        mv = mixed_volume(tuple(project_pi(face(q, fn.normal)) for q in lifted))
+        if mv > 0:
+            out.add((fn.normal[:-1], mv))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n, trials, deg", [(2, 8, 4), (3, 2, 3)])
+def test_face_bounds_match_reference_algorithm(n, trials, deg):
+    rng = random.Random(SEED + 20 + n)
+    for _ in range(trials):
+        s = SparseSystem.of([rand_poly(rng, n, rng.randint(3, 4), deg) for _ in range(n)])
+        p = rng.choice([2, 3])
+        bounds = newton_data(s, p).face_bounds()
+        assert bounds and bounds == _reference_face_bounds(s, p)
 
 
 def test_face_bound_sum_over_sloped_window_is_dominated():
