@@ -12,11 +12,11 @@ import random
 from fractions import Fraction
 
 from rootbounds.bounds import FieldSpec, local_bound, local_facet_bound
+from rootbounds.linalg import det
 from rootbounds.newton import SparsePolynomial, SparseSystem, valuation_face_bound
 from rootbounds.oracle import (
     IntegerMatrix,
     OracleConfig,
-    _int_det,
     count_binomial_system,
     count_univariate_padic,
 )
@@ -54,7 +54,7 @@ def sweep_binomial(rng: random.Random, trials: int) -> int:
     while done < trials:
         n = rng.randint(1, 3)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        if _int_det(rows) == 0:
+        if det(rows) == 0:
             continue
         done += 1
         p = rng.choice([2, 3, 5])

@@ -25,6 +25,11 @@ RationalLike = Union[Fraction, int]
 
 DEFAULT_DIGITS = 40
 
+# Cap on the working precision: the Decimal logs grow superlinearly in the
+# digit count (a trinomial bound takes about 0.5 s at 1000 digits and 12 s at
+# 3000), so a larger request is refused instead of running unbounded.
+MAX_DIGITS = 1000
+
 # Extra working digits beyond the requested precision; absorbs the +/- 1 ulp
 # slack added around decimal's half-even ln/exp results.
 _GUARD_DIGITS = 8
@@ -36,11 +41,14 @@ def set_precision(digits: int) -> None:
     """Set the number of significant digits used for bound evaluation.
 
     Values below 30 are rejected: the bound formulas promise at least 30
-    significant digits before the final directed round-up.
+    significant digits before the final directed round-up.  Values above
+    MAX_DIGITS are rejected too.
     """
     global _digits
     if digits < 30:
         raise ValueError(f"precision must be at least 30 digits, got {digits}")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"precision must be at most {MAX_DIGITS} digits, got {digits}")
     _digits = digits
 
 

@@ -1,13 +1,17 @@
 """Small exact linear algebra over the rationals and integers.
 
 Everything here works on tuples/lists of Fractions or ints and performs no
-rounding: Gaussian elimination for rank/solve/det, Bareiss fraction-free
-elimination for integer systems, and a tiny phase-one simplex used for exact
-feasibility questions in low dimension.
+rounding.  Rank and determinant use Bareiss fraction-free elimination: a row
+holding Fractions is first scaled to integers by the lcm of its denominators,
+so an all-int input stays in Python ints and gives an int result.  Solves use
+Gaussian elimination over Fractions, and a tiny phase-one simplex answers
+exact feasibility questions in low dimension.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,58 +23,76 @@ def to_vec(xs: Sequence) -> Vector:
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    return sum(map(operator.mul, a, b))
 
 
 def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
+
+
+def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int | None]:
+    """The rows as int lists, each multiplied by the lcm of its denominators,
+    and the product of those multipliers; None in its place when every entry
+    already was an int."""
+    if {type(x) for r in rows for x in r} <= {int}:
+        return [list(r) for r in rows], None
+    m: list[list[int]] = []
+    scale = 1
+    for r in rows:
+        fr = [Fraction(x) for x in r]
+        lcm = math.lcm(*(x.denominator for x in fr))
+        m.append([x.numerator * (lcm // x.denominator) for x in fr])
+        scale *= lcm
+    return m, scale
 
 
 def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
+    m, _ = _integer_rows(rows)
     rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        pivot = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-        if pivot is None:
-            col += 1
+    prev = 1
+    # Bareiss elimination on a shrinking block: by Sylvester's identity every
+    # entry of the block is a minor of the input, so the division by the
+    # previous pivot is exact.  A column without a pivot is part of no later
+    # minor and is dropped.
+    while m and m[0]:
+        for pivot, row in enumerate(m):
+            if row[0]:
+                break
+        else:
+            m = [row[1:] for row in m]
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        prow = m.pop(pivot)
+        pv, tail = prow[0], prow[1:]
+        m = [[(pv * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in m]
+        prev = pv
         rank += 1
-        col += 1
     return rank
 
 
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    m = [list(map(Fraction, r)) for r in rows]
+def det(rows: Sequence[Sequence[Fraction]]) -> int | Fraction:
+    """Exact determinant by Bareiss elimination (Math. Comp. 22, 1968); an
+    int for an all-int matrix, else a Fraction."""
+    m, scale = _integer_rows(rows)
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant of a non-square matrix")
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        pv = m[col][col]
-        result *= pv
-        inv = 1 / pv
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return result
+    sign = 1
+    prev = 1
+    while m:
+        for pivot, row in enumerate(m):
+            if row[0]:
+                break
+        else:
+            prev = 0
+            break
+        if pivot:
+            m[0], m[pivot] = m[pivot], m[0]
+            sign = -sign
+        pv, tail = m[0][0], m[0][1:]
+        m = [[(pv * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in m[1:]]
+        prev = pv
+    d = sign * prev
+    return d if scale is None else Fraction(d, scale)
 
 
 def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector | None:

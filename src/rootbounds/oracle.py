@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .arith import ord_p_value, require_prime
 from .newton import SparsePolynomial, SparseSystem, laurent_normalize
-from .linalg import solve_square
+from .linalg import det, solve_square
 
 DEFAULT_PRECISION_CAP = 60
 
@@ -260,27 +260,6 @@ def _mat_mul(a, b):
     ]
 
 
-def _int_det(rows) -> int:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    # Bareiss
-    sign = 1
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return sign * prev
-
-
 def smith_normal_form(a: IntegerMatrix):
     """U, D, V with U a V = D diagonal, U and V unimodular; verified."""
     rows, cols = a.shape
@@ -360,7 +339,7 @@ def smith_normal_form(a: IntegerMatrix):
     ud = _mat_mul(_mat_mul(u, [list(r) for r in a.entries]), v)
     if ud != m:
         raise ArithmeticError("smith normal form transformation check failed")
-    if abs(_int_det(u)) != 1 or abs(_int_det(v)) != 1:
+    if abs(det(u)) != 1 or abs(det(v)) != 1:
         raise ArithmeticError("smith normal form transforms are not unimodular")
     return IntegerMatrix.of(u), d, IntegerMatrix.of(v)
 
@@ -378,7 +357,7 @@ def count_binomial_system(
         raise ValueError("binomial counting takes a square exponent matrix")
     if len(c) != rows or any(Fraction(x) == 0 for x in c):
         raise ValueError("need one nonzero constant per equation")
-    detv = _int_det(a.entries)
+    detv = det(a.entries)
     if detv == 0:
         raise ValueError("singular exponent matrix")
     _, d, _ = smith_normal_form(a)

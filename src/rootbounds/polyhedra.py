@@ -1,12 +1,15 @@
 """Exact convex geometry over the rationals in ambient dimension <= 6.
 
 Hulls, faces, Minkowski sums, Euclidean volumes, and normalized mixed
-volumes, all decided by exact rational determinants; no tolerances anywhere.
+volumes, all decided by exact integer determinants; no tolerances anywhere.
 The hull is an incremental beneath-beyond construction over a simplicial
 facet complex, with coplanar pieces merged afterwards through canonical
-primitive facet hyperplanes.  Volume accumulates during construction as the
-sum of the initial simplex and the pyramids swept out by each insertion,
-which is also how mixed volumes get their exact subset volumes.
+primitive facet hyperplanes.  It runs on Python ints: rational input is
+scaled once by the lcm L of its denominators (L = 1 for lattice points such
+as the lifts of a system), and volumes and offsets are divided back at the
+end.  Volume accumulates during construction as the sum of the initial
+simplex and the pyramids swept out by each insertion, which is also how
+mixed volumes get their exact subset volumes.
 """
 
 from __future__ import annotations
@@ -67,11 +70,19 @@ class Polytope:
 # ---------------------------------------------------------------------------
 
 
+def _lattice(points: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]:
+    """The points times the lcm L of all their coordinate denominators, as
+    int tuples, and L (1 for lattice points)."""
+    lcm = math.lcm(*(x.denominator for p in points for x in p))
+    return [tuple(x.numerator * (lcm // x.denominator) for x in p) for p in points], lcm
+
+
 def _affine_dim(points: Sequence[Point]) -> int:
     if len(points) <= 1:
         return 0
-    base = points[0]
-    return mat_rank([vec_sub(p, base) for p in points[1:]])
+    ipts, _ = _lattice(points)
+    base = ipts[0]
+    return mat_rank([vec_sub(p, base) for p in ipts[1:]])
 
 
 def _affine_basis(points: Sequence[Point]) -> tuple[Point, list[Vector]]:
@@ -120,40 +131,33 @@ def _local_coords(points: Sequence[Point], base: Point, basis: list[Vector]) -> 
 # ---------------------------------------------------------------------------
 
 
-def _primitive(normal: Sequence[Fraction], offset: Fraction) -> tuple[tuple[int, ...], Fraction]:
-    lcm = 1
-    for x in normal:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in normal]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
+def _primitive(normal: Sequence[int], offset: int) -> tuple[tuple[int, ...], int]:
+    g = math.gcd(*normal)
     if g == 0:
         raise ArithmeticError("zero facet normal")
-    scale = Fraction(lcm, g)
-    return tuple(v // g for v in ints), offset * scale
+    # offset = normal . x for an integer point x, so g divides it exactly
+    return tuple(v // g for v in normal), offset // g
 
 
-def _hyperplane(pts: Sequence[Point]) -> tuple[Vector, Fraction] | None:
-    """Normal and offset of the hyperplane through d points in Q^d."""
+def _hyperplane(pts: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], int] | None:
+    """Normal and offset of the hyperplane through d integer points in Z^d."""
     d = len(pts)
     rows = [vec_sub(p, pts[0]) for p in pts[1:]]
     normal = []
     for j in range(d):
         minor = [[row[i] for i in range(d) if i != j] for row in rows]
         sign = -1 if j % 2 else 1
-        normal.append(sign * det(minor) if minor else Fraction(1))
-    nvec = to_vec(normal)
-    if all(x == 0 for x in nvec):
+        normal.append(sign * det(minor) if minor else 1)
+    if not any(normal):
         return None
-    return nvec, dot(nvec, pts[0])
+    return tuple(normal), dot(normal, pts[0])
 
 
 @dataclass
 class _Facet:
     verts: tuple[int, ...]
     normal: tuple[int, ...]
-    offset: Fraction
+    offset: int
 
 
 class _Hull:
@@ -161,14 +165,17 @@ class _Hull:
 
     Exposes ``vertex_ids``, canonical ``facets`` as (normal, offset,
     vertex-id frozenset) with normal.x >= offset over the hull, and the
-    Euclidean ``volume``.
+    Euclidean ``volume``.  The construction runs on the integer points
+    L*x, with L the lcm of every coordinate denominator (1 for lattice
+    input); a uniform scale leaves the facet normals unchanged, and the
+    offsets and the volume are divided by L and L^d once at the end.
     """
 
     def __init__(self, pts: Sequence[Point], dim: int):
-        self.pts = [to_vec(p) for p in pts]
-        self.dim = dim
         if dim < 1:
             raise DimensionError("hull requires dimension >= 1")
+        self.dim = dim
+        self.pts, self.scale = _lattice(pts)
         if dim == 1:
             self._build_1d()
         else:
@@ -179,15 +186,15 @@ class _Hull:
         lo = min(xs)
         hi = max(xs)
         self.vertex_ids = [lo[1]] if lo[0] == hi[0] else sorted({lo[1], hi[1]})
-        self.volume = hi[0] - lo[0]
+        self.volume = Fraction(hi[0] - lo[0], self.scale)
         self.facets = [
-            ((1,), lo[0], frozenset({lo[1]})),
-            ((-1,), -hi[0], frozenset({hi[1]})),
+            ((1,), Fraction(lo[0], self.scale), frozenset({lo[1]})),
+            ((-1,), Fraction(-hi[0], self.scale), frozenset({hi[1]})),
         ]
 
     def _initial_simplex(self) -> list[int]:
         idx = [0]
-        basis: list[Vector] = []
+        basis: list[tuple[int, ...]] = []
         for i in range(1, len(self.pts)):
             cand = basis + [vec_sub(self.pts[i], self.pts[0])]
             if mat_rank(cand) > len(basis):
@@ -202,7 +209,9 @@ class _Hull:
         if hp is None:
             return None
         normal, offset = hp
-        side = dot(normal, self._interior) - offset
+        # the interior point is the centroid of the initial simplex, kept
+        # multiplied by d + 1 so that it stays integer
+        side = dot(normal, self._interior) - (self.dim + 1) * offset
         if side == 0:
             raise ArithmeticError("interior reference point on a facet hyperplane")
         if side < 0:
@@ -215,10 +224,8 @@ class _Hull:
         d = self.dim
         simplex = self._initial_simplex()
         spts = [self.pts[i] for i in simplex]
-        self._interior = tuple(
-            sum(p[j] for p in spts) / Fraction(d + 1) for j in range(d)
-        )
-        self.volume = abs(det([vec_sub(p, spts[0]) for p in spts[1:]])) / math.factorial(d)
+        self._interior = tuple(sum(p[j] for p in spts) for j in range(d))
+        det_sum = abs(det([vec_sub(p, spts[0]) for p in spts[1:]]))
         facets: list[_Facet] = []
         for drop in range(d + 1):
             verts = tuple(v for k, v in enumerate(simplex) if k != drop)
@@ -235,9 +242,7 @@ class _Hull:
             if not visible:
                 continue
             for f in visible:
-                self.volume += abs(
-                    det([vec_sub(self.pts[v], q) for v in f.verts])
-                ) / math.factorial(d)
+                det_sum += abs(det([vec_sub(self.pts[v], q) for v in f.verts]))
             ridge_count: dict[tuple[int, ...], int] = {}
             for f in visible:
                 for drop in range(d):
@@ -252,17 +257,14 @@ class _Hull:
                     raise ArithmeticError("degenerate facet from horizon ridge")
                 facets.append(nf)
 
+        self.volume = Fraction(det_sum, math.factorial(d) * self.scale**d)
         self._finalize(facets)
 
     def _finalize(self, facets: list[_Facet]) -> None:
-        by_plane: dict[tuple[tuple[int, ...], Fraction], None] = {}
-        for f in facets:
-            by_plane[(f.normal, f.offset)] = None
-        geo: list[tuple[tuple[int, ...], Fraction, frozenset[int]]] = []
-        for normal, offset in sorted(by_plane, key=lambda k: (k[0], k[1])):
-            on = frozenset(
-                i for i, p in enumerate(self.pts) if dot(to_vec(normal), p) == offset
-            )
+        planes = sorted({(f.normal, f.offset) for f in facets})
+        geo: list[tuple[tuple[int, ...], int, frozenset[int]]] = []
+        for normal, offset in planes:
+            on = frozenset(i for i, p in enumerate(self.pts) if dot(normal, p) == offset)
             geo.append((normal, offset, on))
         # a point is extreme iff its incident facet normals span the space
         incident: dict[int, list[tuple[int, ...]]] = {}
@@ -270,14 +272,12 @@ class _Hull:
             for i in on:
                 incident.setdefault(i, []).append(normal)
         vertex_ids = [
-            i
-            for i, normals in incident.items()
-            if mat_rank([to_vec(n) for n in normals]) == self.dim
+            i for i, normals in incident.items() if mat_rank(normals) == self.dim
         ]
         self.vertex_ids = sorted(vertex_ids)
         vset = set(self.vertex_ids)
         self.facets = [
-            (normal, offset, on & vset) for normal, offset, on in geo
+            (normal, Fraction(offset, self.scale), on & vset) for normal, offset, on in geo
         ]
 
 
@@ -397,13 +397,19 @@ def mixed_volume(polytopes: Sequence[Polytope]) -> Fraction:
         raise DimensionError(f"mixed volume capped at dimension {MAX_DIM}")
     if any(p.ambient_dim != n for p in ps):
         raise DimensionError("mixed volume requires n polytopes in R^n")
+    # mixed volume is homogeneous of degree n under one common scale L, so
+    # the subset sums run on the lattice points L*v and the total is
+    # divided by L^n at the end
+    flat, lcm = _lattice([v for p in ps for v in p.vertices])
+    it = iter(flat)
+    verts = [[next(it) for _ in p.vertices] for p in ps]
     total = Fraction(0)
     for size in range(1, n + 1):
         sign = 1 if (n - size) % 2 == 0 else -1
         for subset in itertools.combinations(range(n), size):
             pts = {
-                tuple(sum(cs) for cs in zip(*combo))
-                for combo in itertools.product(*(ps[i].vertices for i in subset))
+                tuple(map(sum, zip(*combo)))
+                for combo in itertools.product(*(verts[i] for i in subset))
             }
             pts_list = sorted(pts)
             if _affine_dim(pts_list) < n:
@@ -411,7 +417,7 @@ def mixed_volume(polytopes: Sequence[Polytope]) -> Fraction:
             total += sign * _full_dim_volume(pts_list, n)
     if total < 0:
         raise ArithmeticError(f"negative mixed volume {total}; hull computation broken")
-    return total
+    return total / lcm**n
 
 
 # ---------------------------------------------------------------------------

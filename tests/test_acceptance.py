@@ -23,6 +23,7 @@ from rootbounds.bounds import (
     local_facet_bound_from_counts,
     log_inequality_check,
 )
+from rootbounds.linalg import det
 from rootbounds.newton import (
     SparsePolynomial,
     SparseSystem,
@@ -31,7 +32,6 @@ from rootbounds.newton import (
 )
 from rootbounds.oracle import (
     IntegerMatrix,
-    _int_det,
     count_binomial_system,
     count_univariate_padic,
     product_system,
@@ -183,7 +183,7 @@ def test_criterion_06_face_bound_equals_determinant():
     while done < 100:
         n = rng.randint(1, 3)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        if _int_det(rows) == 0:
+        if det(rows) == 0:
             continue
         consts = []
         for _ in range(n):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootbounds.arith import (
+    MAX_DIGITS,
     ExtendedValuation,
     INFINITE_VALUATION,
     Interval,
@@ -14,12 +15,14 @@ from rootbounds.arith import (
     eval_up,
     format_rational,
     format_valuation,
+    get_precision,
     is_prime,
     log_base,
     natural_log,
     ord_p,
     parse_rational,
     parse_valuation,
+    set_precision,
 )
 
 SEED = 0xA217
@@ -102,6 +105,19 @@ def test_primality():
 # ---------------------------------------------------------------------------
 # Upper evaluation
 # ---------------------------------------------------------------------------
+
+
+def test_precision_cap():
+    saved = get_precision()
+    try:
+        assert MAX_DIGITS == 1000
+        set_precision(MAX_DIGITS)
+        assert get_precision() == 1000
+        with pytest.raises(ValueError):
+            set_precision(MAX_DIGITS + 1)
+        assert get_precision() == 1000
+    finally:
+        set_precision(saved)
 
 
 def test_integer_log_is_exact():

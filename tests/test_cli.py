@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -296,6 +297,18 @@ def test_cancelling_system_is_bad_params(capsys, monkeypatch, command):
     code, out, err = run_cli(
         capsys, [command, "-", "--prime", "2"], stdin_text="x1 - 1\n1 - x1\n", monkeypatch=monkeypatch
     )
+    assert code == EXIT_BAD_PARAMS
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_precision_above_cap_is_bad_params(capsys, monkeypatch):
+    # refused before any log is evaluated; without the cap this ran for minutes
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, ["bound", "-", "--precision", "100000"], stdin_text=TRINOMIAL + "\n", monkeypatch=monkeypatch
+    )
+    assert time.perf_counter() - t0 < 5.0
     assert code == EXIT_BAD_PARAMS
     assert out == ""
     assert err.startswith("error: ")

@@ -333,9 +333,7 @@ def test_face_bound_matches_binomial_determinant():
     while done < 25:
         n = rng.randint(1, 3)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        from rootbounds.oracle import _int_det
-
-        if _int_det(rows) == 0:
+        if det(rows) == 0:
             continue
         consts = []
         for _ in range(n):

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from rootbounds.bounds import FieldSpec, local_bound, local_facet_bound
+from rootbounds.linalg import det
 from rootbounds.newton import SparsePolynomial, SparseSystem
 from rootbounds.oracle import (
     IntegerMatrix,
     PrecisionCapError,
     RootCount,
-    _int_det,
     count_binomial_system,
     count_univariate_padic,
     product_system,
@@ -159,7 +159,7 @@ def test_binomial_count_is_absolute_determinant():
     while done < 30:
         n = rng.randint(1, 3)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        d = _int_det(rows)
+        d = det(rows)
         if d == 0:
             continue
         c = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootbounds.linalg import dot, in_convex_hull, mat_rank, to_vec, vec_sub
+from rootbounds.linalg import det, dot, in_convex_hull, mat_rank, to_vec, vec_sub
 from rootbounds.polyhedra import (
     DimensionError,
     Polytope,
@@ -297,8 +297,6 @@ def _brute_h_rep(p: Polytope):
         rows = [vec_sub(q, combo[0]) for q in combo[1:]]
         if mat_rank(rows) != d - 1:
             continue
-        from rootbounds.linalg import det
-
         normal = []
         for j in range(d):
             minor = [[r[i] for i in range(d) if i != j] for r in rows]
@@ -431,3 +429,140 @@ def test_hull_at_dimension_cap():
     assert len(p.vertices) == 8
     # simplex plus the pyramid capping its outer face: n/n! in dimension n
     assert volume(p) == Fraction(1, 120)
+
+
+# ---------------------------------------------------------------------------
+# integer kernel against the Fraction elimination it replaced
+# ---------------------------------------------------------------------------
+
+
+def _fraction_det(rows):
+    m = [list(map(Fraction, r)) for r in rows]
+    n = len(m)
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            result = -result
+        pv = m[col][col]
+        result *= pv
+        inv = 1 / pv
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                f = m[r][col] * inv
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return result
+
+
+def _fraction_rank(rows):
+    m = [list(map(Fraction, r)) for r in rows]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    col = 0
+    while rank < nrows and col < ncols:
+        pivot = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        m[rank] = [x / pv for x in m[rank]]
+        for r in range(nrows):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _rand_matrix(rng, nrows, ncols, rational):
+    def entry():
+        if rational:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return rng.randint(-9, 9)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    kind = rng.randrange(4)
+    if nrows >= 2 and kind == 0:  # duplicate row
+        i, j = rng.sample(range(nrows), 2)
+        rows[i] = list(rows[j])
+    elif nrows >= 3 and kind == 1:  # row in the span of two others
+        i, j, k = rng.sample(range(nrows), 3)
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    elif ncols >= 2 and kind == 2:  # zero column: elimination must skip it
+        c = rng.randrange(ncols)
+        for r in rows:
+            r[c] = 0 * r[c]
+    return rows
+
+
+def test_det_and_rank_match_fraction_reference():
+    rng = random.Random(SEED + 20)
+    singular = 0
+    for trial in range(400):
+        n = rng.randint(0, 6)
+        rational = trial % 2 == 1
+        rows = _rand_matrix(rng, n, n, rational)
+        d = det(rows)
+        assert d == _fraction_det(rows)
+        if not rational:
+            assert type(d) is int
+        elif n:
+            assert type(d) is Fraction
+        singular += d == 0
+        assert mat_rank(rows) == _fraction_rank(rows)
+        wide = _rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), rational)
+        assert mat_rank(wide) == _fraction_rank(wide)
+    assert singular >= 50
+
+
+def _point_set(rng, d, kind):
+    """Seeded point sets exercising the lcm scaling and degenerate input."""
+    if kind == "lattice":
+        return [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d + 4)]
+    if kind == "rational":
+        return [
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d))
+            for _ in range(d + 4)
+        ]
+    if kind == "duplicates":
+        pts = [tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(d + 2)]
+        return pts + [rng.choice(pts) for _ in range(3)]
+    # coplanar: grid points on the face x_1 = 0 of a box, alone or with two
+    # points off it (then that facet carries many coplanar points), or
+    # rational points on the hyperplane x_d = (x_1 + ... + x_{d-1}) / 2
+    box = [tuple(rng.choice((0, 2)) if i else 0 for i in range(d)) for _ in range(d + 2)]
+    flat = []
+    for _ in range(d + 2):
+        head = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d - 1)]
+        flat.append(tuple(head) + (sum(head) / 2,))
+    return rng.choice([box, flat, box + [(1,) * d, (1,) + (0,) * (d - 1)]])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["lattice", "rational", "duplicates", "coplanar"])
+def test_integer_hull_against_independent_checks(d, kind):
+    rng = random.Random(f"{SEED}-{d}-{kind}")
+    for _ in range(3):
+        pts = _point_set(rng, d, kind)
+        p = convex_hull(pts)
+        distinct = sorted(set(to_vec(q) for q in pts))
+        outside = [
+            q
+            for i, q in enumerate(distinct)
+            if not in_convex_hull(distinct[:i] + distinct[i + 1 :], q)
+        ]
+        assert list(p.vertices) == outside
+        k = Fraction(rng.randint(1, 7), rng.randint(1, 5))
+        scaled = convex_hull([tuple(k * x for x in v) for v in p.vertices])
+        assert volume(scaled) == k**d * volume(p)
+        # at most d + 2 vertices keep the d-fold Minkowski sums small
+        q = convex_hull(p.vertices[: d + 2])
+        assert mixed_volume((q,) * d) == math.factorial(d) * volume(q)
