@@ -10,10 +10,17 @@ arithmetic over :mod:`decimal`.  Every interval encloses the exact real it
 stands for, so taking the upper endpoint of a bound expression yields a value
 that is still a valid upper bound.  Working precision defaults to 40
 significant digits and can be raised at startup via :func:`set_precision`.
+
+Everything that depends only on the precision is built once per precision:
+the floor/ceiling ``Context`` pair, the enclosure of c returned by
+:func:`euler_ratio`, and (per prime) the enclosure of ln p returned by
+:func:`ln_prime`.  An interval log of a point interval makes a single
+``Decimal.ln`` call, since decimal rounds ln half-even in every context.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
@@ -56,12 +63,20 @@ def get_precision() -> int:
     return _digits
 
 
+@functools.cache
+def _contexts(digits: int) -> tuple[Context, Context]:
+    """The (round-down, round-up) contexts for ``digits`` working digits;
+    at most MAX_DIGITS - 29 pairs, since set_precision bounds ``digits``."""
+    prec = digits + _GUARD_DIGITS
+    return Context(prec=prec, rounding=ROUND_FLOOR), Context(prec=prec, rounding=ROUND_CEILING)
+
+
 def _ctx_floor() -> Context:
-    return Context(prec=_digits + _GUARD_DIGITS, rounding=ROUND_FLOOR)
+    return _contexts(_digits)[0]
 
 
 def _ctx_ceil() -> Context:
-    return Context(prec=_digits + _GUARD_DIGITS, rounding=ROUND_CEILING)
+    return _contexts(_digits)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +331,9 @@ class Interval:
 
         decimal computes ln with half-even rounding no matter the context
         rounding mode, so the correctly rounded result is inflated by one ulp
-        on each side.
+        on each side.  For the same reason a point interval (lo == hi) needs
+        only one ``Decimal.ln`` call: the round-up context would return the
+        same value.
         """
         if self.lo <= 0:
             raise ValueError(f"log of nonpositive value (interval [{self.lo}, {self.hi}])")
@@ -325,7 +342,7 @@ class Interval:
         cf, cc = _ctx_floor(), _ctx_ceil()
         prec = cf.prec
         lo_ln = self.lo.ln(cf)
-        hi_ln = self.hi.ln(cc)
+        hi_ln = lo_ln if self.hi == self.lo else self.hi.ln(cc)
         return Interval(
             cf.subtract(lo_ln, _ulp(lo_ln, prec)),
             cc.add(hi_ln, _ulp(hi_ln, prec)),
@@ -352,6 +369,20 @@ def natural_log(x: IntervalLike) -> Interval:
     return Interval._coerce(x).ln()
 
 
+# _ln_prime_at and _euler_ratio_at are only called with digits == _digits:
+# the key names the working precision at which their body runs.
+@functools.lru_cache(maxsize=64)
+def _ln_prime_at(p: int, digits: int) -> Interval:
+    require_prime(p)
+    return natural_log(Fraction(p))
+
+
+def ln_prime(p: int) -> Interval:
+    """Enclosure of ln p at the working precision, computed once per
+    (p, precision) pair."""
+    return _ln_prime_at(p, _digits)
+
+
 def _pure_power_exponent(n: int, p: int) -> int | None:
     # exponent k with n == p**k, for n >= 1
     k = 0
@@ -372,7 +403,7 @@ def log_base(x: IntervalLike, p: int) -> Interval:
         b = _pure_power_exponent(q.denominator, p)
         if a is not None and b is not None:
             return Interval.exact(a - b)
-    return natural_log(x) / natural_log(Fraction(p))
+    return natural_log(x) / ln_prime(p)
 
 
 def euler_e() -> Interval:
@@ -382,10 +413,16 @@ def euler_e() -> Interval:
     return Interval(cf.subtract(e, _ulp(e, prec)), cc.add(e, _ulp(e, prec)))
 
 
-def euler_ratio() -> Interval:
-    """The constant c = e/(e-1) (about 1.58198) from the bound formulas."""
+@functools.cache
+def _euler_ratio_at(digits: int) -> Interval:
     e = euler_e()
     return e / (e - 1)
+
+
+def euler_ratio() -> Interval:
+    """The constant c = e/(e-1) (about 1.58198) from the bound formulas,
+    computed once per precision."""
+    return _euler_ratio_at(_digits)
 
 
 # ---------------------------------------------------------------------------

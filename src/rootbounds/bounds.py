@@ -20,12 +20,12 @@ from .arith import (
     UpperReal,
     euler_ratio,
     format_rational,
+    ln_prime,
     log_base,
-    natural_log,
     require_prime,
 )
 from .linalg import to_vec
-from .newton import SparseSystem, facet_count
+from .newton import SparseSystem, facet_count, near_one_radius
 
 FORMULA_THM1_LOCAL = "thm1_local"
 FORMULA_THM1_GLOBAL = "thm1_global"
@@ -143,13 +143,8 @@ def _validate_r(r: Sequence, n: int) -> tuple[Fraction, ...]:
 
 
 def _cp_general_interval(m: int, n: int, rv: tuple[Fraction, ...], p: int) -> Interval:
-    s = sum(rv, Fraction(0))
     prod_r = math.prod(rv, start=Fraction(1))
-    arg = Interval.from_fraction(Fraction((m - 1) ** n) / prod_r) / (
-        natural_log(Fraction(p)) ** n
-    )
-    x = euler_ratio() * (m - 1) * (s + log_base(arg, p))
-    return (x ** n) / prod_r
+    return (near_one_radius(m, n, rv, p) ** n) / prod_r
 
 
 def _cp_per_equation_interval(
@@ -157,7 +152,7 @@ def _cp_per_equation_interval(
 ) -> Interval:
     s = sum(rv, Fraction(0))
     prod_r = math.prod(rv, start=Fraction(1))
-    ln_p_n = natural_log(Fraction(p)) ** n
+    ln_p_n = ln_prime(p) ** n
     acc = euler_ratio() ** n
     for i, m_i in enumerate(m_list):
         arg = Interval.from_fraction(Fraction((m_i - 1) ** n) / prod_r) / ln_p_n
@@ -205,7 +200,7 @@ def cp_bound_per_equation(
 
 def _local_interval(fs: FieldSpec, m: int, n: int) -> Interval:
     p, d = fs.p, fs.d
-    arg = Interval.from_fraction(Fraction(d * (m - 1))) / natural_log(Fraction(p))
+    arg = Interval.from_fraction(Fraction(d * (m - 1))) / ln_prime(p)
     inner = (
         euler_ratio()
         * (m - 1)
@@ -229,9 +224,7 @@ def local_bound(fs: FieldSpec, m: int, n: int, k: int) -> BoundReport:
 def _global_interval(fs: FieldSpec, m: int, n: int) -> Interval:
     d, delta = fs.d, fs.delta
     dd = d * delta
-    arg = Interval.from_fraction(Fraction(d * d * delta * delta * (m - 1))) / natural_log(
-        Fraction(2)
-    )
+    arg = Interval.from_fraction(Fraction(d * d * delta * delta * (m - 1))) / ln_prime(2)
     inner = (
         euler_ratio()
         * (m - 1)
@@ -388,10 +381,6 @@ def log_inequality_check(
     lhs_hyp = Interval.from_fraction(s_rt) - (m - 1) * log_sum
     hypothesis = lhs_hyp.certainly_le(Fraction(m - 1) * s_r)
 
-    prod_r = math.prod(rv, start=Fraction(1))
-    arg = Interval.from_fraction(Fraction((m - 1) ** n) / prod_r) / (
-        natural_log(Fraction(p)) ** n
-    )
-    rhs = euler_ratio() * (m - 1) * (s_r + log_base(arg, p))
+    rhs = near_one_radius(m, n, rv, p)
     conclusion = Interval.from_fraction(s_rt).possibly_le(rhs)
     return hypothesis, conclusion

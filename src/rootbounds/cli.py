@@ -9,6 +9,7 @@ success, 1 verification failure, 2 parse error, 3 invalid parameters.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -85,7 +86,7 @@ def _load_system(cfg: RunConfig) -> SparseSystem:
         if stripped.startswith("{"):
             return SparseSystem.from_json_obj(json.loads(text))
         return parse_system_text(text)
-    except (ParseError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ParseError, ValueError, KeyError, ZeroDivisionError, json.JSONDecodeError) as exc:
         raise CliError(f"could not parse the input system: {exc}", EXIT_PARSE_ERROR)
 
 
@@ -313,7 +314,10 @@ def cmd_binom(cfg: RunConfig, m: int, t: int, support: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged, so every call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="rootbounds",
         description="Root bounds for sparse polynomial systems over p-adic "
@@ -375,8 +379,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     cfg = _config_from_args(args)
     try:
         try:

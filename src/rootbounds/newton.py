@@ -22,8 +22,8 @@ from .arith import (
     UpperReal,
     euler_ratio,
     format_rational,
+    ln_prime,
     log_base,
-    natural_log,
     ord_p_value,
     require_prime,
 )
@@ -355,6 +355,16 @@ def shift_system(F: SparseSystem) -> SparseSystem:
 BORDERLINE_MARGIN = Fraction(1, 10**15)
 
 
+def near_one_radius(m: int, n: int, r: tuple[Fraction, ...], p: int) -> Interval:
+    """c(m-1)[sum r_j + log_p((m-1)^n / (r_1...r_n ln^n p))]: the radius of
+    the scaled simplex, the right-hand side of the slow-decay implication,
+    and the base of the general near-one bound."""
+    s = sum(r, Fraction(0))
+    prod_r = math.prod(r, start=Fraction(1))
+    arg = Interval.from_fraction(Fraction((m - 1) ** n) / prod_r) / (ln_prime(p) ** n)
+    return euler_ratio() * (m - 1) * (s + log_base(arg, p))
+
+
 @dataclass(frozen=True)
 class ScaledSimplex:
     """Region t >= 0, sum r_j t_j <= radius, with the radius rounded upward.
@@ -379,12 +389,7 @@ class ScaledSimplex:
         if m < 2:
             radius = Interval.exact(0).upper()
         else:
-            prod_r = math.prod(rv, start=Fraction(1))
-            arg = Interval.from_fraction(Fraction((m - 1) ** n) / prod_r) / (
-                natural_log(Fraction(p)) ** n
-            )
-            s = sum(rv, Fraction(0))
-            radius = (euler_ratio() * (m - 1) * (s + log_base(arg, p))).upper()
+            radius = near_one_radius(m, n, rv, p).upper()
         return cls(m, n, rv, p, radius)
 
     def radius_fraction(self) -> Fraction:

@@ -3,7 +3,8 @@
 One polynomial per line (or semicolon-separated): integers, rationals like
 3/4, variables x1..xn, +, -, *, ^ with integer exponents, and parentheses,
 e.g. ``3*x1^10 + x1^2 - 4``.  Exponents may be negative on monomial bases,
-giving Laurent terms.
+giving Laurent terms.  A monomial base is raised to its power in one step;
+a power whose coefficient would exceed about MAX_POWER_BITS bits is refused.
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ from .newton import SparsePolynomial, SparseSystem
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[-+*^();]))"
 )
+
+
+# Cap on the size of c^k for a monomial c*x^e raised to k: the power is
+# taken in one step, so without it one exponent could allocate gigabytes.
+MAX_POWER_BITS = 10**6
 
 
 class ParseError(ValueError):
@@ -57,6 +63,18 @@ def _pmul(a: Poly, b: Poly) -> Poly:
             e = tuple(x + y for x, y in zip(ea, eb))
             out[e] = out.get(e, Fraction(0)) + ca * cb
     return {e: c for e, c in out.items() if c != 0}
+
+
+def _monomial_power(term: Poly, k: int) -> Poly:
+    """(c*x^e)^k = c^k*x^(k*e) for any integer k; 0^0 is 1 and 0^k cancels
+    for k > 0, as repeated multiplication gives."""
+    ((e, c),) = term.items()
+    if c == 0 and k < 0:
+        raise ParseError("zero raised to a negative power")
+    if abs(k) * (max(abs(c.numerator), c.denominator).bit_length() - 1) > MAX_POWER_BITS:
+        raise ParseError(f"coefficient power {c}^{k} exceeds {MAX_POWER_BITS} bits")
+    ck = c**k
+    return {tuple(x * k for x in e): ck} if ck else {}
 
 
 class _Parser:
@@ -112,15 +130,14 @@ class _Parser:
         if not tok.isdigit():
             raise ParseError(f"expected an integer exponent, got {tok!r}")
         k = sign * int(tok)
-        if k >= 0:
-            out = {tuple([0] * self.n): Fraction(1)}
-            for _ in range(k):
-                out = _pmul(out, base)
-            return out
-        if len(base) != 1:
+        if len(base) == 1:
+            return _monomial_power(base, k)
+        if k < 0:
             raise ParseError("negative exponents are only supported on monomials")
-        ((e, c),) = base.items()
-        return {tuple(x * k for x in e): c**k}
+        out = {tuple([0] * self.n): Fraction(1)}
+        for _ in range(k):
+            out = _pmul(out, base)
+        return out
 
     def parse_atom(self) -> Poly:
         tok = self.peek()
@@ -141,7 +158,10 @@ class _Parser:
                 raise ParseError(f"variable {tok} out of range 1..{self.n}")
             e = tuple(1 if i == idx - 1 else 0 for i in range(self.n))
             return {e: Fraction(1)}
-        return {tuple([0] * self.n): Fraction(tok)}
+        try:
+            return {tuple([0] * self.n): Fraction(tok)}
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {tok}") from None
 
 
 def parse_polynomial_text(text: str, n: int) -> SparsePolynomial:

@@ -1,5 +1,5 @@
 import random
-from decimal import Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootbounds.arith import (
+    _GUARD_DIGITS,
     MAX_DIGITS,
     ExtendedValuation,
     INFINITE_VALUATION,
@@ -17,6 +18,7 @@ from rootbounds.arith import (
     format_valuation,
     get_precision,
     is_prime,
+    ln_prime,
     log_base,
     natural_log,
     ord_p,
@@ -195,3 +197,109 @@ def test_interval_product_encloses(a, b):
 def test_floor_int():
     assert eval_up(Interval.from_fraction(Fraction(7, 2))).floor_int() == 3
     assert eval_up(Interval.exact(4)).floor_int() == 4
+
+
+# ---------------------------------------------------------------------------
+# Per-precision constants and the one-call point log, against references
+# built with fresh contexts and two Decimal.ln calls
+# ---------------------------------------------------------------------------
+
+REF_DIGITS = (30, 40, 80, 300)
+REF_PRIMES = (2, 3, 5, 7, 101, 2**61 - 1)
+
+
+def _ref_contexts(digits):
+    prec = digits + _GUARD_DIGITS
+    return Context(prec=prec, rounding=ROUND_FLOOR), Context(prec=prec, rounding=ROUND_CEILING)
+
+
+def _ref_ulp(x, prec):
+    if x == 0:
+        return Decimal(1).scaleb(-prec)
+    return Decimal(1).scaleb(x.adjusted() - prec + 1)
+
+
+def _ref_ln(lo, hi, digits):
+    cf, cc = _ref_contexts(digits)
+    lo_ln = lo.ln(cf)
+    hi_ln = hi.ln(cc)
+    return cf.subtract(lo_ln, _ref_ulp(lo_ln, cf.prec)), cc.add(hi_ln, _ref_ulp(hi_ln, cc.prec))
+
+
+def _ref_from_fraction(q, digits):
+    cf, cc = _ref_contexts(digits)
+    return (
+        cf.divide(Decimal(q.numerator), Decimal(q.denominator)),
+        cc.divide(Decimal(q.numerator), Decimal(q.denominator)),
+    )
+
+
+def _ref_euler_ratio(digits):
+    cf, cc = _ref_contexts(digits)
+    e = Decimal(1).exp(cf)
+    e_lo = cf.subtract(e, _ref_ulp(e, cf.prec))
+    e_hi = cc.add(e, _ref_ulp(e, cc.prec))
+    d_lo, d_hi = cf.add(e_lo, Decimal(-1)), cc.add(e_hi, Decimal(-1))
+    pairs = [(a, b) for a in (e_lo, e_hi) for b in (d_lo, d_hi)]
+    return min(cf.divide(a, b) for a, b in pairs), max(cc.divide(a, b) for a, b in pairs)
+
+
+def _at_precision(digits, fn):
+    saved = get_precision()
+    try:
+        set_precision(digits)
+        return fn()
+    finally:
+        set_precision(saved)
+
+
+@pytest.mark.parametrize("digits", REF_DIGITS)
+def test_ln_prime_and_euler_ratio_match_fresh_context_reference(digits):
+    def check():
+        for p in REF_PRIMES:
+            lo, hi = _ref_from_fraction(Fraction(p), digits)
+            ref = _ref_ln(lo, hi, digits)
+            for _ in range(2):  # the second call is served from the cache
+                iv = ln_prime(p)
+                assert (iv.lo, iv.hi) == ref
+            assert natural_log(Fraction(p)) == iv
+        for _ in range(2):
+            c = euler_ratio()
+            assert (c.lo, c.hi) == _ref_euler_ratio(digits)
+
+    _at_precision(digits, check)
+
+
+def test_constants_follow_a_precision_switch():
+    def constants():
+        return [ln_prime(p) for p in REF_PRIMES] + [euler_ratio()]
+
+    at_40 = _at_precision(40, constants)
+    at_80 = _at_precision(80, constants)
+    assert _at_precision(40, constants) == at_40
+    for narrow, wide in zip(at_80, at_40):
+        assert wide.lo < narrow.lo <= narrow.hi < wide.hi
+        assert narrow.hi - narrow.lo < wide.hi - wide.lo
+    for p, iv in zip(REF_PRIMES, at_80):
+        assert (iv.lo, iv.hi) == _ref_ln(*_ref_from_fraction(Fraction(p), 80), 80)
+
+
+@pytest.mark.parametrize("digits", (40, 80))
+def test_interval_ln_matches_two_call_reference(digits):
+    rng = random.Random(SEED + digits)
+
+    def check():
+        for trial in range(300):
+            a = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            lo, hi = _ref_from_fraction(a, digits)
+            if trial % 3 == 0:
+                points = [(lo, lo), (hi, hi)]  # degenerate
+            else:
+                b = a + Fraction(rng.randint(0, 10**6), rng.randint(1, 10**6))
+                points = [(lo, _ref_from_fraction(b, digits)[1])]
+            points.append((Decimal(1), hi if a > 1 else Decimal(1) + hi))
+            for x_lo, x_hi in points:
+                iv = Interval(x_lo, x_hi).ln()
+                assert (iv.lo, iv.hi) == _ref_ln(x_lo, x_hi, digits)
+
+    _at_precision(digits, check)

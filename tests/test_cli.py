@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -9,9 +10,17 @@ from rootbounds.cli import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
     EXIT_VERIFY_FAILED,
+    _build_parser,
     main,
 )
-from rootbounds.parsing import ParseError, parse_polynomial_text, parse_system_text
+from rootbounds.parsing import (
+    ParseError,
+    _Parser,
+    _pmul,
+    _tokenize,
+    parse_polynomial_text,
+    parse_system_text,
+)
 
 EXAMPLE_13_SYSTEM = "1 + x1*x2 + x1^2*x2^3\n1 + x1*x2^2 + x1^4*x2\n"
 TRINOMIAL = "3*x1^10 + x1^2 - 4"
@@ -60,6 +69,56 @@ def test_parse_errors():
 def test_parse_powers_of_expressions():
     f = parse_polynomial_text("(x1 + 1)^2", 1)
     assert f.as_dict() == {(2,): 1, (1,): 2, (0,): 1}
+
+
+def _parse_dict(text: str, n: int) -> dict:
+    return _Parser(_tokenize(text), n).parse_expr()
+
+
+def _power_by_repeated_products(base: dict, k: int, n: int) -> dict:
+    # the repeated-multiplication reference; a negative power multiplies the
+    # inverse monomial, which only a one-term base has
+    if k < 0:
+        if len(base) != 1 or 0 in base.values():
+            raise ParseError("no inverse")
+        ((e, c),) = base.items()
+        base = {tuple(-x for x in e): 1 / c}
+        k = -k
+    out = {tuple([0] * n): Fraction(1)}
+    for _ in range(k):
+        out = _pmul(out, base)
+    return out
+
+
+def test_monomial_powers_match_repeated_products():
+    rng = random.Random(0x5EED)
+    coeffs = ["0", "1", "-1", "2", "-3", "3/4", "-5/7", "12/5"]
+    checked = 0
+    for _ in range(400):
+        c = rng.choice(coeffs)
+        a, b = rng.randint(-3, 4), rng.randint(0, 4)
+        k = rng.randint(-5, 60) if rng.random() < 0.9 else 0
+        for base in (f"({c}*x1^{a}*x2^{b})", f"({c})"):
+            text = f"{base}^{k}"
+            base_dict = _parse_dict(base, 2)
+            try:
+                want = _power_by_repeated_products(base_dict, k, 2)
+            except ParseError:
+                with pytest.raises(ParseError):
+                    _parse_dict(text, 2)
+                continue
+            assert _parse_dict(text, 2) == want, text
+            checked += 1
+    assert checked > 600
+    assert _parse_dict("0^0", 1) == {(0,): 1}
+    assert _parse_dict("0^3", 1) == {}
+    assert _parse_dict("(x1 + 1)^0", 1) == {(0,): 1}
+
+
+def test_large_coefficient_power_is_parse_error():
+    with pytest.raises(ParseError):
+        parse_polynomial_text("3^2000000*x1 + 1", 1)
+    assert parse_polynomial_text("x1^2000000 + 1", 1).as_dict() == {(2000000,): 1, (0,): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +371,39 @@ def test_precision_above_cap_is_bad_params(capsys, monkeypatch):
     assert code == EXIT_BAD_PARAMS
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "stdin_text",
+    [
+        "1/0 + x1\n",
+        "0^-1 + x1\n",
+        json.dumps({"n": 1, "polynomials": [[{"exp": [1], "coeff": "1/0"}, {"exp": [0], "coeff": "1"}]]}),
+    ],
+)
+def test_zero_denominator_is_parse_error(capsys, monkeypatch, stdin_text):
+    code, out, err = run_cli(capsys, ["bound", "-"], stdin_text=stdin_text, monkeypatch=monkeypatch)
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    assert _build_parser() is _build_parser()
+    code, out, _ = run_cli(capsys, ["bound", "-", "--affine"], stdin_text=TRINOMIAL + "\n", monkeypatch=monkeypatch)
+    assert code == EXIT_OK
+    assert "remark1_1" in [b["formula_id"] for b in json.loads(out)["bounds"]]
+    code, out, _ = run_cli(capsys, ["bound", "-"], stdin_text=TRINOMIAL + "\n", monkeypatch=monkeypatch)
+    assert code == EXIT_OK
+    assert "remark1_1" not in [b["formula_id"] for b in json.loads(out)["bounds"]]
+
+
+def test_huge_monomial_exponent_is_fast(capsys, monkeypatch):
+    # a monomial power is one step; repeated multiplication took 23.5 s here
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, ["bound", "-"], stdin_text="x1^3000000 + 3*x1 - 1\n", monkeypatch=monkeypatch
+    )
+    assert time.perf_counter() - t0 < 5.0
+    assert code == EXIT_OK
+    assert json.loads(out)["system"] == {"m": 3, "n": 1, "k": 1}
