@@ -7,8 +7,8 @@ binomial (a choose t) in the basis (a choose 0), ..., (a choose m-1) on a
 set A of m integers; those expansion coefficients are what keep the
 valuations of shifted sparse polynomials decaying slowly.
 
-Everything here is exact: integer arithmetic plus fraction-free elimination
-for the expansion solve.
+Everything here is exact: integer arithmetic plus an exact rational solve
+for the expansion.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .arith import _int_ord, is_prime
+from .linalg import solve_square
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,9 @@ def expansion_coeffs(support: Sequence[int], t: int) -> BinomialExpansion:
     """Solve for the coefficients expanding (a choose t) over a in support.
 
     For t < m the answer is the Kronecker vector.  Otherwise the m x m
-    integer system with entries (a choose j) is solved by fraction-free
-    elimination; it is invertible because the binomial basis polynomials
-    have degree < m and the support points are distinct.
+    integer system with entries (a choose j) is solved exactly; it is
+    invertible because the binomial basis polynomials have degree < m and
+    the support points are distinct.
     """
     a_sorted = tuple(sorted(support))
     m = len(a_sorted)
@@ -107,11 +108,11 @@ def expansion_coeffs(support: Sequence[int], t: int) -> BinomialExpansion:
     if t < m:
         coeffs = tuple(Fraction(1 if j == t else 0) for j in range(m))
         return BinomialExpansion(a_sorted, t, coeffs)
-    from .linalg import solve_integer_bareiss
-
-    rows = [[int(gen_binomial(a, j)) for j in range(m)] for a in a_sorted]
-    rhs = [int(gen_binomial(a, t)) for a in a_sorted]
-    coeffs = solve_integer_bareiss(rows, rhs)
+    rows = [[gen_binomial(a, j) for j in range(m)] for a in a_sorted]
+    rhs = [gen_binomial(a, t) for a in a_sorted]
+    coeffs = solve_square(rows, rhs)
+    if coeffs is None:
+        raise ArithmeticError("binomial basis system unexpectedly singular")
     expansion = BinomialExpansion(a_sorted, t, tuple(coeffs))
     _check_reconstruction(expansion)
     return expansion

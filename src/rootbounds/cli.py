@@ -28,7 +28,7 @@ from .bounds import (
     local_bound,
     local_facet_bound,
 )
-from .newton import CancellationError, SparseSystem, newton_data
+from .newton import SparseSystem, newton_data
 from .oracle import (
     IntegerMatrix,
     count_binomial_system,
@@ -395,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
             if cfg.command == "binom":
                 return cmd_binom(cfg, args.m, args.t, args.support)
             raise CliError(f"unknown command {cfg.command}", EXIT_BAD_PARAMS)
-        except (ValueError, CancellationError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise CliError(str(exc), EXIT_BAD_PARAMS)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,12 @@
 """Small exact linear algebra over the rationals and integers.
 
 Everything here works on tuples/lists of Fractions or ints and performs no
-rounding.  Rank and determinant use Bareiss fraction-free elimination: a row
-holding Fractions is first scaled to integers by the lcm of its denominators,
-so an all-int input stays in Python ints and gives an int result.  Solves use
-Gaussian elimination over Fractions, and a tiny phase-one simplex answers
-exact feasibility questions in low dimension.
+rounding.  Determinant, rank and the pivot rows and columns behind the rank
+use Bareiss fraction-free elimination: a row holding Fractions is first
+scaled to integers by the lcm of its denominators, so an all-int input stays
+in Python ints and gives an int result.  The one solver is Gaussian
+elimination over Fractions, and a tiny phase-one simplex answers exact
+feasibility questions in low dimension.
 """
 
 from __future__ import annotations
@@ -46,9 +47,19 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int | None
     return m, scale
 
 
-def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def pivots(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[int]]:
+    """Indices of the rows and of the columns that carry a pivot in Bareiss
+    elimination (Math. Comp. 22, 1968), in pivot order.
+
+    Each column takes the first remaining row with a nonzero entry, so the
+    pivot rows are independent, every other row lies in their span, and the
+    submatrix on the pivot rows and columns is nonsingular.
+    """
     m, _ = _integer_rows(rows)
-    rank = 0
+    live = list(range(len(m)))
+    row_ids: list[int] = []
+    col_ids: list[int] = []
+    col = 0
     prev = 1
     # Bareiss elimination on a shrinking block: by Sylvester's identity every
     # entry of the block is a minor of the input, so the division by the
@@ -60,13 +71,20 @@ def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
                 break
         else:
             m = [row[1:] for row in m]
+            col += 1
             continue
         prow = m.pop(pivot)
+        row_ids.append(live.pop(pivot))
+        col_ids.append(col)
         pv, tail = prow[0], prow[1:]
         m = [[(pv * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in m]
         prev = pv
-        rank += 1
-    return rank
+        col += 1
+    return row_ids, col_ids
+
+
+def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    return len(pivots(rows)[0])
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> int | Fraction:
@@ -111,35 +129,6 @@ def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return tuple(m[r][n] for r in range(n))
-
-
-def solve_integer_bareiss(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Vector:
-    """Fraction-free solve of an integer square system (must be nonsingular)."""
-    n = len(rows)
-    m = [[int(x) for x in r] + [int(rhs[i])] for i, r in enumerate(rows)]
-    sign = 1
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular integer system")
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n + 1):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    d = sign * prev  # determinant
-    # back substitution over rationals on the triangularized system
-    x: list[Fraction] = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        s = Fraction(m[r][n]) - sum(Fraction(m[r][c]) * x[c] for c in range(r + 1, n))
-        x[r] = s / m[r][r]
-    if d == 0:
-        raise ValueError("singular integer system")
-    return tuple(x)
 
 
 def gram_solve(basis: Sequence[Vector], target: Sequence[Fraction]) -> Vector:

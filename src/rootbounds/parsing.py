@@ -5,10 +5,13 @@ One polynomial per line (or semicolon-separated): integers, rationals like
 e.g. ``3*x1^10 + x1^2 - 4``.  Exponents may be negative on monomial bases,
 giving Laurent terms.  A monomial base is raised to its power in one step;
 a power whose coefficient would exceed about MAX_POWER_BITS bits is refused.
+A base of several terms is multiplied out, and refused before any product
+when the estimated work exceeds MAX_POWER_WORK.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -22,6 +25,13 @@ _TOKEN = re.compile(
 # Cap on the size of c^k for a monomial c*x^e raised to k: the power is
 # taken in one step, so without it one exponent could allocate gigabytes.
 MAX_POWER_BITS = 10**6
+
+# Cap on raising a base of m >= 2 terms to the power k by k products: they
+# make at most k*comb(k+m-1, m-1) term products, each on coefficients of up
+# to about k*(b + log2 m) bits when the base coefficients have b bits, and
+# the estimate counts one product per started 4096 bits.  10^5 units take
+# under a second, e.g. (x1 + 1)^300 or (x1 + x2 + x3 + 1)^25.
+MAX_POWER_WORK = 10**5
 
 
 class ParseError(ValueError):
@@ -75,6 +85,17 @@ def _monomial_power(term: Poly, k: int) -> Poly:
         raise ParseError(f"coefficient power {c}^{k} exceeds {MAX_POWER_BITS} bits")
     ck = c**k
     return {tuple(x * k for x in e): ck} if ck else {}
+
+
+def _check_power_work(base: Poly, k: int) -> None:
+    m = len(base)
+    bits = max(max(abs(c.numerator), c.denominator).bit_length() for c in base.values())
+    # the first test keeps comb() off an exponent with thousands of digits
+    if k > MAX_POWER_WORK or (
+        k * math.comb(k + m - 1, m - 1) * (1 + k * (bits + m.bit_length()) // 4096)
+        > MAX_POWER_WORK
+    ):
+        raise ParseError(f"power of a {m}-term base exceeds the work cap {MAX_POWER_WORK}")
 
 
 class _Parser:
@@ -135,6 +156,9 @@ class _Parser:
         if k < 0:
             raise ParseError("negative exponents are only supported on monomials")
         out = {tuple([0] * self.n): Fraction(1)}
+        if not base:  # a cancelled base: 0^0 = 1 and 0^k = 0
+            return {} if k else out
+        _check_power_work(base, k)
         for _ in range(k):
             out = _pmul(out, base)
         return out

@@ -10,6 +10,14 @@ as the lifts of a system), and volumes and offsets are divided back at the
 end.  Volume accumulates during construction as the sum of the initial
 simplex and the pyramids swept out by each insertion, which is also how
 mixed volumes get their exact subset volumes.
+
+Every affine-hull question is answered by one pivoting Bareiss pass over the
+differences p_i - p_0 (``linalg.pivots``): its pivot rows give the affine
+dimension d and d + 1 affinely independent points that seed the hull, and
+its pivot columns d coordinate axes onto which the affine hull projects
+bijectively.  That projection keeps vertices and faces, so a
+lower-dimensional set is hulled on those axes, and a lower-facet functional
+found there is pulled back into the span of the point set.
 """
 
 from __future__ import annotations
@@ -20,15 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Vector, det, dot, gram_solve, mat_rank, to_vec, vec_sub
+from .linalg import Vector, det, dot, gram_solve, mat_rank, pivots, to_vec, vec_sub
 
 MAX_DIM = 6
 
 Point = Vector
-
-
-def point(*coords) -> Point:
-    return to_vec(coords)
 
 
 class DimensionError(ValueError):
@@ -66,7 +70,7 @@ class Polytope:
 
 
 # ---------------------------------------------------------------------------
-# Affine coordinates
+# Charts: affine dimension and a coordinate projection of the affine hull
 # ---------------------------------------------------------------------------
 
 
@@ -77,53 +81,21 @@ def _lattice(points: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]:
     return [tuple(x.numerator * (lcm // x.denominator) for x in p) for p in points], lcm
 
 
-def _affine_dim(points: Sequence[Point]) -> int:
-    if len(points) <= 1:
-        return 0
-    ipts, _ = _lattice(points)
-    base = ipts[0]
-    return mat_rank([vec_sub(p, base) for p in ipts[1:]])
-
-
-def _affine_basis(points: Sequence[Point]) -> tuple[Point, list[Vector]]:
-    """Origin and a greedy independent set of difference vectors."""
+def _chart(points: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Indices of d + 1 affinely independent points, points[0] first, and d
+    coordinate axes onto which the affine hull of the points projects
+    bijectively, d being the affine dimension of the nonempty point set."""
     base = points[0]
-    basis: list[Vector] = []
-    rank = 0
-    for p in points[1:]:
-        candidate = basis + [vec_sub(p, base)]
-        if mat_rank(candidate) > rank:
-            basis = candidate
-            rank += 1
-    return base, basis
+    rows, axes = pivots([vec_sub(p, base) for p in points[1:]])
+    return [0] + [i + 1 for i in rows], axes
 
 
-def _local_coords(points: Sequence[Point], base: Point, basis: list[Vector]) -> list[Vector]:
-    """Coordinates t with x = base + B t, for x in the affine hull of basis."""
-    from .linalg import solve_square
+def _on_axes(points: Sequence[Sequence[int]], axes: Sequence[int]) -> list[tuple[int, ...]]:
+    return [tuple(p[a] for a in axes) for p in points]
 
-    d = len(basis)
-    # pick d rows of B forming an invertible submatrix
-    cols = basis
-    ambient = len(base)
-    rows_idx: list[int] = []
-    for r in range(ambient):
-        candidate = rows_idx + [r]
-        sub = [[cols[j][i] for j in range(d)] for i in candidate]
-        if mat_rank(sub) > len(rows_idx):
-            rows_idx.append(r)
-        if len(rows_idx) == d:
-            break
-    sub = [[cols[j][i] for j in range(d)] for i in rows_idx]
-    out = []
-    for p in points:
-        diff = vec_sub(p, base)
-        rhs = [diff[i] for i in rows_idx]
-        t = solve_square(sub, rhs)
-        if t is None:
-            raise ArithmeticError("affine basis submatrix unexpectedly singular")
-        out.append(tuple(t))
-    return out
+
+def _affine_dim(points: Sequence[Point]) -> int:
+    return len(_chart(_lattice(points)[0])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -161,25 +133,25 @@ class _Facet:
 
 
 class _Hull:
-    """Exact hull of a full-dimensional point set in Q^d, d >= 1.
+    """Exact hull of the points x = y / L for integer points y spanning Z^d.
 
-    Exposes ``vertex_ids``, canonical ``facets`` as (normal, offset,
-    vertex-id frozenset) with normal.x >= offset over the hull, and the
-    Euclidean ``volume``.  The construction runs on the integer points
-    L*x, with L the lcm of every coordinate denominator (1 for lattice
-    input); a uniform scale leaves the facet normals unchanged, and the
+    ``simplex`` holds the indices of d + 1 affinely independent points, the
+    first simplex of the construction, and L (``scale``) is the lcm of the
+    input's coordinate denominators, 1 for lattice input.  Exposes
+    ``vertex_ids``, canonical ``facets`` as (normal, offset, vertex-id
+    frozenset) with normal.x >= offset over the hull, and the Euclidean
+    ``volume``.  A uniform scale leaves the facet normals unchanged; the
     offsets and the volume are divided by L and L^d once at the end.
     """
 
-    def __init__(self, pts: Sequence[Point], dim: int):
-        if dim < 1:
-            raise DimensionError("hull requires dimension >= 1")
-        self.dim = dim
-        self.pts, self.scale = _lattice(pts)
-        if dim == 1:
+    def __init__(self, pts: list[tuple[int, ...]], scale: int, simplex: Sequence[int]):
+        self.dim = len(simplex) - 1
+        self.pts = pts
+        self.scale = scale
+        if self.dim == 1:
             self._build_1d()
         else:
-            self._build()
+            self._build(simplex)
 
     def _build_1d(self) -> None:
         xs = [(p[0], i) for i, p in enumerate(self.pts)]
@@ -191,18 +163,6 @@ class _Hull:
             ((1,), Fraction(lo[0], self.scale), frozenset({lo[1]})),
             ((-1,), Fraction(-hi[0], self.scale), frozenset({hi[1]})),
         ]
-
-    def _initial_simplex(self) -> list[int]:
-        idx = [0]
-        basis: list[tuple[int, ...]] = []
-        for i in range(1, len(self.pts)):
-            cand = basis + [vec_sub(self.pts[i], self.pts[0])]
-            if mat_rank(cand) > len(basis):
-                basis = cand
-                idx.append(i)
-            if len(idx) == self.dim + 1:
-                return idx
-        raise DimensionError("point set is not full-dimensional")
 
     def _oriented(self, verts: tuple[int, ...]) -> _Facet | None:
         hp = _hyperplane([self.pts[v] for v in verts])
@@ -220,9 +180,8 @@ class _Hull:
         pn, po = _primitive(normal, offset)
         return _Facet(tuple(sorted(verts)), pn, po)
 
-    def _build(self) -> None:
+    def _build(self, simplex: Sequence[int]) -> None:
         d = self.dim
-        simplex = self._initial_simplex()
         spts = [self.pts[i] for i in simplex]
         self._interior = tuple(sum(p[j] for p in spts) for j in range(d))
         det_sum = abs(det([vec_sub(p, spts[0]) for p in spts[1:]]))
@@ -296,27 +255,19 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     if ambient > MAX_DIM:
         raise DimensionError(f"ambient dimension {ambient} exceeds the cap {MAX_DIM}")
     pts = sorted(set(pts))
-    adim = _affine_dim(pts)
-    if adim == 0:
+    hull = _structure(pts)
+    if hull is None:
         return Polytope((pts[0],), ambient, 0)
-    if adim == ambient:
-        hull = _Hull(pts, ambient)
-        verts = tuple(sorted(pts[i] for i in hull.vertex_ids))
-        return Polytope(verts, ambient, adim)
-    base, basis = _affine_basis(pts)
-    local = _local_coords(pts, base, basis)
-    hull = _Hull(local, adim)
-    verts = tuple(sorted(pts[i] for i in hull.vertex_ids))
-    return Polytope(verts, ambient, adim)
+    return Polytope(tuple(pts[i] for i in hull.vertex_ids), ambient, hull.dim)
 
 
-def _structure(p: Polytope) -> _Hull:
-    """Hull structure of P computed inside its own affine hull."""
-    pts = list(p.vertices)
-    if p.affine_dim == p.ambient_dim:
-        return _Hull(pts, p.ambient_dim)
-    base, basis = _affine_basis(pts)
-    return _Hull(_local_coords(pts, base, basis), p.affine_dim)
+def _structure(pts: Sequence[Point]) -> _Hull | None:
+    """Hull of a point set on its chart axes; None for a single point."""
+    ipts, lcm = _lattice(pts)
+    simplex, axes = _chart(ipts)
+    if not axes:
+        return None
+    return _Hull(_on_axes(ipts, axes), lcm, simplex)
 
 
 def face(p: Polytope, w: Sequence) -> Polytope:
@@ -351,7 +302,7 @@ def edges(p: Polytope) -> tuple[tuple[Point, Point], ...]:
         return ()
     if p.affine_dim == 1:
         return ((p.vertices[0], p.vertices[-1]),)
-    hull = _structure(p)
+    hull = _structure(p.vertices)
     nverts = len(p.vertices)
     out = []
     for i in range(nverts):
@@ -369,17 +320,11 @@ def edge_count(p: Polytope) -> int:
     return len(edges(p))
 
 
-def _full_dim_volume(pts: Sequence[Point], dim: int) -> Fraction:
-    return _Hull(pts, dim).volume
-
-
 def volume(p: Polytope) -> Fraction:
     """Exact Euclidean volume in the ambient dimension; 0 when degenerate."""
-    if p.affine_dim < p.ambient_dim:
+    if p.affine_dim < p.ambient_dim or p.ambient_dim == 0:
         return Fraction(0)
-    if p.ambient_dim == 0:
-        return Fraction(0)
-    return _full_dim_volume(list(p.vertices), p.ambient_dim)
+    return _structure(p.vertices).volume
 
 
 def mixed_volume(polytopes: Sequence[Polytope]) -> Fraction:
@@ -412,9 +357,10 @@ def mixed_volume(polytopes: Sequence[Polytope]) -> Fraction:
                 for combo in itertools.product(*(verts[i] for i in subset))
             }
             pts_list = sorted(pts)
-            if _affine_dim(pts_list) < n:
+            simplex, axes = _chart(pts_list)
+            if len(axes) < n:
                 continue
-            total += sign * _full_dim_volume(pts_list, n)
+            total += sign * _Hull(pts_list, 1, simplex).volume
     if total < 0:
         raise ArithmeticError(f"negative mixed volume {total}; hull computation broken")
     return total / lcm**n
@@ -451,38 +397,36 @@ def lower_facets(p: Polytope) -> list[tuple[FacetNormal, Polytope]]:
         if u not in lowest or v[-1] < lowest[u][-1]:
             lowest[u] = v
     kept = sorted(lowest.values())
-    projs = [v[:-1] for v in kept]
-
-    du = _affine_dim(projs)
-    if du == 0:
+    ipts, lcm = _lattice(kept)
+    simplex_u, axes = _chart([q[:-1] for q in ipts])
+    if not axes:
         normal = FacetNormal(to_vec([0] * n + [1]))
         return [(normal, Polytope((kept[0],), p.ambient_dim, 0))]
-
-    base_u, basis_u = _affine_basis(projs)
-    t_coords = _local_coords(projs, base_u, basis_u)
-    lifted = [t + (v[-1],) for t, v in zip(t_coords, kept)]
+    # the differences p_i - p_0 at the basis points of the projections; a
+    # functional given on the chart axes is pulled back into their span
+    basis = [vec_sub(ipts[i][:-1], ipts[0][:-1]) for i in simplex_u[1:]]
+    lifted = _on_axes(ipts, axes + [n])
+    simplex, lifted_axes = _chart(lifted)
 
     results: list[tuple[FacetNormal, Polytope]] = []
-    if _affine_dim(lifted) < du + 1:
-        # single linearity region: heights are an affine function of t
-        h0 = kept[0][-1]
-        alpha: list[Fraction] = []
-        seen = {tuple(t): v[-1] for t, v in zip(t_coords, kept)}
-        for k in range(du):
-            ek = tuple(Fraction(1 if i == k else 0) for i in range(du))
-            alpha.append(seen[ek] - h0)
-        r = _min_norm_preimage(basis_u, [-a for a in alpha])
+    if len(lifted_axes) == len(axes):
+        # single linearity region: the heights are an affine function h, and
+        # r.(p_i - p_0) = h(p_0) - h(p_i) puts every lifted point on one facet
+        h0 = ipts[0][-1]
+        r = _min_norm_preimage(basis, [h0 - ipts[i][-1] for i in simplex_u[1:]])
         facet = convex_hull(kept)
         results.append((FacetNormal(r + (Fraction(1),)), facet))
         return results
 
-    hull = _Hull(lifted, du + 1)
+    hull = _Hull(lifted, lcm, simplex)
     for normal, _offset, on_ids in hull.facets:
         if normal[-1] <= 0:
             continue
-        last = Fraction(normal[-1])
-        s_local = [Fraction(normal[i]) / last for i in range(du)]
-        r = _min_norm_preimage(basis_u, s_local)
+        target = [
+            Fraction(sum(normal[k] * b[a] for k, a in enumerate(axes)), normal[-1])
+            for b in basis
+        ]
+        r = _min_norm_preimage(basis, target)
         verts = tuple(sorted(kept[i] for i in on_ids))
         facet = Polytope(verts, p.ambient_dim, _affine_dim(verts))
         results.append((FacetNormal(r + (Fraction(1),)), facet))

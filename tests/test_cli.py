@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -69,6 +70,10 @@ def test_parse_errors():
 def test_parse_powers_of_expressions():
     f = parse_polynomial_text("(x1 + 1)^2", 1)
     assert f.as_dict() == {(2,): 1, (1,): 2, (0,): 1}
+    # just under the work cap, and a cancelled base at any power
+    f = parse_polynomial_text("(x1 + 1)^300", 1).as_dict()
+    assert len(f) == 301 and f[(150,)] == math.comb(300, 150)
+    assert _parse_dict("(x1 - x1)^1000000000 + x1", 1) == {(1,): 1}
 
 
 def _parse_dict(text: str, n: int) -> dict:
@@ -119,6 +124,20 @@ def test_large_coefficient_power_is_parse_error():
     with pytest.raises(ParseError):
         parse_polynomial_text("3^2000000*x1 + 1", 1)
     assert parse_polynomial_text("x1^2000000 + 1", 1).as_dict() == {(2000000,): 1, (0,): 1}
+
+
+@pytest.mark.parametrize(
+    "stdin_text",
+    ["(x1 + 1)^2000\n", "(x1 + x2 + x3 + x4 + 1)^100\n", "(2^3000*x1 + 1)^300\n", "(x1 + 1)^" + "9" * 4000 + "\n"],
+)
+def test_multi_term_power_above_the_work_cap_is_parse_error(capsys, monkeypatch, stdin_text):
+    # refused before any product; (x1 + 1)^2000 took 35.6 s to expand
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, ["bound", "-"], stdin_text=stdin_text, monkeypatch=monkeypatch)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +378,24 @@ def test_cancelling_system_is_bad_params(capsys, monkeypatch, command):
     assert code == EXIT_BAD_PARAMS
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_arithmetic_error_is_bad_params(capsys, monkeypatch):
+    # the roots 1 and 1 + 2^70 agree in 70 2-adic digits, past the cap of
+    # the univariate oracle's residue refinement
+    code, out, err = run_cli(
+        capsys,
+        ["verify", "-", "--prime", "2"],
+        stdin_text="x1^2 - (2 + 2^70)*x1 + 1 + 2^70\n",
+        monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (EXIT_BAD_PARAMS, "")
+    assert err.startswith("error: ") and "refinement" in err
+    # the lower facet count check of the Newton analysis
+    monkeypatch.setattr("rootbounds.bounds.valuation_vector_cap", lambda m, n: 0)
+    code, out, err = run_cli(capsys, ["bound", "-"], stdin_text=TRINOMIAL + "\n", monkeypatch=monkeypatch)
+    assert (code, out) == (EXIT_BAD_PARAMS, "")
+    assert err.startswith("error: ") and "combinatorial cap" in err
 
 
 def test_precision_above_cap_is_bad_params(capsys, monkeypatch):

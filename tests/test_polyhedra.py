@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootbounds.linalg import det, dot, in_convex_hull, mat_rank, to_vec, vec_sub
+from rootbounds.linalg import (
+    det,
+    dot,
+    gram_solve,
+    in_convex_hull,
+    mat_rank,
+    pivots,
+    solve_square,
+    to_vec,
+    vec_sub,
+)
 from rootbounds.polyhedra import (
     DimensionError,
     Polytope,
@@ -518,9 +528,21 @@ def test_det_and_rank_match_fraction_reference():
             assert type(d) is Fraction
         singular += d == 0
         assert mat_rank(rows) == _fraction_rank(rows)
+        _check_pivots(rows)
         wide = _rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), rational)
         assert mat_rank(wide) == _fraction_rank(wide)
+        _check_pivots(wide)
     assert singular >= 50
+
+
+def _check_pivots(rows):
+    row_ids, col_ids = pivots(rows)
+    rank = _fraction_rank(rows)
+    assert len(row_ids) == len(col_ids) == rank
+    assert _fraction_det([[rows[i][j] for j in col_ids] for i in row_ids]) != 0
+    basis = [rows[i] for i in row_ids]
+    for i in set(range(len(rows))) - set(row_ids):
+        assert _fraction_rank(basis + [rows[i]]) == rank
 
 
 def _point_set(rng, d, kind):
@@ -566,3 +588,140 @@ def test_integer_hull_against_independent_checks(d, kind):
         # at most d + 2 vertices keep the d-fold Minkowski sums small
         q = convex_hull(p.vertices[: d + 2])
         assert mixed_volume((q,) * d) == math.factorial(d) * volume(q)
+
+
+# ---------------------------------------------------------------------------
+# the coordinate chart against the local coordinates it replaced
+# ---------------------------------------------------------------------------
+
+
+def _greedy_affine_basis(points):
+    """Origin and a greedy independent set of difference vectors."""
+    base = points[0]
+    basis = []
+    for p in points[1:]:
+        candidate = basis + [vec_sub(p, base)]
+        if _fraction_rank(candidate) > len(basis):
+            basis = candidate
+    return base, basis
+
+
+def _local_coords(points, base, basis):
+    """Coordinates t with x = base + B t, solved on d independent rows of B."""
+    rows_idx = []
+    for r in range(len(base)):
+        if len(rows_idx) < len(basis):
+            sub = [[b[i] for b in basis] for i in rows_idx + [r]]
+            if _fraction_rank(sub) > len(rows_idx):
+                rows_idx.append(r)
+    sub = [[b[i] for b in basis] for i in rows_idx]
+    out = []
+    for p in points:
+        diff = vec_sub(p, base)
+        out.append(solve_square(sub, [diff[i] for i in rows_idx]))
+    return out
+
+
+def _reference_hull(points):
+    """Vertices, affine dimension and edges of conv(points), hulled in local
+    coordinates, where the point set is full-dimensional."""
+    pts = sorted(set(map(to_vec, points)))
+    base, basis = _greedy_affine_basis(pts)
+    if not basis:
+        return (pts[0],), 0, []
+    local = _local_coords(pts, base, basis)
+    back = dict(zip(local, pts))
+    q = convex_hull(local)
+    verts = tuple(sorted(back[v] for v in q.vertices))
+    return verts, len(basis), sorted(tuple(sorted((back[a], back[b]))) for a, b in edges(q))
+
+
+def _reference_lower_facets(p):
+    """(normal, facet vertices) of the lower facets, with the lower hull of
+    the lift taken in the local coordinates of the projected points."""
+    n = p.ambient_dim - 1
+    lowest = {}
+    for v in p.vertices:
+        if v[:-1] not in lowest or v[-1] < lowest[v[:-1]][-1]:
+            lowest[v[:-1]] = v
+    kept = sorted(lowest.values())
+    projs = [v[:-1] for v in kept]
+    base, basis = _greedy_affine_basis(projs)
+    if not basis:
+        return [((0,) * n + (1,), (kept[0],))]
+    du = len(basis)
+
+    def pull_back(s):  # minimum-norm r in the span of the basis with B^T r = s
+        y = gram_solve(basis, s)
+        return tuple(sum(yk * b[i] for yk, b in zip(y, basis)) for i in range(n))
+
+    t_coords = _local_coords(projs, base, basis)
+    lifted = [t + (v[-1],) for t, v in zip(t_coords, kept)]
+    if _fraction_rank([vec_sub(q, lifted[0]) for q in lifted[1:]]) < du + 1:
+        seen = {t: v[-1] for t, v in zip(t_coords, kept)}
+        unit = [tuple(Fraction(int(i == k)) for i in range(du)) for k in range(du)]
+        alpha = [seen[e] - kept[0][-1] for e in unit]
+        return [(pull_back([-a for a in alpha]) + (1,), convex_hull(kept).vertices)]
+    back = dict(zip(lifted, kept))
+    out = []
+    for fn, facet in lower_facets(convex_hull(lifted)):
+        verts = tuple(sorted(back[v] for v in facet.vertices))
+        out.append((pull_back(fn.normal[:-1]) + (1,), verts))
+    return sorted(out)
+
+
+def _embedded_point_set(rng, kind):
+    """Seeded points of Q^d, d < D <= 5, mapped into Q^D by an injective
+    integer affine map, and the dimension D."""
+    D = rng.randint(2, 5)
+    d = rng.randint(1, D - 1)
+    while True:
+        a = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(D)]
+        if _fraction_rank(a) == d:
+            break
+    shift = [rng.randint(-5, 5) for _ in range(D)]
+    size = rng.randint(1, d + 6)
+    if kind == "rational":
+        pts = [
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d))
+            for _ in range(size)
+        ]
+    elif kind == "collinear":
+        start = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(d)]
+        step = [rng.randint(-2, 2) for _ in range(d)]
+        step[rng.randrange(d)] = rng.choice((-1, 1, 2))
+        pts = [tuple(x + t * y for x, y in zip(start, step)) for t in rng.sample(range(-5, 6), size)]
+    else:
+        pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(size)]
+        if kind == "duplicates":
+            pts += [rng.choice(pts) for _ in range(3)]
+    emb = [tuple(dot(row, q) + s for row, s in zip(a, shift)) for q in pts]
+    return emb, pts, D
+
+
+@pytest.mark.parametrize("kind", ["lattice", "rational", "duplicates", "collinear"])
+def test_chart_matches_local_coordinates(kind):
+    rng = random.Random(f"{SEED}-chart-{kind}")
+    for _ in range(40):
+        emb, pts, D = _embedded_point_set(rng, kind)
+        p = convex_hull(emb)
+        verts, adim, edge_list = _reference_hull(emb)
+        assert p.vertices == verts
+        assert p.affine_dim == adim < D
+        assert sorted(edges(p)) == edge_list
+        # heights: random lattice or rational values (several linearity
+        # regions; a duplicate keeps its lowest height), or an affine
+        # function of the points (one region)
+        mode = rng.randrange(3)
+        slope = [rng.randint(-2, 2) for _ in pts[0]]
+        heights = [
+            rng.randint(0, 4)
+            if mode == 0
+            else Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            if mode == 1
+            else dot(slope, q) + 1
+            for q in pts
+        ]
+        lift = convex_hull([e + (h,) for e, h in zip(emb, heights)])
+        got = [(fn.normal, facet.vertices) for fn, facet in lower_facets(lift)]
+        assert got == _reference_lower_facets(lift)
