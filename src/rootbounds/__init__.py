@@ -6,15 +6,13 @@ brute-force oracles verify the bounds at desk scale.
 """
 
 from .arith import (
-    ExtendedValuation,
     Interval,
     Rational,
     UpperReal,
     euler_ratio,
-    eval_up,
     log_base,
     natural_log,
-    ord_p,
+    ord_p_value,
     set_precision,
 )
 from .binomials import (
@@ -55,7 +53,6 @@ from .newton import (
 )
 from .oracle import (
     IntegerMatrix,
-    OracleConfig,
     RootCount,
     count_binomial_system,
     count_univariate_padic,
@@ -66,11 +63,8 @@ from .oracle import (
     smith_normal_form,
 )
 from .polyhedra import (
-    FacetNormal,
     Polytope,
     convex_hull,
-    edge_count,
-    edges,
     face,
     lower_facets,
     minkowski_sum,

@@ -122,55 +122,6 @@ def require_prime(p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtendedValuation:
-    """A value in Q together with the absorbing element +infinity.
-
-    ``value`` is ``None`` exactly when the valuation is infinite.  Addition
-    absorbs infinity and ``min`` treats it as the neutral element, matching
-    the usual exponential-valuation conventions.
-    """
-
-    value: Fraction | None
-
-    @classmethod
-    def finite(cls, q: RationalLike) -> "ExtendedValuation":
-        return cls(Fraction(q))
-
-    @classmethod
-    def infinite(cls) -> "ExtendedValuation":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __add__(self, other: "ExtendedValuation") -> "ExtendedValuation":
-        if self.is_infinite or other.is_infinite:
-            return ExtendedValuation.infinite()
-        return ExtendedValuation(self.value + other.value)
-
-    def min(self, other: "ExtendedValuation") -> "ExtendedValuation":
-        if self.is_infinite:
-            return other
-        if other.is_infinite:
-            return self
-        return self if self.value <= other.value else other
-
-    def __le__(self, other: "ExtendedValuation") -> bool:
-        if self.is_infinite:
-            return other.is_infinite
-        if other.is_infinite:
-            return True
-        return self.value <= other.value
-
-    def __str__(self) -> str:
-        return "inf" if self.value is None else format_rational(self.value)
-
-
-INFINITE_VALUATION = ExtendedValuation.infinite()
-
-
 def _int_ord(n: int, p: int) -> int:
     # n != 0
     v = 0
@@ -180,27 +131,17 @@ def _int_ord(n: int, p: int) -> int:
     return v
 
 
-def ord_p(x: RationalLike, p: int) -> ExtendedValuation:
-    """Exponent of the prime p in the rational x; +infinity for x = 0."""
+def ord_p_value(x: RationalLike, p: int) -> Fraction:
+    """Exponent of the prime p in the nonzero rational x."""
     require_prime(p)
     x = Fraction(x)
     if x == 0:
-        return INFINITE_VALUATION
-    return ExtendedValuation(
-        Fraction(_int_ord(x.numerator, p) - _int_ord(x.denominator, p))
-    )
-
-
-def ord_p_value(x: RationalLike, p: int) -> Fraction:
-    """Like :func:`ord_p` but requires x != 0 and returns the bare rational."""
-    v = ord_p(x, p)
-    if v.is_infinite:
         raise ValueError("valuation of zero is infinite")
-    return v.value
+    return Fraction(_int_ord(x.numerator, p) - _int_ord(x.denominator, p))
 
 
 # ---------------------------------------------------------------------------
-# Rational serialization ("num/den", den omitted when 1; "inf")
+# Rational serialization ("num/den", den omitted when 1)
 # ---------------------------------------------------------------------------
 
 
@@ -209,21 +150,6 @@ def format_rational(q: RationalLike) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s.strip())
-
-
-def format_valuation(v: ExtendedValuation) -> str:
-    return str(v)
-
-
-def parse_valuation(s: str) -> ExtendedValuation:
-    s = s.strip()
-    if s == "inf":
-        return INFINITE_VALUATION
-    return ExtendedValuation(parse_rational(s))
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +332,13 @@ def log_base(x: IntervalLike, p: int) -> Interval:
     return natural_log(x) / ln_prime(p)
 
 
-def euler_e() -> Interval:
-    cf, cc = _ctx_floor(), _ctx_ceil()
-    prec = cf.prec
-    e = Decimal(1).exp(cf)
-    return Interval(cf.subtract(e, _ulp(e, prec)), cc.add(e, _ulp(e, prec)))
-
-
 @functools.cache
 def _euler_ratio_at(digits: int) -> Interval:
-    e = euler_e()
+    # exp, like ln, rounds half-even in every context: widen by one ulp
+    cf, cc = _ctx_floor(), _ctx_ceil()
+    e = Decimal(1).exp(cf)
+    ulp = _ulp(e, cf.prec)
+    e = Interval(cf.subtract(e, ulp), cc.add(e, ulp))
     return e / (e - 1)
 
 
@@ -448,13 +371,3 @@ class UpperReal:
 
     def __str__(self) -> str:
         return self.to_decimal_string()
-
-
-def eval_up(expr: IntervalLike) -> UpperReal:
-    """Upper endpoint of a bound expression built from Interval operations.
-
-    Expressions are composed with the ordinary operators plus
-    :func:`log_base` and :func:`euler_ratio`; the enclosing interval
-    guarantees the returned value is >= the exact real.
-    """
-    return Interval._coerce(expr).upper()

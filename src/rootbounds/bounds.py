@@ -282,13 +282,11 @@ def local_facet_bound_from_counts(
     return _report(FORMULA_COR2_1, iv, inputs, (note,))
 
 
-def local_facet_bound(
-    F: SparseSystem, fs: FieldSpec, use_general_cp: bool = False
-) -> BoundReport:
+def local_facet_bound(F: SparseSystem, fs: FieldSpec) -> BoundReport:
     if F.k < F.n:
         raise ValueError("facet bound needs k >= n")
     facets = facet_count(F, fs.p)
-    if F.k == F.n and not use_general_cp:
+    if F.k == F.n:
         return local_facet_bound_from_counts(
             facets, F.n, fs, m=F.m, m_list=F.m_counts
         )

@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith
@@ -44,23 +43,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_BAD_PARAMS = 3
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None
-    prime: int
-    d: int | None
-    e: int
-    f: int
-    delta: int
-    global_case: bool
-    height_cap: int
-    precision: int
-    seed: int
-    output_format: str
-    affine: bool
-    random_trials: int
+# Cap on verify --random N; one trial takes milliseconds, so this keeps a
+# run to seconds.
+MAX_RANDOM_TRIALS = 1000
 
 
 class CliError(Exception):
@@ -79,35 +64,35 @@ def _read_input(path: str | None) -> str:
         raise CliError(f"cannot read input: {exc}", EXIT_PARSE_ERROR)
 
 
-def _load_system(cfg: RunConfig) -> SparseSystem:
-    text = _read_input(cfg.input_path)
+def _load_system(args: argparse.Namespace) -> SparseSystem:
+    text = _read_input(args.input)
     stripped = text.lstrip()
     try:
         if stripped.startswith("{"):
             return SparseSystem.from_json_obj(json.loads(text))
         return parse_system_text(text)
-    except (ParseError, ValueError, KeyError, ZeroDivisionError, json.JSONDecodeError) as exc:
+    except (ParseError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise CliError(f"could not parse the input system: {exc}", EXIT_PARSE_ERROR)
 
 
-def _field_spec(cfg: RunConfig) -> FieldSpec:
+def _field_spec(args: argparse.Namespace) -> FieldSpec:
     try:
-        if cfg.global_case:
-            if cfg.d is None:
+        if args.global_case:
+            if args.d is None:
                 raise ValueError("the global case needs --d")
-            return FieldSpec.global_field(cfg.d, cfg.delta, p=2)
-        fs = FieldSpec.local(cfg.prime, cfg.e, cfg.f)
-        if cfg.d is not None and cfg.d != fs.d:
+            return FieldSpec.global_field(args.d, args.delta, p=2)
+        fs = FieldSpec.local(args.prime, args.e, args.f)
+        if args.d is not None and args.d != fs.d:
             raise ValueError(
-                f"--d {cfg.d} disagrees with e*f = {fs.d}; supply a consistent (e, f)"
+                f"--d {args.d} disagrees with e*f = {fs.d}; supply a consistent (e, f)"
             )
         return fs
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS)
 
 
-def _emit(payload: dict, cfg: RunConfig) -> None:
-    if cfg.output_format == "json":
+def _emit(payload: dict, args: argparse.Namespace) -> None:
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
         return
     for line in _text_lines(payload, indent=0):
@@ -139,13 +124,13 @@ def _text_lines(obj, indent: int):
 # ---------------------------------------------------------------------------
 
 
-def cmd_bound(cfg: RunConfig) -> int:
-    system = _load_system(cfg)
-    fs = _field_spec(cfg)
+def cmd_bound(args: argparse.Namespace) -> int:
+    system = _load_system(args)
+    fs = _field_spec(args)
     m, n, k = system.m, system.n, system.k
     reports = []
-    if cfg.global_case:
-        if cfg.prime != 2:
+    if args.global_case:
+        if args.prime != 2:
             print(
                 "note: global bounds embed through the 2-adics; --prime is ignored",
                 file=sys.stderr,
@@ -153,24 +138,24 @@ def cmd_bound(cfg: RunConfig) -> int:
         reports.append(global_bound(fs, m, n, k))
         if k >= n:
             reports.append(global_facet_sum_bound(system, fs.d, fs.delta))
-        if cfg.affine:
+        if args.affine:
             reports.append(affine_bound(FORMULA_THM1_GLOBAL, fs, m, n, k))
     else:
         reports.append(local_bound(fs, m, n, k))
         if k >= n:
             reports.append(local_facet_bound(system, fs))
-        if cfg.affine:
+        if args.affine:
             reports.append(affine_bound(FORMULA_THM1_LOCAL, fs, m, n, k))
     payload = {
         "system": {"m": m, "n": n, "k": k},
         "bounds": [r.to_json_obj() for r in reports],
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
     return EXIT_OK
 
 
-def cmd_facets(cfg: RunConfig) -> int:
-    system = _load_system(cfg)
+def cmd_facets(args: argparse.Namespace) -> int:
+    system = _load_system(args)
     if any(f.m == 1 for f in system.polynomials):
         raise CliError(
             "a one-term equation has no torus roots; the lift is a single point",
@@ -178,11 +163,11 @@ def cmd_facets(cfg: RunConfig) -> int:
         )
     if system.k < system.n:
         raise CliError("facet data needs k >= n", EXIT_BAD_PARAMS)
-    p = cfg.prime
+    p = args.prime
     notes = []
     data = square = newton_data(system, p)
     if system.k > system.n:
-        square = newton_data(reduce_to_square(system, cfg.seed), p)
+        square = newton_data(reduce_to_square(system, args.seed), p)
         notes.append(
             "overdetermined input replaced by a seeded random square reduction; "
             "multiplicities are not tracked through it"
@@ -193,10 +178,10 @@ def cmd_facets(cfg: RunConfig) -> int:
         "facet_count": len(data.facets),
         "lower_facets": [
             {
-                "normal": [format_rational(x) for x in fn.normal],
+                "normal": [format_rational(x) for x in normal],
                 "vertices": facet.to_json_obj(),
             }
-            for fn, facet in data.facets
+            for normal, facet in data.facets
         ],
         "candidate_valuations": [
             [format_rational(x) for x in r] for r, _bound in bounds
@@ -207,15 +192,15 @@ def cmd_facets(cfg: RunConfig) -> int:
         ],
         "notes": notes,
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
     return EXIT_OK
 
 
-def _verify_rows(system: SparseSystem, cfg: RunConfig, fs: FieldSpec) -> list[dict]:
+def _verify_rows(system: SparseSystem, args: argparse.Namespace, fs: FieldSpec) -> list[dict]:
     rows = []
     counts = []
     if system.n == 1 and system.k == 1:
-        counts.append(count_univariate_padic(system.polynomials[0], cfg.prime))
+        counts.append(count_univariate_padic(system.polynomials[0], args.prime))
     if (
         system.k == system.n
         and all(f.m == 2 for f in system.polynomials)
@@ -230,12 +215,12 @@ def _verify_rows(system: SparseSystem, cfg: RunConfig, fs: FieldSpec) -> list[di
         if all(any(e) for e in exponents):
             mat = IntegerMatrix.of(exponents)
             try:
-                rc, _r = count_binomial_system(mat, constants, cfg.prime)
+                rc, _r = count_binomial_system(mat, constants, args.prime)
                 counts.append(rc)
             except ValueError:
                 pass
     if system.n <= 3:
-        counts.append(rational_root_search(system, cfg.height_cap))
+        counts.append(rational_root_search(system, args.height_cap))
 
     m, n, k = system.m, system.n, system.k
     bounds = [local_bound(fs, m, n, k)]
@@ -274,38 +259,44 @@ def _random_trinomial(rng, n_terms: int = 3):
             return f
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    fs = _field_spec(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    if not 0 <= args.random_trials <= MAX_RANDOM_TRIALS:
+        raise CliError(
+            f"--random takes 0 to {MAX_RANDOM_TRIALS} trials, got {args.random_trials}",
+            EXIT_BAD_PARAMS,
+        )
+    fs = _field_spec(args)
     rows = []
-    if cfg.input_path is not None:
-        system = _load_system(cfg)
-        rows.extend(_verify_rows(system, cfg, fs))
-    if cfg.random_trials:
+    if args.input is not None:
+        system = _load_system(args)
+        rows.extend(_verify_rows(system, args, fs))
+    if args.random_trials:
         import random
 
-        rng = random.Random(cfg.seed)
-        for _ in range(cfg.random_trials):
+        rng = random.Random(args.seed)
+        for _ in range(args.random_trials):
             f = _random_trinomial(rng)
             system = SparseSystem.of([f])
-            rows.extend(_verify_rows(system, cfg, fs))
+            rows.extend(_verify_rows(system, args, fs))
     if not rows:
         raise CliError("nothing to verify: give an input system or --random N", EXIT_BAD_PARAMS)
     ok = all(row["ok"] for row in rows)
     payload = {"rows": rows, "all_ok": ok}
-    _emit(payload, cfg)
+    _emit(payload, args)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def cmd_binom(cfg: RunConfig, m: int, t: int, support: str | None) -> int:
+def cmd_binom(args: argparse.Namespace) -> int:
+    m, t = args.m, args.t
     payload: dict = {"m": m, "t": t, "lcm_profile": str(lcm_profile(m, t).value)}
-    if support:
-        elements = tuple(int(x) for x in support.split(","))
+    if args.support:
+        elements = tuple(int(x) for x in args.support.split(","))
         expansion = expansion_coeffs(elements, t)
         payload["expansion"] = {
             "support": list(expansion.support),
             "coefficients": [format_rational(c) for c in expansion.coefficients],
         }
-    _emit(payload, cfg)
+    _emit(payload, args)
     return EXIT_OK
 
 
@@ -349,7 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="oracle counts vs bounds, pass/fail per row")
     common(v)
     v.add_argument("--random", type=int, default=0, dest="random_trials",
-                   help="additionally verify N seeded random trinomials")
+                   help="additionally verify N seeded random trinomials "
+                   f"(0 <= N <= {MAX_RANDOM_TRIALS})")
 
     bn = sub.add_parser("binom", help="lcm profiles and binomial-basis expansions")
     common(bn, with_input=False)
@@ -359,42 +351,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        prime=args.prime,
-        d=args.d,
-        e=args.e,
-        f=args.f,
-        delta=args.delta,
-        global_case=args.global_case,
-        height_cap=args.height_cap,
-        precision=args.precision,
-        seed=args.seed,
-        output_format=args.format,
-        affine=getattr(args, "affine", False),
-        random_trials=getattr(args, "random_trials", 0),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
         try:
-            arith.set_precision(cfg.precision)
-            if not arith.is_prime(cfg.prime):
-                raise CliError(f"--prime {cfg.prime} is not prime", EXIT_BAD_PARAMS)
-            if cfg.command == "bound":
-                return cmd_bound(cfg)
-            if cfg.command == "facets":
-                return cmd_facets(cfg)
-            if cfg.command == "verify":
-                return cmd_verify(cfg)
-            if cfg.command == "binom":
-                return cmd_binom(cfg, args.m, args.t, args.support)
-            raise CliError(f"unknown command {cfg.command}", EXIT_BAD_PARAMS)
+            arith.set_precision(args.precision)
+            if not arith.is_prime(args.prime):
+                raise CliError(f"--prime {args.prime} is not prime", EXIT_BAD_PARAMS)
+            if args.command == "bound":
+                return cmd_bound(args)
+            if args.command == "facets":
+                return cmd_facets(args)
+            if args.command == "verify":
+                return cmd_verify(args)
+            if args.command == "binom":
+                return cmd_binom(args)
+            raise CliError(f"unknown command {args.command}", EXIT_BAD_PARAMS)
         except (ValueError, ArithmeticError) as exc:
             raise CliError(str(exc), EXIT_BAD_PARAMS)
     except CliError as exc:

@@ -5,8 +5,8 @@ rounding.  Determinant, rank and the pivot rows and columns behind the rank
 use Bareiss fraction-free elimination: a row holding Fractions is first
 scaled to integers by the lcm of its denominators, so an all-int input stays
 in Python ints and gives an int result.  The one solver is Gaussian
-elimination over Fractions, and a tiny phase-one simplex answers exact
-feasibility questions in low dimension.
+elimination over Fractions, and a tiny phase-one simplex decides the exact
+feasibility question of :func:`nonneg_solution_exists` in low dimension.
 """
 
 from __future__ import annotations
@@ -192,29 +192,6 @@ def _phase_one_feasible(eq_rows: list[list[Fraction]], rhs: list[Fraction]) -> b
     else:
         raise ArithmeticError("simplex failed to terminate")
     return z[total] == 0
-
-
-def in_convex_hull(points: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
-    """Exact test for target in conv(points), via phase-one simplex on the
-    convex-combination equalities."""
-    pts = [to_vec(p) for p in points]
-    tv = to_vec(target)
-    if not pts:
-        return False
-    d = len(tv)
-    eq_rows: list[list[Fraction]] = []
-    q: list[Fraction] = []
-    for i in range(d):
-        row = [p[i] for p in pts]
-        rhs_i = tv[i]
-        if rhs_i < 0:
-            row = [-x for x in row]
-            rhs_i = -rhs_i
-        eq_rows.append(row)
-        q.append(rhs_i)
-    eq_rows.append([Fraction(1)] * len(pts))
-    q.append(Fraction(1))
-    return _phase_one_feasible(eq_rows, q)
 
 
 def nonneg_solution_exists(

@@ -29,7 +29,6 @@ from .arith import (
 )
 from .linalg import dot, nonneg_solution_exists, to_vec
 from .polyhedra import (
-    FacetNormal,
     Polytope,
     convex_hull,
     face,
@@ -233,12 +232,13 @@ def _face_bound(lifts: Sequence[Polytope], w: Sequence[Fraction]) -> int:
 class NewtonData:
     """The Newton analysis of one system at one prime: the per-equation
     lifts (empty for k > n, where no face bound is defined), the aggregated
-    lift, and the lower facets of the aggregate."""
+    lift, and the lower facets of the aggregate as (normal (r, 1), facet)
+    pairs."""
 
     system: SparseSystem
     lifts: tuple[Polytope, ...]
     aggregate: Polytope
-    facets: tuple[tuple[FacetNormal, Polytope], ...]
+    facets: tuple[tuple[tuple[Fraction, ...], Polytope], ...]
 
     def face_bounds(self) -> list[tuple[tuple[Fraction, ...], int]]:
         """Sorted (r, bound) over the lower facet normals (r, 1) with a
@@ -247,10 +247,10 @@ class NewtonData:
         if self.system.k != self.system.n:
             raise ValueError("candidate valuations require k = n (reduce the system first)")
         out = {}
-        for fn, _facet in self.facets:
-            bound = _face_bound(self.lifts, fn.normal)
+        for normal, _facet in self.facets:
+            bound = _face_bound(self.lifts, normal)
             if bound > 0:
-                out[fn.normal[:-1]] = bound
+                out[normal[:-1]] = bound
         return sorted(out.items())
 
 

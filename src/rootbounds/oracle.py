@@ -28,13 +28,6 @@ class PrecisionCapError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class OracleConfig:
-    seed: int = 0x5EED_0F_600D
-    precision_cap: int = DEFAULT_PRECISION_CAP
-    height_cap: int = 10
-
-
-@dataclass(frozen=True)
 class RootCount:
     count: int
     method: str
@@ -350,7 +343,8 @@ def count_binomial_system(
     """Roots of x^(row_i of a) = c_i in the p-adic complex torus.
 
     The count is the product of the Smith invariants (= |det a|); every root
-    shares the valuation vector solving a . r = ord_p(c)."""
+    shares the valuation vector solving a . r = v_p(c), v_p the p-adic
+    valuation of each constant."""
     require_prime(p)
     rows, cols = a.shape
     if rows != cols:

@@ -9,7 +9,9 @@ scaled once by the lcm L of its denominators (L = 1 for lattice points such
 as the lifts of a system), and volumes and offsets are divided back at the
 end.  Volume accumulates during construction as the sum of the initial
 simplex and the pyramids swept out by each insertion, which is also how
-mixed volumes get their exact subset volumes.
+mixed volumes get their exact subset volumes.  A :class:`Polytope` stores its
+sorted vertices and nothing else: the ambient dimension is their length, and
+the affine dimension is computed only when asked for.
 
 Every affine-hull question is answered by one pivoting Bareiss pass over the
 differences p_i - p_0 (``linalg.pivots``): its pivot rows give the affine
@@ -40,33 +42,27 @@ class DimensionError(ValueError):
 
 
 @dataclass(frozen=True)
-class FacetNormal:
-    """Inner normal of a lower facet, scaled so the last coordinate is 1."""
-
-    normal: Vector
-
-
-@dataclass(frozen=True)
 class Polytope:
     """Convex hull given by its extreme points, lexicographically sorted."""
 
     vertices: tuple[Point, ...]
-    ambient_dim: int
-    affine_dim: int
 
     def __post_init__(self) -> None:
         if not self.vertices:
             raise ValueError("empty polytopes are not constructed")
 
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.vertices[0])
+
+    @property
+    def affine_dim(self) -> int:
+        return _affine_dim(self.vertices)
+
     def to_json_obj(self) -> list[list[str]]:
         from .arith import format_rational
 
         return [[format_rational(c) for c in v] for v in self.vertices]
-
-    @classmethod
-    def from_json_obj(cls, obj: Sequence[Sequence[str]]) -> "Polytope":
-        pts = [to_vec([Fraction(c) for c in v]) for v in obj]
-        return convex_hull(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +253,8 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     pts = sorted(set(pts))
     hull = _structure(pts)
     if hull is None:
-        return Polytope((pts[0],), ambient, 0)
-    return Polytope(tuple(pts[i] for i in hull.vertex_ids), ambient, hull.dim)
+        return Polytope((pts[0],))
+    return Polytope(tuple(pts[i] for i in hull.vertex_ids))
 
 
 def _structure(pts: Sequence[Point]) -> _Hull | None:
@@ -277,8 +273,7 @@ def face(p: Polytope, w: Sequence) -> Polytope:
         raise DimensionError("functional dimension does not match the polytope")
     vals = [dot(wv, v) for v in p.vertices]
     mn = min(vals)
-    sel = tuple(v for v, val in zip(p.vertices, vals) if val == mn)
-    return Polytope(sel, p.ambient_dim, _affine_dim(sel))
+    return Polytope(tuple(v for v, val in zip(p.vertices, vals) if val == mn))
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
@@ -296,35 +291,12 @@ def project_pi(p: Polytope) -> Polytope:
     return convex_hull(v[:-1] for v in p.vertices)
 
 
-def edges(p: Polytope) -> tuple[tuple[Point, Point], ...]:
-    """All 1-dimensional faces, as sorted vertex pairs."""
-    if p.affine_dim <= 0:
-        return ()
-    if p.affine_dim == 1:
-        return ((p.vertices[0], p.vertices[-1]),)
-    hull = _structure(p.vertices)
-    nverts = len(p.vertices)
-    out = []
-    for i in range(nverts):
-        for j in range(i + 1, nverts):
-            shared = [f for f in hull.facets if i in f[2] and j in f[2]]
-            if not shared:
-                continue
-            common = frozenset.intersection(*(f[2] for f in shared))
-            if common == {i, j}:
-                out.append((p.vertices[i], p.vertices[j]))
-    return tuple(out)
-
-
-def edge_count(p: Polytope) -> int:
-    return len(edges(p))
-
-
 def volume(p: Polytope) -> Fraction:
     """Exact Euclidean volume in the ambient dimension; 0 when degenerate."""
-    if p.affine_dim < p.ambient_dim or p.ambient_dim == 0:
+    hull = _structure(p.vertices)
+    if hull is None or hull.dim < p.ambient_dim:
         return Fraction(0)
-    return _structure(p.vertices).volume
+    return hull.volume
 
 
 def mixed_volume(polytopes: Sequence[Polytope]) -> Fraction:
@@ -380,8 +352,9 @@ def _min_norm_preimage(basis: list[Vector], target: Sequence[Fraction]) -> Vecto
     )
 
 
-def lower_facets(p: Polytope) -> list[tuple[FacetNormal, Polytope]]:
-    """Maximal faces of the lower hull, with inner normals scaled to (r, 1).
+def lower_facets(p: Polytope) -> list[tuple[Vector, Polytope]]:
+    """Maximal faces of the lower hull, each with its inner normal scaled to
+    (r, 1), sorted by normal.
 
     The lower hull of P in R^(n+1) is the graph of the largest convex
     function under the vertex lifts; its maximal linearity regions are the
@@ -400,25 +373,22 @@ def lower_facets(p: Polytope) -> list[tuple[FacetNormal, Polytope]]:
     ipts, lcm = _lattice(kept)
     simplex_u, axes = _chart([q[:-1] for q in ipts])
     if not axes:
-        normal = FacetNormal(to_vec([0] * n + [1]))
-        return [(normal, Polytope((kept[0],), p.ambient_dim, 0))]
+        return [(to_vec([0] * n + [1]), Polytope((kept[0],)))]
     # the differences p_i - p_0 at the basis points of the projections; a
     # functional given on the chart axes is pulled back into their span
     basis = [vec_sub(ipts[i][:-1], ipts[0][:-1]) for i in simplex_u[1:]]
     lifted = _on_axes(ipts, axes + [n])
     simplex, lifted_axes = _chart(lifted)
 
-    results: list[tuple[FacetNormal, Polytope]] = []
     if len(lifted_axes) == len(axes):
         # single linearity region: the heights are an affine function h, and
         # r.(p_i - p_0) = h(p_0) - h(p_i) puts every lifted point on one facet
         h0 = ipts[0][-1]
         r = _min_norm_preimage(basis, [h0 - ipts[i][-1] for i in simplex_u[1:]])
-        facet = convex_hull(kept)
-        results.append((FacetNormal(r + (Fraction(1),)), facet))
-        return results
+        return [(r + (Fraction(1),), convex_hull(kept))]
 
     hull = _Hull(lifted, lcm, simplex)
+    results = []
     for normal, _offset, on_ids in hull.facets:
         if normal[-1] <= 0:
             continue
@@ -427,8 +397,7 @@ def lower_facets(p: Polytope) -> list[tuple[FacetNormal, Polytope]]:
             for b in basis
         ]
         r = _min_norm_preimage(basis, target)
-        verts = tuple(sorted(kept[i] for i in on_ids))
-        facet = Polytope(verts, p.ambient_dim, _affine_dim(verts))
-        results.append((FacetNormal(r + (Fraction(1),)), facet))
-    results.sort(key=lambda pair: pair[0].normal)
+        facet = Polytope(tuple(sorted(kept[i] for i in on_ids)))
+        results.append((r + (Fraction(1),), facet))
+    results.sort(key=lambda pair: pair[0])
     return results

@@ -226,9 +226,9 @@ def test_criterion_07_lcm_and_expansion_suite():
             while p ** (k + 1) <= t:
                 k += 1
             for m in range(0, 5):
-                from rootbounds.arith import ord_p
+                from rootbounds.arith import ord_p_value
 
-                ok = ok and ord_p(lcm_profile(m, t).value, p).value <= m * k
+                ok = ok and ord_p_value(lcm_profile(m, t).value, p) <= m * k
     rng = random.Random(0xACC7)
     for _ in range(200):
         m = rng.randint(1, 6)

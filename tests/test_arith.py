@@ -9,21 +9,15 @@ from hypothesis import strategies as st
 from rootbounds.arith import (
     _GUARD_DIGITS,
     MAX_DIGITS,
-    ExtendedValuation,
-    INFINITE_VALUATION,
     Interval,
     euler_ratio,
-    eval_up,
     format_rational,
-    format_valuation,
     get_precision,
     is_prime,
     ln_prime,
     log_base,
     natural_log,
-    ord_p,
-    parse_rational,
-    parse_valuation,
+    ord_p_value,
     set_precision,
 )
 
@@ -51,16 +45,18 @@ def test_rational_roundtrip_hypothesis(a, b):
 
 
 def test_ord_examples():
-    assert ord_p(8, 2).value == 3
-    assert ord_p(Fraction(3, 4), 2).value == -2
-    assert ord_p(0, 5).is_infinite
+    assert ord_p_value(8, 2) == 3
+    assert ord_p_value(Fraction(3, 4), 2) == -2
+    assert type(ord_p_value(5, 5)) is Fraction
+    with pytest.raises(ValueError):
+        ord_p_value(0, 5)
 
 
 def test_ord_rejects_nonprime():
     with pytest.raises(ValueError):
-        ord_p(4, 6)
+        ord_p_value(4, 6)
     with pytest.raises(ValueError):
-        ord_p(4, 1)
+        ord_p_value(4, 1)
 
 
 def test_ord_multiplicative_and_ultrametric_bulk():
@@ -71,31 +67,18 @@ def test_ord_multiplicative_and_ultrametric_bulk():
         y = rand_fraction(rng, 10**4)
         if x == 0 or y == 0:
             continue
-        vx, vy = ord_p(x, p).value, ord_p(y, p).value
-        assert ord_p(x * y, p).value == vx + vy
+        vx, vy = ord_p_value(x, p), ord_p_value(y, p)
+        assert ord_p_value(x * y, p) == vx + vy
         s = x + y
-        vs = ord_p(s, p)
-        if vs.is_infinite:
-            assert s == 0
-        else:
-            assert vs.value >= min(vx, vy)
-
-
-def test_infinity_absorbs():
-    fin = ExtendedValuation.finite(Fraction(3, 2))
-    assert (INFINITE_VALUATION + fin).is_infinite
-    assert INFINITE_VALUATION.min(fin) == fin
-    assert fin.min(INFINITE_VALUATION) == fin
-    assert fin + fin == ExtendedValuation.finite(3)
+        if s != 0:
+            assert ord_p_value(s, p) >= min(vx, vy)
 
 
 def test_valuation_serialization():
-    assert format_valuation(INFINITE_VALUATION) == "inf"
-    assert parse_valuation("inf").is_infinite
+    assert format_rational(ord_p_value(Fraction(1, 8), 2)) == "-3"
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(5, 1)) == "5"
-    assert parse_rational("-7/2") == Fraction(-7, 2)
-    assert parse_valuation("3/4").value == Fraction(3, 4)
+    assert format_rational(Fraction(-7, 2)) == "-7/2"
 
 
 def test_primality():
@@ -125,18 +108,18 @@ def test_precision_cap():
 def test_integer_log_is_exact():
     iv = log_base(2, 2)
     assert iv.lo == iv.hi == Decimal(1)
-    assert eval_up(log_base(Fraction(1, 8), 2)).value == Decimal(-3)
-    assert eval_up(log_base(Fraction(9), 3)).value == Decimal(2)
+    assert log_base(Fraction(1, 8), 2).upper().value == Decimal(-3)
+    assert log_base(Fraction(9), 3).upper().value == Decimal(2)
 
 
 def test_euler_ratio_window():
-    c = eval_up(euler_ratio()).value
+    c = euler_ratio().upper().value
     assert Decimal("1.58197") <= c <= Decimal("1.58198")
 
 
 def test_log2_of_4_over_ln2():
     iv = log_base(Interval.from_fraction(4) / natural_log(Fraction(2)), 2)
-    val = eval_up(iv).value
+    val = iv.upper().value
     assert abs(val - Decimal("2.52872")) <= Decimal("1e-4")
 
 
@@ -168,10 +151,8 @@ def test_eval_up_monotone_in_positive_subterms():
     # raising any positive subterm never lowers the upper evaluation
     base = (euler_ratio() * 3 + Fraction(5, 2)) / natural_log(Fraction(2))
     bigger = (euler_ratio() * 3 + Fraction(7, 2)) / natural_log(Fraction(2))
-    assert eval_up(bigger).value >= eval_up(base).value
-    assert eval_up(log_base(Fraction(9, 2), 2)).value >= eval_up(
-        log_base(Fraction(7, 2), 2)
-    ).value
+    assert bigger.upper().value >= base.upper().value
+    assert log_base(Fraction(9, 2), 2).upper().value >= log_base(Fraction(7, 2), 2).upper().value
 
 
 def test_interval_power_and_division():
@@ -195,8 +176,8 @@ def test_interval_product_encloses(a, b):
 
 
 def test_floor_int():
-    assert eval_up(Interval.from_fraction(Fraction(7, 2))).floor_int() == 3
-    assert eval_up(Interval.exact(4)).floor_int() == 4
+    assert Interval.from_fraction(Fraction(7, 2)).upper().floor_int() == 3
+    assert Interval.exact(4).upper().floor_int() == 4
 
 
 # ---------------------------------------------------------------------------

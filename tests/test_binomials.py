@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rootbounds.arith import ord_p
+from rootbounds.arith import ord_p_value
 from rootbounds.binomials import (
     expansion_coeffs,
     gen_binomial,
@@ -60,8 +60,8 @@ def test_lcm_profile_valuation_cap():
     for p in (2, 3, 5, 7):
         for t in range(1, 13):
             for m in range(0, 5):
-                v = ord_p(lcm_profile(m, t).value, p)
-                assert v.value <= m * _floor_log(t, p)
+                v = ord_p_value(lcm_profile(m, t).value, p)
+                assert v <= m * _floor_log(t, p)
 
 
 def test_gen_binomial_examples():

@@ -25,7 +25,7 @@ from rootbounds.bounds import (
     log_inequality_check,
     valuation_vector_cap,
 )
-from rootbounds.newton import SparsePolynomial, SparseSystem
+from rootbounds.newton import SparsePolynomial, SparseSystem, facet_count
 
 SEED = 0xB0B
 
@@ -155,7 +155,7 @@ def test_local_facet_bound_general_flag():
     f1 = SparsePolynomial.from_dict({(2, 0): Fraction(1), (0, 0): Fraction(-4)})
     f2 = SparsePolynomial.from_dict({(0, 2): Fraction(1), (0, 0): Fraction(-4)})
     system = SparseSystem.of([f1, f2])
-    rep = local_facet_bound(system, Q2, use_general_cp=True)
+    rep = local_facet_bound_from_counts(facet_count(system, 2), system.n, Q2, m=system.m)
     assert "general" in rep.notes[0]
 
 

@@ -11,6 +11,7 @@ from rootbounds.cli import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
     EXIT_VERIFY_FAILED,
+    MAX_RANDOM_TRIALS,
     _build_parser,
     main,
 )
@@ -444,3 +445,32 @@ def test_huge_monomial_exponent_is_fast(capsys, monkeypatch):
     assert time.perf_counter() - t0 < 5.0
     assert code == EXIT_OK
     assert json.loads(out)["system"] == {"m": 3, "n": 1, "k": 1}
+
+
+@pytest.mark.parametrize("command", ["bound", "verify"])
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 1, "polynomials": 5},
+        {"n": 1, "polynomials": [["x"]]},
+        {"n": [1], "polynomials": []},
+    ],
+    ids=["polynomials-int", "term-str", "n-list"],
+)
+def test_malformed_json_shape_is_parse_error(capsys, monkeypatch, command, obj):
+    # a wrong JSON type is a parse error, never a traceback read as exit 1
+    code, out, err = run_cli(capsys, [command, "-"], stdin_text=json.dumps(obj), monkeypatch=monkeypatch)
+    assert code == EXIT_PARSE_ERROR
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("trials", ["-1", str(MAX_RANDOM_TRIALS + 1), "1000000000"])
+def test_random_trial_count_out_of_range_is_bad_params(capsys, trials):
+    # refused before any trial runs; 10^9 trials would otherwise take months
+    t0 = time.perf_counter()
+    code = main(["verify", "--random", trials])
+    out, err = capsys.readouterr()
+    assert time.perf_counter() - t0 < 2.0
+    assert (code, out) == (EXIT_BAD_PARAMS, "")
+    assert err.startswith("error: ") and str(MAX_RANDOM_TRIALS) in err

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootbounds.linalg import (
+    _phase_one_feasible,
     det,
     dot,
     gram_solve,
-    in_convex_hull,
     mat_rank,
     pivots,
     solve_square,
@@ -22,8 +22,6 @@ from rootbounds.polyhedra import (
     DimensionError,
     Polytope,
     convex_hull,
-    edge_count,
-    edges,
     face,
     lower_facets,
     minkowski_sum,
@@ -33,6 +31,28 @@ from rootbounds.polyhedra import (
 )
 
 SEED = 0x90C4
+
+
+def in_convex_hull(points, target):
+    """Exact test for target in conv(points): an independent oracle for the
+    hull, by phase-one simplex on the convex-combination equalities."""
+    pts = [to_vec(p) for p in points]
+    tv = to_vec(target)
+    if not pts:
+        return False
+    eq_rows = []
+    q = []
+    for i in range(len(tv)):
+        row = [p[i] for p in pts]
+        rhs_i = tv[i]
+        if rhs_i < 0:
+            row = [-x for x in row]
+            rhs_i = -rhs_i
+        eq_rows.append(row)
+        q.append(rhs_i)
+    eq_rows.append([Fraction(1)] * len(pts))
+    q.append(Fraction(1))
+    return _phase_one_feasible(eq_rows, q)
 
 
 def rand_polytope(rng, n, n_points, coord_max=4):
@@ -181,7 +201,7 @@ def test_minkowski_commutes_and_associates():
 
 def test_lower_facets_trinomial_lift():
     p = convex_hull([(0, 2), (2, 0), (10, 0)])
-    got = {fn.normal: facet.vertices for fn, facet in lower_facets(p)}
+    got = {normal: facet.vertices for normal, facet in lower_facets(p)}
     assert set(got) == {(Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))}
     assert got[(Fraction(0), Fraction(1))] == (
         (Fraction(2), Fraction(0)),
@@ -191,15 +211,15 @@ def test_lower_facets_trinomial_lift():
 
 def test_lower_facets_flat_simplex():
     p = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-    [(fn, facet)] = lower_facets(p)
-    assert fn.normal == (Fraction(0), Fraction(0), Fraction(1))
+    [(normal, facet)] = lower_facets(p)
+    assert normal == (Fraction(0), Fraction(0), Fraction(1))
     assert facet == p
 
 
 def test_lower_facets_cube_bottom():
     cube = convex_hull(itertools.product((0, 1), repeat=3))
-    [(fn, facet)] = lower_facets(cube)
-    assert fn.normal == (Fraction(0), Fraction(0), Fraction(1))
+    [(normal, facet)] = lower_facets(cube)
+    assert normal == (Fraction(0), Fraction(0), Fraction(1))
     assert len(facet.vertices) == 4
 
 
@@ -212,8 +232,8 @@ def test_lower_facets_support_property():
             for _ in range(rng.randint(3, 8))
         }
         p = convex_hull(pts)
-        for fn, facet in lower_facets(p):
-            vals = [dot(to_vec(fn.normal), to_vec(v)) for v in p.vertices]
+        for normal, facet in lower_facets(p):
+            vals = [dot(normal, v) for v in p.vertices]
             mn = min(vals)
             on = [v for v, val in zip(p.vertices, vals) if val == mn]
             assert sorted(on) == sorted(facet.vertices)
@@ -245,44 +265,6 @@ def test_project_contains_sampled_projections():
             for i in range(3)
         )
         assert in_convex_hull(proj.vertices, point[:-1])
-
-
-# ---------------------------------------------------------------------------
-# edges / edge_count
-# ---------------------------------------------------------------------------
-
-
-def test_edge_count_examples():
-    assert edge_count(SQUARE) == 4
-    tet = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert edge_count(tet) == 6
-    assert edge_count(convex_hull([(1, 2)])) == 0
-    assert edge_count(convex_hull([(0, 0), (3, 3)])) == 1
-
-
-def test_edge_count_of_polynomial_style_lifts():
-    # lifts of two-variable polynomials with small valuation data stay under
-    # the 2m-2 cap used by the two-variable candidate-count argument
-    lifts = [
-        [(0, 0, 0), (1, 1, 0), (2, 3, 1)],
-        [(0, 0, 2), (1, 0, 0), (0, 1, 0), (2, 2, 0)],
-        [(0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 1), (2, 2, 3)],
-    ]
-    for lift in lifts:
-        p = convex_hull(lift)
-        m = len(lift)
-        assert edge_count(p) <= 2 * m - 2
-
-
-def test_edges_are_faces():
-    rng = random.Random(SEED + 7)
-    for _ in range(8):
-        p = rand_polytope(rng, 3, rng.randint(4, 8))
-        for a, b in edges(p):
-            mid = tuple((x + y) / 2 for x, y in zip(a, b))
-            others = [v for v in p.vertices if v not in (a, b)]
-            if others:
-                assert not in_convex_hull(others, mid)
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +369,14 @@ def test_mixed_volume_diagonal_is_factorial_volume():
             assert mixed_volume([p] * n) == math.factorial(n) * volume(p)
 
 
-def _independent_edge_selection(polys):
-    edge_dirs = [
-        [vec_sub(b, a) for a, b in edges(p)] for p in polys
+def _independent_segment_selection(polys):
+    # segments [a, b] with a, b vertices of P_i: Bernstein's criterion holds
+    # for any segments contained in each P_i, edges or not
+    seg_dirs = [
+        [vec_sub(b, a) for a, b in itertools.combinations(p.vertices, 2)] for p in polys
     ]
     n = len(polys)
-    for combo in itertools.product(*edge_dirs):
+    for combo in itertools.product(*seg_dirs):
         if mat_rank(list(combo)) == n:
             return combo
     return None
@@ -406,7 +390,7 @@ def test_positive_mixed_volume_implies_independent_edges():
         ps = [rand_polytope(rng, n, rng.randint(2, 4)) for _ in range(n)]
         if mixed_volume(ps) > 0:
             found_positive += 1
-            assert _independent_edge_selection(ps) is not None
+            assert _independent_segment_selection(ps) is not None
     assert found_positive > 0
 
 
@@ -421,13 +405,12 @@ def test_polytope_json_roundtrip():
     p = convex_hull([(0, 0), (Fraction(1, 2), 0), (0, Fraction(7, 3))])
     obj = p.to_json_obj()
     assert obj == [["0", "0"], ["0", "7/3"], ["1/2", "0"]]
-    assert Polytope.from_json_obj(obj) == p
+    assert convex_hull([[Fraction(c) for c in v] for v in obj]) == p
 
 
 def test_hull_dimension_four_cube():
     c4 = convex_hull(itertools.product((0, 1), repeat=4))
     assert len(c4.vertices) == 16
-    assert edge_count(c4) == 32
     assert volume(c4) == 1
 
 
@@ -623,17 +606,16 @@ def _local_coords(points, base, basis):
 
 
 def _reference_hull(points):
-    """Vertices, affine dimension and edges of conv(points), hulled in local
+    """Vertices and affine dimension of conv(points), hulled in local
     coordinates, where the point set is full-dimensional."""
     pts = sorted(set(map(to_vec, points)))
     base, basis = _greedy_affine_basis(pts)
     if not basis:
-        return (pts[0],), 0, []
+        return (pts[0],), 0
     local = _local_coords(pts, base, basis)
     back = dict(zip(local, pts))
     q = convex_hull(local)
-    verts = tuple(sorted(back[v] for v in q.vertices))
-    return verts, len(basis), sorted(tuple(sorted((back[a], back[b]))) for a, b in edges(q))
+    return tuple(sorted(back[v] for v in q.vertices)), len(basis)
 
 
 def _reference_lower_facets(p):
@@ -664,9 +646,9 @@ def _reference_lower_facets(p):
         return [(pull_back([-a for a in alpha]) + (1,), convex_hull(kept).vertices)]
     back = dict(zip(lifted, kept))
     out = []
-    for fn, facet in lower_facets(convex_hull(lifted)):
+    for normal, facet in lower_facets(convex_hull(lifted)):
         verts = tuple(sorted(back[v] for v in facet.vertices))
-        out.append((pull_back(fn.normal[:-1]) + (1,), verts))
+        out.append((pull_back(normal[:-1]) + (1,), verts))
     return sorted(out)
 
 
@@ -705,10 +687,9 @@ def test_chart_matches_local_coordinates(kind):
     for _ in range(40):
         emb, pts, D = _embedded_point_set(rng, kind)
         p = convex_hull(emb)
-        verts, adim, edge_list = _reference_hull(emb)
+        verts, adim = _reference_hull(emb)
         assert p.vertices == verts
         assert p.affine_dim == adim < D
-        assert sorted(edges(p)) == edge_list
         # heights: random lattice or rational values (several linearity
         # regions; a duplicate keeps its lowest height), or an affine
         # function of the points (one region)
@@ -723,5 +704,5 @@ def test_chart_matches_local_coordinates(kind):
             for q in pts
         ]
         lift = convex_hull([e + (h,) for e, h in zip(emb, heights)])
-        got = [(fn.normal, facet.vertices) for fn, facet in lower_facets(lift)]
+        got = [(normal, facet.vertices) for normal, facet in lower_facets(lift)]
         assert got == _reference_lower_facets(lift)
