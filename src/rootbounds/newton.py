@@ -194,15 +194,23 @@ class SparseSystem:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "SparseSystem":
-        n = int(obj["n"])
+        n = _json_int(obj["n"])
         polys = []
         for terms in obj["polynomials"]:
-            d = {tuple(int(e) for e in t["exp"]): Fraction(str(t["coeff"])) for t in terms}
+            d = {tuple(map(_json_int, t["exp"])): Fraction(str(t["coeff"])) for t in terms}
             f = SparsePolynomial.from_dict(d)
             if f.n != n:
                 raise ValueError("exponent length disagrees with declared n")
             polys.append(f)
         return cls(tuple(polys), n)
+
+
+def _json_int(x: object) -> int:
+    """x if it is a JSON integer; a float such as 1.5 or 1e999, a bool or a
+    string is refused rather than truncated or converted."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected a JSON integer, got {x!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ e.g. ``3*x1^10 + x1^2 - 4``.  Exponents may be negative on monomial bases,
 giving Laurent terms.  A monomial base is raised to its power in one step;
 a power whose coefficient would exceed about MAX_POWER_BITS bits is refused.
 A base of several terms is multiplied out, and refused before any product
-when the estimated work exceeds MAX_POWER_WORK.
+when the estimated work exceeds MAX_POWER_WORK.  A variable index above
+MAX_VARS is refused before any exponent tuple is built.
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ MAX_POWER_BITS = 10**6
 # the estimate counts one product per started 4096 bits.  10^5 units take
 # under a second, e.g. (x1 + 1)^300 or (x1 + x2 + x3 + 1)^25.
 MAX_POWER_WORK = 10**5
+
+# Cap on the number of variables: every term is an n-tuple of exponents, and
+# n is the largest index in the text, so one token such as x1000000000 would
+# otherwise allocate gigabytes.  Hulls stop at ambient dimension 6 anyway.
+MAX_VARS = 100
 
 
 class ParseError(ValueError):
@@ -100,6 +106,8 @@ def _check_power_work(base: Poly, k: int) -> None:
 
 class _Parser:
     def __init__(self, tokens: list[str], n: int):
+        if n > MAX_VARS:
+            raise ParseError(f"{n} variables exceed the cap of {MAX_VARS}")
         self.tokens = tokens
         self.pos = 0
         self.n = n

@@ -2,16 +2,21 @@
 
 Hulls, faces, Minkowski sums, Euclidean volumes, and normalized mixed
 volumes, all decided by exact integer determinants; no tolerances anywhere.
-The hull is an incremental beneath-beyond construction over a simplicial
-facet complex, with coplanar pieces merged afterwards through canonical
-primitive facet hyperplanes.  It runs on Python ints: rational input is
-scaled once by the lcm L of its denominators (L = 1 for lattice points such
-as the lifts of a system), and volumes and offsets are divided back at the
-end.  Volume accumulates during construction as the sum of the initial
-simplex and the pyramids swept out by each insertion, which is also how
-mixed volumes get their exact subset volumes.  A :class:`Polytope` stores its
-sorted vertices and nothing else: the ambient dimension is their length, and
-the affine dimension is computed only when asked for.
+A planar hull is Andrew's monotone chain, with collinear points dropped and
+the area taken by the shoelace formula; this covers the lift of every
+univariate polynomial and every mixed volume in the plane.  A hull of
+dimension d >= 3 is an incremental beneath-beyond construction over a
+simplicial facet complex, with coplanar pieces merged afterwards through
+canonical primitive facet hyperplanes; each candidate facet normal is the
+integer nullspace vector left by one fraction-free elimination of its d - 1
+difference vectors.  Both run on Python ints: rational input is scaled once
+by the lcm L of its denominators (L = 1 for lattice points such as the lifts
+of a system), and volumes and offsets are divided back at the end.  In
+dimension d >= 3 volume accumulates during construction as the sum of the
+initial simplex and the pyramids swept out by each insertion.  A
+:class:`Polytope` stores its sorted vertices and nothing else: the ambient
+dimension is their length, and the affine dimension is computed only when
+asked for.
 
 Every affine-hull question is answered by one pivoting Bareiss pass over the
 differences p_i - p_0 (``linalg.pivots``): its pivot rows give the affine
@@ -95,7 +100,7 @@ def _affine_dim(points: Sequence[Point]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Full-dimensional incremental hull
+# Full-dimensional hull: monotone chain in the plane, beneath-beyond above
 # ---------------------------------------------------------------------------
 
 
@@ -108,17 +113,50 @@ def _primitive(normal: Sequence[int], offset: int) -> tuple[tuple[int, ...], int
 
 
 def _hyperplane(pts: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], int] | None:
-    """Normal and offset of the hyperplane through d integer points in Z^d."""
+    """Normal and offset of the hyperplane through d integer points in Z^d;
+    None when the points span less than a hyperplane.
+
+    One Bareiss elimination of the d x (2d - 1) matrix [A^T | I_d], A the
+    (d - 1) x d matrix of the differences p_i - p_0, clears the A^T part of
+    all rows but its pivot rows; the I_d part of the one row left is then a
+    c with A c = 0.  By Sylvester's identity its entries are d x d minors of
+    [A^T | I_d], the cofactors of A up to one common sign, and every column
+    of A^T finds a pivot iff A has rank d - 1.
+    """
     d = len(pts)
-    rows = [vec_sub(p, pts[0]) for p in pts[1:]]
-    normal = []
-    for j in range(d):
-        minor = [[row[i] for i in range(d) if i != j] for row in rows]
-        sign = -1 if j % 2 else 1
-        normal.append(sign * det(minor) if minor else 1)
-    if not any(normal):
-        return None
-    return tuple(normal), dot(normal, pts[0])
+    p0 = pts[0]
+    diffs = [vec_sub(p, p0) for p in pts[1:]]
+    m = [[row[j] for row in diffs] + [int(i == j) for i in range(d)] for j in range(d)]
+    prev = 1
+    # as in linalg.pivots, each step drops the pivot row and the cleared
+    # column, and the division by the previous pivot is exact
+    for _ in range(d - 1):
+        for pivot, row in enumerate(m):
+            if row[0]:
+                break
+        else:
+            return None
+        pv, *tail = m.pop(pivot)
+        m = [[(pv * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in m]
+        prev = pv
+    (normal,) = m
+    return tuple(normal), dot(normal, p0)
+
+
+def _half_chain(pts: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """One monotone chain of Andrew's algorithm over sorted distinct points:
+    the hull boundary turning left from the first point to the last, with
+    collinear points dropped."""
+    chain: list[tuple[int, ...]] = []
+    for p in pts:
+        x, y = p
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
 
 
 @dataclass
@@ -132,7 +170,8 @@ class _Hull:
     """Exact hull of the points x = y / L for integer points y spanning Z^d.
 
     ``simplex`` holds the indices of d + 1 affinely independent points, the
-    first simplex of the construction, and L (``scale``) is the lcm of the
+    first simplex of the beneath-beyond construction for d >= 3 (lines and
+    planar sets are hulled directly), and L (``scale``) is the lcm of the
     input's coordinate denominators, 1 for lattice input.  Exposes
     ``vertex_ids``, canonical ``facets`` as (normal, offset, vertex-id
     frozenset) with normal.x >= offset over the hull, and the Euclidean
@@ -146,6 +185,8 @@ class _Hull:
         self.scale = scale
         if self.dim == 1:
             self._build_1d()
+        elif self.dim == 2:
+            self._build_2d()
         else:
             self._build(simplex)
 
@@ -159,6 +200,30 @@ class _Hull:
             ((1,), Fraction(lo[0], self.scale), frozenset({lo[1]})),
             ((-1,), Fraction(-hi[0], self.scale), frozenset({hi[1]})),
         ]
+
+    def _build_2d(self) -> None:
+        # Andrew's monotone chain over the distinct points; a duplicate point
+        # shares the vertex and facets of its twins, as in the general build
+        ids: dict[tuple[int, ...], list[int]] = {}
+        for i, p in enumerate(self.pts):
+            ids.setdefault(p, []).append(i)
+        pts = sorted(ids)
+        lower = _half_chain(pts)
+        upper = _half_chain(reversed(pts))
+        ring = lower[:-1] + upper[:-1]  # the vertices, counterclockwise
+        twice_area = 0
+        facets = []
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            dx, dy = b[0] - a[0], b[1] - a[1]
+            twice_area += a[0] * b[1] - b[0] * a[1]
+            g = math.gcd(dx, dy)
+            # the interior lies left of a counterclockwise edge
+            normal = (-dy // g, dx // g)
+            offset = Fraction(normal[0] * a[0] + normal[1] * a[1], self.scale)
+            facets.append((normal, offset, frozenset(ids[a] + ids[b])))
+        self.vertex_ids = sorted(i for v in ring for i in ids[v])
+        self.facets = sorted(facets, key=lambda f: f[:2])
+        self.volume = Fraction(twice_area, 2 * self.scale**2)
 
     def _oriented(self, verts: tuple[int, ...]) -> _Facet | None:
         hp = _hyperplane([self.pts[v] for v in verts])

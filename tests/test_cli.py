@@ -16,6 +16,7 @@ from rootbounds.cli import (
     main,
 )
 from rootbounds.parsing import (
+    MAX_VARS,
     ParseError,
     _Parser,
     _pmul,
@@ -463,6 +464,43 @@ def test_malformed_json_shape_is_parse_error(capsys, monkeypatch, command, obj):
     assert code == EXIT_PARSE_ERROR
     assert out == ""
     assert err.startswith("error: ")
+
+
+_TWO_TERMS = '{"exp": [%s], "coeff": "1"}, {"exp": [0], "coeff": "-1"}'
+
+
+@pytest.mark.parametrize("command", ["bound", "facets"])
+@pytest.mark.parametrize(
+    "stdin_text",
+    [
+        '{"n": 1, "polynomials": [[%s]]}' % (_TWO_TERMS % "1.5"),
+        '{"n": 1, "polynomials": [[%s]]}' % (_TWO_TERMS % "true"),
+        '{"n": 1, "polynomials": [[%s]]}' % (_TWO_TERMS % '"1"'),
+        '{"n": 1, "polynomials": [[%s]]}' % (_TWO_TERMS % "1e999"),
+        '{"n": 1.9, "polynomials": [[%s]]}' % (_TWO_TERMS % "1"),
+        '{"n": true, "polynomials": [[%s]]}' % (_TWO_TERMS % "1"),
+        '{"n": 1e999, "polynomials": [[%s]]}' % (_TWO_TERMS % "1"),
+    ],
+    ids=["exp-1.5", "exp-true", "exp-str", "exp-inf", "n-1.9", "n-true", "n-inf"],
+)
+def test_non_integer_json_number_is_parse_error(capsys, monkeypatch, command, stdin_text):
+    # read with int() these became another system (1.5 -> 1) or exit 3 (inf)
+    code, out, err = run_cli(capsys, [command, "-"], stdin_text=stdin_text, monkeypatch=monkeypatch)
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err.startswith("error: ") and "JSON integer" in err
+
+
+def test_variable_index_above_cap_is_parse_error(capsys, monkeypatch):
+    # refused before an exponent tuple of that length is built
+    t0 = time.perf_counter()
+    for text in ["x1000000000 + x1 + 1\n", f"x{MAX_VARS + 1} + 1\n"]:
+        code, out, err = run_cli(capsys, ["bound", "-"], stdin_text=text, monkeypatch=monkeypatch)
+        assert (code, out) == (EXIT_PARSE_ERROR, "")
+        assert err.startswith("error: ") and str(MAX_VARS) in err
+    with pytest.raises(ParseError):
+        parse_polynomial_text("x1 + 1", MAX_VARS + 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert parse_system_text(f"x{MAX_VARS} + x1 + 1").n == MAX_VARS
 
 
 @pytest.mark.parametrize("trials", ["-1", str(MAX_RANDOM_TRIALS + 1), "1000000000"])

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from rootbounds.arith import ord_p_value
 from rootbounds.bounds import valuation_vector_cap
 from rootbounds.linalg import det, dot, to_vec
 from rootbounds.newton import (
@@ -27,7 +28,7 @@ from rootbounds.newton import (
     system_polytope,
     valuation_face_bound,
 )
-from rootbounds.oracle import IntegerMatrix, count_binomial_system
+from rootbounds.oracle import IntegerMatrix, _lower_hull_slopes, count_binomial_system
 from rootbounds.polyhedra import (
     convex_hull,
     face,
@@ -132,8 +133,6 @@ def test_support_on_or_above_lower_hull():
         f = rand_poly(rng, n, rng.randint(2, 5), 8)
         p_prime = rng.choice([2, 3, 5])
         lift = newton_polytope(f, p_prime)
-        from rootbounds.arith import ord_p_value
-
         for exp, coeff in f.terms:
             pt = to_vec(exp + (ord_p_value(coeff, p_prime),))
             for w, _facet in lower_facets(lift):
@@ -497,3 +496,22 @@ def test_containment_validation():
         containment_check(PM2, 2, (Fraction(1),))
     with pytest.raises(ValueError):
         containment_check(PM2, 2, (Fraction(-1), Fraction(1)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_univariate_lower_facets_match_oracle_slopes(p):
+    # the lower facets of a univariate lift are the edges of its Newton
+    # polygon; the oracle finds them by its own lower-hull scan
+    rng = random.Random(f"{SEED}-polygon-{p}")
+    for _ in range(60):
+        d = {}
+        terms = rng.randint(2, 8)
+        while len(d) < terms:
+            # coefficients u * p^a with a unit u, some of them rational
+            u = Fraction(rng.choice([1, -1]) * rng.randint(1, 2 * p), rng.choice([1, 1, p + 1]))
+            if u.numerator % p:
+                d[(rng.randint(0, 200),)] = u * Fraction(p) ** rng.randint(-3, 6)
+        f = SparsePolynomial.from_dict(d)
+        rs = sorted(normal[0] for normal, _facet in newton_data(SparseSystem.of([f]), p).facets)
+        points = [(e[0], ord_p_value(c, p)) for e, c in f.terms]
+        assert rs == sorted(-slope for slope in _lower_hull_slopes(points))

@@ -21,6 +21,10 @@ from rootbounds.linalg import (
 from rootbounds.polyhedra import (
     DimensionError,
     Polytope,
+    _chart,
+    _Hull,
+    _hyperplane,
+    _lattice,
     convex_hull,
     face,
     lower_facets,
@@ -706,3 +710,102 @@ def test_chart_matches_local_coordinates(kind):
         lift = convex_hull([e + (h,) for e, h in zip(emb, heights)])
         got = [(normal, facet.vertices) for normal, facet in lower_facets(lift)]
         assert got == _reference_lower_facets(lift)
+
+
+# ---------------------------------------------------------------------------
+# the planar monotone chain against the general beneath-beyond build, and
+# the one-elimination facet normal against the cofactor normal
+# ---------------------------------------------------------------------------
+
+
+def _planar_point_set(rng, kind):
+    """Seeded points of Q^2 spanning the plane."""
+    if kind == "triangle":
+        return [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(2)) for _ in range(3)]
+    if kind == "rational":
+        return [
+            tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(2))
+            for _ in range(rng.randint(3, 12))
+        ]
+    if kind == "collinear":
+        # lattice points along the edges of a triangle and along an inner
+        # segment: runs of collinear points on the boundary and inside
+        a, b, c = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(3)]
+        k = rng.randint(2, 4)
+        a, b, c = (a[0] * k, a[1] * k), (b[0] * k, b[1] * k), (c[0] * k, c[1] * k)
+        pts = []
+        for (x0, y0), (x1, y1) in [(a, b), (b, c), (c, a), (a, (b[0] + c[0], b[1] + c[1]))]:
+            pts += [(x0 + t * (x1 - x0) // k, y0 + t * (y1 - y0) // k) for t in range(k + 1)]
+        rng.shuffle(pts)
+        return pts
+    pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 12))]
+    if kind == "duplicates":
+        pts += [rng.choice(pts) for _ in range(rng.randint(1, 4))]
+        rng.shuffle(pts)
+    return pts
+
+
+def _general_build(pts, scale, simplex):
+    hull = _Hull.__new__(_Hull)
+    hull.dim, hull.pts, hull.scale = 2, pts, scale
+    hull._build(simplex)
+    return hull
+
+
+@pytest.mark.parametrize("kind", ["lattice", "rational", "duplicates", "collinear", "triangle"])
+def test_planar_hull_matches_general_build(kind):
+    rng = random.Random(f"{SEED}-planar-{kind}")
+    checked = scaled = 0
+    while checked < 60:
+        ipts, scale = _lattice([to_vec(q) for q in _planar_point_set(rng, kind)])
+        simplex, axes = _chart(ipts)
+        if len(axes) < 2:
+            continue
+        planar = _Hull(ipts, scale, simplex)
+        general = _general_build(ipts, scale, simplex)
+        assert planar.vertex_ids == general.vertex_ids
+        assert planar.facets == general.facets
+        assert planar.volume == general.volume
+        checked += 1
+        scaled += scale > 1
+    if kind in ("rational", "triangle"):
+        assert scaled >= 30
+
+
+def _cofactor_hyperplane(pts):
+    """The normal from d cofactor determinants, and its offset."""
+    d = len(pts)
+    rows = [vec_sub(q, pts[0]) for q in pts[1:]]
+    normal = [(-1) ** j * det([[r[i] for i in range(d) if i != j] for r in rows]) for j in range(d)]
+    if not any(normal):
+        return None
+    return tuple(normal), dot(normal, pts[0])
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_elimination_normal_matches_cofactors(d):
+    rng = random.Random(f"{SEED}-normal-{d}")
+    degenerate = 0
+    for trial in range(150):
+        pts = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(d)]
+        kind = trial % 4
+        if kind == 1:  # a duplicate point
+            i, j = rng.sample(range(d), 2)
+            pts[i] = pts[j]
+        elif kind == 2:  # a point on the affine hull of two others
+            i, j, k = rng.sample(range(d), 3)
+            t = rng.randint(-3, 3)
+            pts[i] = tuple(a + t * (b - a) for a, b in zip(pts[j], pts[k]))
+        elif kind == 3 and trial % 8 == 3:  # every point on one coordinate plane
+            c = rng.randrange(d)
+            pts = [q[:c] + (2,) + q[c + 1 :] for q in pts]
+        got = _hyperplane(pts)
+        ref = _cofactor_hyperplane(pts)
+        if ref is None:
+            assert got is None
+            degenerate += 1
+            continue
+        normal, offset = ref
+        assert got in (ref, (tuple(-x for x in normal), -offset))
+        assert all(dot(got[0], q) == got[1] for q in pts)
+    assert degenerate >= 50
