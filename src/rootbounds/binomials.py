@@ -22,6 +22,22 @@ from typing import Sequence
 from .arith import _int_ord, is_prime
 from .linalg import solve_square
 
+# lcm(1, ..., 9859) has more than 4300 decimal digits, the interpreter's
+# default limit on printing an int, so no lcm profile with m >= 1 and a
+# larger t can be printed.
+MAX_T = 9858
+# Caps on the number and on the magnitude of the support elements of an
+# expansion: its exact solve grows with both, and at these caps and t = MAX_T
+# 32 random elements of [-10^6, 10^6] take about 3.5 s (2-vCPU machine,
+# Python 3.11).
+MAX_SUPPORT = 32
+MAX_SUPPORT_ELEMENT = 10**6
+
+
+def _check_t(t: int) -> None:
+    if t > MAX_T:
+        raise ValueError(f"t = {t} exceeds the cap {MAX_T}")
+
 
 @dataclass(frozen=True)
 class LcmProfile:
@@ -59,6 +75,7 @@ def lcm_profile(m: int, t: int) -> LcmProfile:
     """
     if m < 0 or t < 0:
         raise ValueError("lcm profile arguments must be nonnegative")
+    _check_t(t)
     if m == 0 or t == 0:
         return LcmProfile(m, t, 1)
     value = 1
@@ -80,13 +97,11 @@ def lcm_profile_bruteforce(m: int, t: int) -> int:
 
 
 def gen_binomial(a: int, t: int) -> Fraction:
-    """(a choose t) = prod_{i<t} (a-i)/(t-i); integer-valued for integer a."""
+    """(a choose t) = prod_{i<t} (a-i)/(t-i), an integer for integer a: the
+    usual binomial for a >= 0, and (-1)^t (t - a - 1 choose t) below."""
     if t < 0:
         raise ValueError("lower index must be nonnegative")
-    result = Fraction(1)
-    for i in range(t):
-        result *= Fraction(a - i, t - i)
-    return result
+    return Fraction(math.comb(a, t) if a >= 0 else (-1) ** t * math.comb(t - a - 1, t))
 
 
 def expansion_coeffs(support: Sequence[int], t: int) -> BinomialExpansion:
@@ -101,10 +116,15 @@ def expansion_coeffs(support: Sequence[int], t: int) -> BinomialExpansion:
     m = len(a_sorted)
     if m == 0:
         raise ValueError("expansion needs a nonempty support")
+    if m > MAX_SUPPORT:
+        raise ValueError(f"a support of {m} elements exceeds the cap {MAX_SUPPORT}")
+    if max(-a_sorted[0], a_sorted[-1]) > MAX_SUPPORT_ELEMENT:
+        raise ValueError(f"support elements are capped at magnitude {MAX_SUPPORT_ELEMENT}")
     if len(set(a_sorted)) != m:
         raise ValueError("support elements must be distinct")
     if t < 0:
         raise ValueError("t must be nonnegative")
+    _check_t(t)
     if t < m:
         coeffs = tuple(Fraction(1 if j == t else 0) for j in range(m))
         return BinomialExpansion(a_sorted, t, coeffs)

@@ -325,15 +325,15 @@ def global_facet_sum_bound(F: SparseSystem, d: int, delta: int) -> BoundReport:
     return global_facet_sum_bound_from_counts(facets, F.m, F.n, d, delta)
 
 
-def affine_bound(base: str, fs: FieldSpec, m: int, n: int, k: int) -> BoundReport:
-    """Bound off the torus: zero coordinates handled by summing the bound
-    over all variable subsets, with the 2^n relaxation reported alongside."""
-    if base == FORMULA_THM1_LOCAL:
-        interval_at = lambda j: _local_interval(fs, m, j) if (m > j and k >= j) else Interval.exact(0)
-    elif base == FORMULA_THM1_GLOBAL:
-        interval_at = lambda j: _global_interval(fs, m, j) if (m > j and k >= j) else Interval.exact(0)
+def affine_bound(fs: FieldSpec, m: int, n: int, k: int) -> BoundReport:
+    """Bound off the torus: zero coordinates handled by summing the field's
+    torus bound over all variable subsets, with the 2^n relaxation reported
+    alongside."""
+    if fs.kind == "local":
+        base, interval = FORMULA_THM1_LOCAL, _local_interval
     else:
-        raise ValueError("affine bound builds on thm1_local or thm1_global")
+        base, interval = FORMULA_THM1_GLOBAL, _global_interval
+    interval_at = lambda j: interval(fs, m, j) if (m > j and k >= j) else Interval.exact(0)
     exact = Interval.exact(1)
     for j in range(1, n + 1):
         exact = exact + math.comb(n, j) * interval_at(j)

@@ -18,8 +18,6 @@ from . import arith
 from .arith import format_rational
 from .binomials import expansion_coeffs, lcm_profile
 from .bounds import (
-    FORMULA_THM1_GLOBAL,
-    FORMULA_THM1_LOCAL,
     FieldSpec,
     affine_bound,
     global_bound,
@@ -138,14 +136,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
         reports.append(global_bound(fs, m, n, k))
         if k >= n:
             reports.append(global_facet_sum_bound(system, fs.d, fs.delta))
-        if args.affine:
-            reports.append(affine_bound(FORMULA_THM1_GLOBAL, fs, m, n, k))
     else:
         reports.append(local_bound(fs, m, n, k))
         if k >= n:
             reports.append(local_facet_bound(system, fs))
-        if args.affine:
-            reports.append(affine_bound(FORMULA_THM1_LOCAL, fs, m, n, k))
+    if args.affine:
+        reports.append(affine_bound(fs, m, n, k))
     payload = {
         "system": {"m": m, "n": n, "k": k},
         "bounds": [r.to_json_obj() for r in reports],
@@ -288,10 +284,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_binom(args: argparse.Namespace) -> int:
     m, t = args.m, args.t
-    payload: dict = {"m": m, "t": t, "lcm_profile": str(lcm_profile(m, t).value)}
+    # the expansion runs first, so that its caps refuse a request before the
+    # lcm profile is computed
+    expansion = None
     if args.support:
-        elements = tuple(int(x) for x in args.support.split(","))
-        expansion = expansion_coeffs(elements, t)
+        expansion = expansion_coeffs(tuple(int(x) for x in args.support.split(",")), t)
+    payload: dict = {"m": m, "t": t, "lcm_profile": str(lcm_profile(m, t).value)}
+    if expansion is not None:
         payload["expansion"] = {
             "support": list(expansion.support),
             "coefficients": [format_rational(c) for c in expansion.coefficients],

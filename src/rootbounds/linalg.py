@@ -1,11 +1,12 @@
 """Small exact linear algebra over the rationals and integers.
 
 Everything here works on tuples/lists of Fractions or ints and performs no
-rounding.  Determinant, rank and the pivot rows and columns behind the rank
-use Bareiss fraction-free elimination: a row holding Fractions is first
-scaled to integers by the lcm of its denominators, so an all-int input stays
-in Python ints and gives an int result.  The one solver is Gaussian
-elimination over Fractions, and a tiny phase-one simplex decides the exact
+rounding.  One Bareiss fraction-free elimination (Math. Comp. 22, 1968),
+``_bareiss``, is behind the determinant, the rank, the pivot rows and
+columns behind the rank, integer null vectors and the square solver.  A row
+holding Fractions is first scaled to integers by the lcm of its
+denominators, so the elimination itself runs on Python ints, and an all-int
+input gives an int result.  A tiny phase-one simplex decides the exact
 feasibility question of :func:`nonneg_solution_exists` in low dimension.
 """
 
@@ -31,13 +32,13 @@ def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vector:
     return tuple(map(operator.sub, a, b))
 
 
-def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int | None]:
-    """The rows as int lists, each multiplied by the lcm of its denominators,
-    and the product of those multipliers; None in its place when every entry
-    already was an int."""
+def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[Sequence[int]], int | None]:
+    """The rows as int sequences, each multiplied by the lcm of its
+    denominators, and the product of those multipliers; None in its place
+    when every entry already was an int."""
     if {type(x) for r in rows for x in r} <= {int}:
-        return [list(r) for r in rows], None
-    m: list[list[int]] = []
+        return list(rows), None
+    m: list[Sequence[int]] = []
     scale = 1
     for r in rows:
         fr = [Fraction(x) for x in r]
@@ -47,39 +48,47 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int | None
     return m, scale
 
 
+def _bareiss(m: list, ncols: int) -> tuple[list[int], list[int], int, list]:
+    """Bareiss elimination of the first ``ncols`` columns of the int rows m.
+
+    Each column takes the first remaining row with a nonzero entry as its
+    pivot.  Returns the pivot rows and columns in pivot order, the last
+    pivot (1 if none), which is the determinant of the submatrix on them,
+    and the rows left without a pivot over the columns after ``ncols``.
+    """
+    live = list(range(len(m)))
+    row_ids: list[int] = []
+    col_ids: list[int] = []
+    prev = 1
+    # elimination on a shrinking block: by Sylvester's identity every entry
+    # of the block is a minor of the input, so the division by the previous
+    # pivot is exact.  A column without a pivot is part of no later minor
+    # and is dropped.
+    for col in range(ncols):
+        for pivot, row in enumerate(m):
+            if row[0]:
+                break
+        else:
+            m = [row[1:] for row in m]
+            continue
+        pv, *tail = m.pop(pivot)
+        row_ids.append(live.pop(pivot))
+        col_ids.append(col)
+        m = [[(pv * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in m]
+        prev = pv
+    return row_ids, col_ids, prev, m
+
+
 def pivots(rows: Sequence[Sequence[Fraction]]) -> tuple[list[int], list[int]]:
     """Indices of the rows and of the columns that carry a pivot in Bareiss
-    elimination (Math. Comp. 22, 1968), in pivot order.
+    elimination, in pivot order.
 
     Each column takes the first remaining row with a nonzero entry, so the
     pivot rows are independent, every other row lies in their span, and the
     submatrix on the pivot rows and columns is nonsingular.
     """
     m, _ = _integer_rows(rows)
-    live = list(range(len(m)))
-    row_ids: list[int] = []
-    col_ids: list[int] = []
-    col = 0
-    prev = 1
-    # Bareiss elimination on a shrinking block: by Sylvester's identity every
-    # entry of the block is a minor of the input, so the division by the
-    # previous pivot is exact.  A column without a pivot is part of no later
-    # minor and is dropped.
-    while m and m[0]:
-        for pivot, row in enumerate(m):
-            if row[0]:
-                break
-        else:
-            m = [row[1:] for row in m]
-            col += 1
-            continue
-        prow = m.pop(pivot)
-        row_ids.append(live.pop(pivot))
-        col_ids.append(col)
-        pv, tail = prow[0], prow[1:]
-        m = [[(pv * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in m]
-        prev = pv
-        col += 1
+    row_ids, col_ids, _, _ = _bareiss(m, len(m[0]) if m else 0)
     return row_ids, col_ids
 
 
@@ -88,47 +97,45 @@ def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> int | Fraction:
-    """Exact determinant by Bareiss elimination (Math. Comp. 22, 1968); an
-    int for an all-int matrix, else a Fraction."""
+    """Exact determinant: the last Bareiss pivot, signed by the parity of
+    the pivot-row order; an int for an all-int matrix, else a Fraction."""
     m, scale = _integer_rows(rows)
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    while m:
-        for pivot, row in enumerate(m):
-            if row[0]:
-                break
-        else:
-            prev = 0
-            break
-        if pivot:
-            m[0], m[pivot] = m[pivot], m[0]
-            sign = -sign
-        pv, tail = m[0][0], m[0][1:]
-        m = [[(pv * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in m[1:]]
-        prev = pv
-    d = sign * prev
+    order, _, d, _ = _bareiss(m, n)
+    if len(order) < n:
+        d = 0
+    elif order != sorted(order):  # mostly each column pivots on its first row
+        d *= (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
     return d if scale is None else Fraction(d, scale)
 
 
+def null_vector(rows: Sequence[Sequence[Fraction]]) -> tuple[int, ...] | None:
+    """An integer c != 0 with A c = 0 for the k x (k + 1) matrix A of the
+    rows, None when A has rank < k: the I part of the one row left once the
+    k columns of A^T are eliminated in [A^T | I_(k+1)].  Its entries are
+    minors of [A^T | I], the cofactors of A up to one common sign."""
+    m, _ = _integer_rows(rows)
+    k = len(m)
+    if any(len(r) != k + 1 for r in m):
+        raise ValueError("null vector of a matrix that is not k x (k + 1)")
+    t = [[r[j] for r in m] + [0] * j + [1] + [0] * (k - j) for j in range(k + 1)]
+    _, col_ids, _, left = _bareiss(t, k)
+    if len(col_ids) < k:
+        return None
+    return tuple(left[0])
+
+
 def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector | None:
-    """Solve A x = b exactly for square A; None when A is singular."""
+    """Solve A x = b exactly for square A; None when A is singular.  The
+    null vector c of [A | b] is None or has c[n] = 0 iff A is singular, and
+    otherwise gives x = -c[:n] / c[n]."""
     n = len(rows)
-    m = [list(map(Fraction, r)) + [Fraction(rhs[i])] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(m[r][n] for r in range(n))
+    c = null_vector([list(r) + [b] for r, b in zip(rows, rhs, strict=True)])
+    if c is None or not c[n]:
+        return None
+    return tuple(Fraction(-x, c[n]) for x in c[:n])
 
 
 def gram_solve(basis: Sequence[Vector], target: Sequence[Fraction]) -> Vector:

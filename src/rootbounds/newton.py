@@ -195,6 +195,8 @@ class SparseSystem:
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "SparseSystem":
         n = _json_int(obj["n"])
+        if n < 1:
+            raise ValueError(f"a system needs n >= 1 variables, got n = {n}")
         polys = []
         for terms in obj["polynomials"]:
             d = {tuple(map(_json_int, t["exp"])): Fraction(str(t["coeff"])) for t in terms}

@@ -399,6 +399,8 @@ def rational_root_search(F: SparseSystem, height_cap: int) -> RootCount:
         raise ValueError("rational search capped at 3 variables")
     if height_cap > 100:
         raise ValueError("rational search capped at height 100")
+    if height_cap < 1:
+        raise ValueError(f"rational search needs a height cap >= 1, got {height_cap}")
     n = F.n
     candidates = _rationals_up_to_height(height_cap)
 

@@ -8,17 +8,18 @@ univariate polynomial and every mixed volume in the plane.  A hull of
 dimension d >= 3 is an incremental beneath-beyond construction over a
 simplicial facet complex, with coplanar pieces merged afterwards through
 canonical primitive facet hyperplanes; each candidate facet normal is the
-integer nullspace vector left by one fraction-free elimination of its d - 1
-difference vectors.  Both run on Python ints: rational input is scaled once
-by the lcm L of its denominators (L = 1 for lattice points such as the lifts
-of a system), and volumes and offsets are divided back at the end.  In
-dimension d >= 3 volume accumulates during construction as the sum of the
-initial simplex and the pyramids swept out by each insertion.  A
-:class:`Polytope` stores its sorted vertices and nothing else: the ambient
-dimension is their length, and the affine dimension is computed only when
-asked for.
+integer null vector of its d - 1 difference vectors (``linalg.null_vector``).
+Both run on Python ints: rational input is scaled once by the lcm L of its
+denominators (L = 1 for lattice points such as the lifts of a system), and
+volumes and offsets are divided back at the end.  In dimension d >= 3
+volume accumulates during construction as the sum of the initial simplex
+and the pyramids swept out by each insertion.  A :class:`Polytope` stores
+its sorted vertices and nothing else: the ambient dimension is their
+length, and the affine dimension is computed only when asked for.
 
-Every affine-hull question is answered by one pivoting Bareiss pass over the
+The module runs no elimination of its own: determinants, pivots and null
+vectors come from the one Bareiss elimination in ``linalg``.  Every
+affine-hull question is answered by one pivoting pass of it over the
 differences p_i - p_0 (``linalg.pivots``): its pivot rows give the affine
 dimension d and d + 1 affinely independent points that seed the hull, and
 its pivot columns d coordinate axes onto which the affine hull projects
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import Vector, det, dot, gram_solve, mat_rank, pivots, to_vec, vec_sub
+from .linalg import Vector, det, dot, gram_solve, mat_rank, null_vector, pivots, to_vec, vec_sub
 
 MAX_DIM = 6
 
@@ -114,33 +115,13 @@ def _primitive(normal: Sequence[int], offset: int) -> tuple[tuple[int, ...], int
 
 def _hyperplane(pts: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], int] | None:
     """Normal and offset of the hyperplane through d integer points in Z^d;
-    None when the points span less than a hyperplane.
-
-    One Bareiss elimination of the d x (2d - 1) matrix [A^T | I_d], A the
-    (d - 1) x d matrix of the differences p_i - p_0, clears the A^T part of
-    all rows but its pivot rows; the I_d part of the one row left is then a
-    c with A c = 0.  By Sylvester's identity its entries are d x d minors of
-    [A^T | I_d], the cofactors of A up to one common sign, and every column
-    of A^T finds a pivot iff A has rank d - 1.
-    """
-    d = len(pts)
+    None when the points span less than a hyperplane.  The normal is the
+    null vector of the differences p_i - p_0, their cofactors up to sign."""
     p0 = pts[0]
-    diffs = [vec_sub(p, p0) for p in pts[1:]]
-    m = [[row[j] for row in diffs] + [int(i == j) for i in range(d)] for j in range(d)]
-    prev = 1
-    # as in linalg.pivots, each step drops the pivot row and the cleared
-    # column, and the division by the previous pivot is exact
-    for _ in range(d - 1):
-        for pivot, row in enumerate(m):
-            if row[0]:
-                break
-        else:
-            return None
-        pv, *tail = m.pop(pivot)
-        m = [[(pv * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in m]
-        prev = pv
-    (normal,) = m
-    return tuple(normal), dot(normal, p0)
+    normal = null_vector([vec_sub(p, p0) for p in pts[1:]])
+    if normal is None:
+        return None
+    return normal, dot(normal, p0)
 
 
 def _half_chain(pts: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from rootbounds.arith import ord_p_value
 from rootbounds.binomials import (
+    MAX_SUPPORT,
+    MAX_SUPPORT_ELEMENT,
+    MAX_T,
     expansion_coeffs,
     gen_binomial,
     lcm_profile,
@@ -69,6 +72,18 @@ def test_gen_binomial_examples():
     assert gen_binomial(-1, 2) == 1
     for a in (-7, -1, 0, 3, 12):
         assert gen_binomial(a, 0) == 1
+
+
+def test_gen_binomial_matches_product_formula():
+    # the falling-factorial product that the closed form replaced
+    rng = random.Random(SEED + 1)
+    for _ in range(300):
+        a, t = rng.randint(-60, 60), rng.randint(0, 40)
+        product = Fraction(1)
+        for i in range(t):
+            product *= Fraction(a - i, t - i)
+        assert gen_binomial(a, t) == product
+        assert type(gen_binomial(a, t)) is Fraction
 
 
 def test_gen_binomial_integrality():
@@ -136,3 +151,23 @@ def test_expansion_validation():
         expansion_coeffs((1, 1, 2), 2)
     with pytest.raises(ValueError):
         expansion_coeffs((0, 1), -1)
+
+
+def test_caps_refuse_before_work():
+    # lcm_profile(1, t) = lcm(1, ..., t), and an int of more than 4300
+    # decimal digits cannot be printed
+    assert math.lcm(*range(1, MAX_T + 1)) < 10**4300 <= math.lcm(*range(1, MAX_T + 2))
+    # t = 10^9 or a support of 10^5 elements would run for hours
+    for call in [
+        lambda: lcm_profile(1, MAX_T + 1),
+        lambda: lcm_profile(0, 10**9),
+        lambda: expansion_coeffs((1, 2), 10**9),
+        lambda: expansion_coeffs(range(10**5), MAX_T),
+        lambda: expansion_coeffs((0, MAX_SUPPORT_ELEMENT + 1), 3),
+        lambda: expansion_coeffs((-MAX_SUPPORT_ELEMENT - 1, 0), 3),
+    ]:
+        with pytest.raises(ValueError, match="cap"):
+            call()
+    e = expansion_coeffs((-MAX_SUPPORT_ELEMENT, MAX_SUPPORT_ELEMENT), MAX_T)
+    assert len(e.coefficients) == 2
+    assert len(expansion_coeffs(range(MAX_SUPPORT), MAX_SUPPORT).coefficients) == MAX_SUPPORT

@@ -201,26 +201,36 @@ def test_global_sum_dominated_by_headline_bound():
 
 
 def test_affine_bound_n1():
-    rep = affine_bound(FORMULA_THM1_LOCAL, Q2, 3, 1, 1)
+    rep = affine_bound(Q2, 3, 1, 1)
     base = local_bound(Q2, 3, 1, 1)
     assert abs(rep.raw.value - (1 + base.raw.value)) < Decimal("1e-18")
 
 
 def test_affine_bound_all_zero_base():
-    rep = affine_bound(FORMULA_THM1_LOCAL, Q2, 1, 3, 3)
+    rep = affine_bound(Q2, 1, 3, 3)
     assert rep.integer_bound == 1
 
 
 def test_affine_bound_exact_below_relaxation():
-    rep = affine_bound(FORMULA_THM1_LOCAL, Q2, 5, 2, 2)
+    rep = affine_bound(Q2, 5, 2, 2)
     relaxed = 1 + 4 * local_bound(Q2, 5, 2, 2).raw.value
     assert rep.raw.value < relaxed
     assert "exact subset sum <= relaxation: True" in rep.notes[1]
 
 
+def test_affine_bound_base_follows_field_kind():
+    # the torus bound summed over variable subsets is the field's own
+    gfs = FieldSpec.global_field(2, 1)
+    assert affine_bound(Q2, 5, 2, 2).inputs["base"] == FORMULA_THM1_LOCAL
+    assert affine_bound(gfs, 5, 2, 2).inputs["base"] == FORMULA_THM1_GLOBAL
+    for fs, bound in [(Q2, local_bound), (gfs, global_bound)]:
+        rep = affine_bound(fs, 3, 1, 1)
+        assert abs(rep.raw.value - (1 + bound(fs, 3, 1, 1).raw.value)) < Decimal("1e-18")
+
+
 def test_affine_bound_global_base():
     gfs = FieldSpec.global_field(1, 1)
-    rep = affine_bound(FORMULA_THM1_GLOBAL, gfs, 3, 1, 1)
+    rep = affine_bound(gfs, 3, 1, 1)
     assert rep.formula_id == FORMULA_REMARK1_1
     assert rep.integer_bound >= 1
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from rootbounds.binomials import MAX_SUPPORT, MAX_SUPPORT_ELEMENT
 from rootbounds.cli import (
     EXIT_BAD_PARAMS,
     EXIT_OK,
@@ -512,3 +513,49 @@ def test_random_trial_count_out_of_range_is_bad_params(capsys, trials):
     assert time.perf_counter() - t0 < 2.0
     assert (code, out) == (EXIT_BAD_PARAMS, "")
     assert err.startswith("error: ") and str(MAX_RANDOM_TRIALS) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--m", "3", "--t", "100000"],
+        ["--m", "3", "--t", str(10**9)],
+        ["--m", "0", "--t", str(10**9), "--support", "1,2"],
+        ["--m", "2", "--t", "40", "--support", ",".join(map(str, range(MAX_SUPPORT + 1)))],
+        ["--m", "2", "--t", "40", f"--support=-{MAX_SUPPORT_ELEMENT + 1},0"],
+    ],
+    ids=["t-1e5", "t-1e9", "m0-t-1e9-support", "support-length", "support-element"],
+)
+def test_binom_above_cap_is_bad_params(capsys, argv):
+    # refused before any work; --t 100000 ran for minutes
+    t0 = time.perf_counter()
+    code = main(["binom", *argv])
+    out, err = capsys.readouterr()
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (EXIT_BAD_PARAMS, "")
+    assert err.startswith("error: ") and "cap" in err
+
+
+@pytest.mark.parametrize("command", ["bound", "facets", "verify"])
+@pytest.mark.parametrize(
+    "stdin_text",
+    [
+        '{"n": 0, "polynomials": [[{"exp": [], "coeff": 1}, {"exp": [], "coeff": 2}]]}',
+        '{"n": 0, "polynomials": [[{"exp": [], "coeff": 1}], [{"exp": [], "coeff": -1}]]}',
+    ],
+    ids=["one-equation", "two-equations"],
+)
+def test_json_system_without_variables_is_parse_error(capsys, monkeypatch, command, stdin_text):
+    # these exited 3, with "log of nonpositive value" or "a one-term equation"
+    code, out, err = run_cli(capsys, [command, "-"], stdin_text=stdin_text, monkeypatch=monkeypatch)
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err.startswith("error: could not parse") and "n >= 1" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_verify_height_cap_below_one_is_bad_params(capsys, monkeypatch, cap):
+    # an empty search box counted 0 roots and verified as ok
+    argv = ["verify", "-", "--height-cap", cap]
+    code, out, err = run_cli(capsys, argv, stdin_text="x1^2 - 1\n", monkeypatch=monkeypatch)
+    assert (code, out) == (EXIT_BAD_PARAMS, "")
+    assert err.startswith("error: ") and "height cap" in err

@@ -13,6 +13,7 @@ from rootbounds.linalg import (
     dot,
     gram_solve,
     mat_rank,
+    null_vector,
     pivots,
     solve_square,
     to_vec,
@@ -25,6 +26,7 @@ from rootbounds.polyhedra import (
     _Hull,
     _hyperplane,
     _lattice,
+    _primitive,
     convex_hull,
     face,
     lower_facets,
@@ -520,6 +522,71 @@ def test_det_and_rank_match_fraction_reference():
         assert mat_rank(wide) == _fraction_rank(wide)
         _check_pivots(wide)
     assert singular >= 50
+    # a scaled permutation matrix pivots in the order of its permutation, so
+    # every order of pivot rows, even or odd, shows up
+    for n in range(6):
+        for perm in itertools.permutations(range(n)):
+            rows = [[(i + 2) * (j == perm[i]) for j in range(n)] for i in range(n)]
+            assert det(rows) == _fraction_det(rows)
+
+
+def _gauss_jordan(rows, rhs):
+    """The Fraction Gauss-Jordan solver that solve_square replaced."""
+    n = len(rows)
+    m = [list(map(Fraction, r)) + [Fraction(rhs[i])] for i, r in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        pv = m[col][col]
+        m[col] = [x / pv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return tuple(m[r][n] for r in range(n))
+
+
+def test_solve_square_matches_gauss_jordan():
+    rng = random.Random(SEED + 21)
+    singular = zero_rhs = 0
+    for trial in range(600):
+        n = trial % 7
+        rational = trial % 2 == 1
+        rows = _rand_matrix(rng, n, n, rational)
+        if trial % 5 == 0:
+            rhs = [0] * n
+        else:
+            rhs = [row[0] for row in _rand_matrix(rng, n, 1, rational)]
+        want = _gauss_jordan(rows, rhs)
+        got = solve_square(rows, rhs)
+        assert got == want
+        if want is None:
+            singular += 1
+            continue
+        assert all(type(x) is Fraction for x in got)
+        assert all(dot(row, got) == b for row, b in zip(rows, rhs))
+        zero_rhs += not any(rhs)
+    assert singular >= 100 and zero_rhs >= 50
+
+
+def test_null_vector_spans_the_kernel():
+    rng = random.Random(SEED + 22)
+    deficient = 0
+    for trial in range(300):
+        k = trial % 6
+        rows = _rand_matrix(rng, k, k + 1, trial % 2 == 1)
+        c = null_vector(rows)
+        if _fraction_rank(rows) < k:
+            assert c is None
+            deficient += 1
+            continue
+        assert all(type(x) is int for x in c) and any(c)
+        assert all(dot(row, c) == 0 for row in rows)
+    assert deficient >= 50
+    with pytest.raises(ValueError):
+        null_vector([[1, 2, 3]])
 
 
 def _check_pivots(rows):
@@ -801,11 +868,20 @@ def test_elimination_normal_matches_cofactors(d):
             pts = [q[:c] + (2,) + q[c + 1 :] for q in pts]
         got = _hyperplane(pts)
         ref = _cofactor_hyperplane(pts)
+        # the difference rows, each scaled by a nonzero Fraction, have the
+        # same kernel
+        scales = [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 7)) for _ in pts[1:]]
+        c = null_vector([[x * s for x in vec_sub(q, pts[0])] for q, s in zip(pts[1:], scales)])
         if ref is None:
-            assert got is None
+            assert got is None and c is None
             degenerate += 1
             continue
         normal, offset = ref
         assert got in (ref, (tuple(-x for x in normal), -offset))
         assert all(dot(got[0], q) == got[1] for q in pts)
+        assert all(type(x) is int for x in c)
+        assert _primitive(c, dot(c, pts[0])) in (
+            _primitive(normal, offset),
+            _primitive([-x for x in normal], -offset),
+        )
     assert degenerate >= 50
