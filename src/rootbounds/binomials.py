@@ -19,12 +19,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .arith import _int_ord, is_prime
+from .arith import is_prime
 from .linalg import solve_square
 
-# lcm(1, ..., 9859) has more than 4300 decimal digits, the interpreter's
-# default limit on printing an int, so no lcm profile with m >= 1 and a
-# larger t can be printed.
+# The interpreter's default limit on the decimal digits of a printed int; an
+# lcm profile above it is refused.  lcm(1, ..., 9859) already has more, so no
+# lcm profile with m >= 1 and a larger t can be printed.
+MAX_PRINT_DIGITS = 4300
 MAX_T = 9858
 # Caps on the number and on the magnitude of the support elements of an
 # expansion: its exact solve grows with both, and at these caps and t = MAX_T
@@ -66,22 +67,45 @@ def _primes_up_to(t: int) -> list[int]:
     return [p for p in range(2, t + 1) if is_prime(p)]
 
 
+def _top_valuation_sum(m: int, t: int, p: int) -> int:
+    """The sum of the m largest p-valuations among 1, ..., t: exactly
+    t // p^j - t // p^(j+1) of those integers have valuation j."""
+    total = 0
+    j = 1
+    while p ** (j + 1) <= t:
+        j += 1
+    while j > 0 and m > 0:
+        take = min(m, t // p**j - t // p ** (j + 1))
+        total += j * take
+        m -= take
+        j -= 1
+    return total
+
+
 def lcm_profile(m: int, t: int) -> LcmProfile:
     """Greedy per-prime evaluation of the lcm over distinct-factor products.
 
     For each prime p <= t the exponent is the largest total p-valuation
     achievable by at most m pairwise distinct integers in [1, t]; picking the
-    m largest valuations independently per prime attains it.
+    m largest valuations independently per prime attains it.  A value of
+    more than ``MAX_PRINT_DIGITS`` digits is refused before it is built.
     """
     if m < 0 or t < 0:
         raise ValueError("lcm profile arguments must be nonnegative")
     _check_t(t)
     if m == 0 or t == 0:
         return LcmProfile(m, t, 1)
-    value = 1
-    for p in _primes_up_to(t):
-        vals = sorted((_int_ord(k, p) for k in range(1, t + 1)), reverse=True)
-        value *= p ** sum(vals[:m])
+    exponents = [(p, _top_valuation_sum(m, t, p)) for p in _primes_up_to(t)]
+    # the float sum is good to far better than the margin, and a value
+    # within the margin of the limit is compared exactly once built
+    digits = sum(e * math.log10(p) for p, e in exponents)
+    if digits > MAX_PRINT_DIGITS + 1e-6:
+        raise ValueError(
+            f"lcm profile of about {math.ceil(digits)} digits exceeds the cap {MAX_PRINT_DIGITS}"
+        )
+    value = math.prod(p**e for p, e in exponents)
+    if value >= 10**MAX_PRINT_DIGITS:
+        raise ValueError(f"lcm profile of more than {MAX_PRINT_DIGITS} digits exceeds the cap")
     return LcmProfile(m, t, value)
 
 

@@ -346,7 +346,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(bn, with_input=False)
     bn.add_argument("--m", type=int, required=True)
     bn.add_argument("--t", type=int, required=True)
-    bn.add_argument("--support", default=None, help="comma-separated integers")
+    bn.add_argument("--support", default=None,
+                    help="comma-separated integers; write a support that starts "
+                    "with a minus sign as --support=-3,1")
     return parser
 
 

@@ -5,13 +5,18 @@ valuation) points; the lower facets of the aggregated system polytope
 enumerate every valuation vector a torus root can have, and the mixed volume
 of the projected faces at a given valuation bounds the number of roots
 carrying it.  :func:`newton_data` builds that analysis once per (system,
-prime) and every public view below reads it.  The shift f(1+x) and the
-scaled-simplex containment check at the bottom of the file exercise the
+prime) and every public view below reads it.  For a square system the
+aggregate is the Minkowski sum of the lifts, and its lower facets and their
+face tuples are read off the lifts' own lower cells
+(``polyhedra.lower_facets_of_sum``) without forming the sum, which only
+:func:`system_polytope` builds.  The shift f(1+x) and the scaled-simplex
+containment check at the bottom of the file exercise the
 slow-valuation-decay phenomenon that drives the near-one root bounds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +38,7 @@ from .polyhedra import (
     convex_hull,
     face,
     lower_facets,
+    lower_facets_of_sum,
     minkowski_sum,
     mixed_volume,
     project_pi,
@@ -227,10 +233,10 @@ def newton_polytope(f: SparsePolynomial, p: int) -> Polytope:
     return convex_hull(pts)
 
 
-def _face_bound(lifts: Sequence[Polytope], w: Sequence[Fraction]) -> int:
-    """Mixed volume of the projected faces of the lifts minimizing w; an
-    integer under the standard-simplex normalization, asserted not assumed."""
-    mv = mixed_volume([project_pi(face(q, w)) for q in lifts])
+def _integral_mixed_volume(faces: Sequence[Polytope]) -> int:
+    """Mixed volume of n polytopes in R^n; an integer under the
+    standard-simplex normalization for lattice faces, asserted not assumed."""
+    mv = mixed_volume(faces)
     if mv.denominator != 1:
         raise ArithmeticError(
             f"face mixed volume {mv} is not an integer; normalization broken"
@@ -240,15 +246,15 @@ def _face_bound(lifts: Sequence[Polytope], w: Sequence[Fraction]) -> int:
 
 @dataclass(frozen=True)
 class NewtonData:
-    """The Newton analysis of one system at one prime: the per-equation
-    lifts (empty for k > n, where no face bound is defined), the aggregated
-    lift, and the lower facets of the aggregate as (normal (r, 1), facet)
-    pairs."""
+    """The Newton analysis of one system at one prime: the lower facets of
+    the aggregated lift as (normal (r, 1), facet) pairs, sorted by normal,
+    and for k = n each facet's face tuple (F_1(r), ..., F_n(r)), the faces
+    of the per-equation lifts minimizing (r, 1), whose sum the facet is
+    (empty for k > n, where no face bound is defined)."""
 
     system: SparseSystem
-    lifts: tuple[Polytope, ...]
-    aggregate: Polytope
     facets: tuple[tuple[tuple[Fraction, ...], Polytope], ...]
+    faces: tuple[tuple[Polytope, ...], ...]
 
     def face_bounds(self) -> list[tuple[tuple[Fraction, ...], int]]:
         """Sorted (r, bound) over the lower facet normals (r, 1) with a
@@ -256,29 +262,33 @@ class NewtonData:
         its bound on the torus roots carrying it.  Requires k = n."""
         if self.system.k != self.system.n:
             raise ValueError("candidate valuations require k = n (reduce the system first)")
-        out = {}
-        for normal, _facet in self.facets:
-            bound = _face_bound(self.lifts, normal)
+        out = []
+        for (normal, _facet), faces in zip(self.facets, self.faces):
+            # pi is injective on a non-vertical face, so the projected
+            # vertices are the vertices of the projection, still sorted
+            bound = _integral_mixed_volume(
+                [Polytope(tuple(v[:-1] for v in f.vertices)) for f in faces]
+            )
             if bound > 0:
-                out[normal[:-1]] = bound
-        return sorted(out.items())
+                out.append((normal[:-1], bound))
+        return out
 
 
 def newton_data(F: SparseSystem, p: int) -> NewtonData:
-    """Build the lifts, the aggregated lift (their Minkowski sum for k = n,
-    the lift of the coefficient-wise sum for k > n) and its lower facets,
-    whose count is checked against the cap on valuation vectors."""
+    """Build the lower facets of the aggregated lift (the lift of the
+    coefficient-wise sum for k > n, else the Minkowski sum of the lifts,
+    whose lower facets and face tuples are read from the lifts without
+    forming the sum), checking their count against the cap on valuation
+    vectors."""
     if F.k < F.n:
         raise ValueError("aggregated polytope needs k >= n")
     if F.k > F.n:
-        lifts: tuple[Polytope, ...] = ()
-        aggregate = newton_polytope(poly_sum(F.polynomials), p)
+        facets = tuple(lower_facets(newton_polytope(poly_sum(F.polynomials), p)))
+        faces: tuple[tuple[Polytope, ...], ...] = ()
     else:
-        lifts = tuple(newton_polytope(f, p) for f in F.polynomials)
-        aggregate = lifts[0]
-        for q in lifts[1:]:
-            aggregate = minkowski_sum(aggregate, q)
-    facets = tuple(lower_facets(aggregate))
+        triples = lower_facets_of_sum([newton_polytope(f, p) for f in F.polynomials])
+        facets = tuple((normal, facet) for normal, facet, _faces in triples)
+        faces = tuple(fs for _normal, _facet, fs in triples)
     from .bounds import valuation_vector_cap
 
     cap = valuation_vector_cap(F.m, F.n) if F.m >= 2 else 1
@@ -286,13 +296,17 @@ def newton_data(F: SparseSystem, p: int) -> NewtonData:
         raise ArithmeticError(
             f"lower facet count {len(facets)} exceeds the combinatorial cap {cap}"
         )
-    return NewtonData(F, lifts, aggregate, facets)
+    return NewtonData(F, facets, faces)
 
 
 def system_polytope(F: SparseSystem, p: int) -> Polytope:
     """Aggregated lift: Newton polytope of the sum for k > n, else the
     Minkowski sum of the individual Newton polytopes."""
-    return newton_data(F, p).aggregate
+    if F.k < F.n:
+        raise ValueError("aggregated polytope needs k >= n")
+    if F.k > F.n:
+        return newton_polytope(poly_sum(F.polynomials), p)
+    return functools.reduce(minkowski_sum, [newton_polytope(f, p) for f in F.polynomials])
 
 
 def facet_count(F: SparseSystem, p: int) -> int:
@@ -317,8 +331,10 @@ def valuation_face_bound(F: SparseSystem, p: int, r: Sequence[Fraction]) -> int:
     rv = to_vec(r)
     if len(rv) != F.n:
         raise ValueError("valuation vector has wrong dimension")
-    lifts = [newton_polytope(f, p) for f in F.polynomials]
-    return _face_bound(lifts, rv + (Fraction(1),))
+    w = rv + (Fraction(1),)
+    return _integral_mixed_volume(
+        [project_pi(face(newton_polytope(f, p), w)) for f in F.polynomials]
+    )
 
 
 # ---------------------------------------------------------------------------

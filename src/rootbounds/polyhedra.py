@@ -25,7 +25,9 @@ dimension d and d + 1 affinely independent points that seed the hull, and
 its pivot columns d coordinate axes onto which the affine hull projects
 bijectively.  That projection keeps vertices and faces, so a
 lower-dimensional set is hulled on those axes, and a lower-facet functional
-found there is pulled back into the span of the point set.
+found there is pulled back into the span of the point set.  The lower facets
+of a Minkowski sum are found the same way from its summands' lower cells,
+without hulling the sum (``lower_facets_of_sum``).
 """
 
 from __future__ import annotations
@@ -446,4 +448,102 @@ def lower_facets(p: Polytope) -> list[tuple[Vector, Polytope]]:
         facet = Polytope(tuple(sorted(kept[i] for i in on_ids)))
         results.append((r + (Fraction(1),), facet))
     results.sort(key=lambda pair: pair[0])
+    return results
+
+
+def lower_facets_of_sum(
+    polytopes: Sequence[Polytope],
+) -> list[tuple[Vector, Polytope, tuple[Polytope, ...]]]:
+    """The lower facets of the Minkowski sum of polytopes in R^(n+1), read
+    from the summands without forming the sum: each as (normal (r, 1),
+    facet, face tuple), sorted by normal, with the normals and facets of
+    ``lower_facets`` of the sum.
+
+    The facet with normal c is the sum of the faces F_i(c) of the summands
+    minimizing c, and these are lower faces, each inside a lower cell of its
+    summand.  Work on the coordinate axes of a chart of the projected sum,
+    of dimension d, plus the height.  Pick from each summand k_i + 1
+    vertices on a common lower cell, the k_i adding up to d, and take the
+    null vector c of the d differences to each set's first vertex.  With a
+    positive height component c_h, c is a lower facet normal exactly when
+    every set attains
+    min c.x on its summand; every lower facet arises so, since d independent
+    such differences span the directions of its faces.  A normal found on
+    the chart is pulled back into the span of the projected sum, as in
+    ``lower_facets``.
+    """
+    if len(polytopes) == 1:
+        return [(normal, facet, (facet,)) for normal, facet in lower_facets(polytopes[0])]
+    n = polytopes[0].ambient_dim - 1
+    if n < 1:
+        raise DimensionError("lower facets require ambient dimension >= 2")
+    if any(q.ambient_dim != n + 1 for q in polytopes):
+        raise DimensionError("Minkowski sum of polytopes in different dimensions")
+    flat, _ = _lattice([v for q in polytopes for v in q.vertices])
+    it = iter(flat)
+    ipts = [[next(it) for _ in q.vertices] for q in polytopes]
+    # the projected sum spans the projected differences inside each summand
+    diffs = [vec_sub(x[:-1], ps[0][:-1]) for ps in ipts for x in ps[1:]]
+    basis_ids, axes = pivots(diffs)
+    basis = [diffs[i] for i in basis_ids]
+    chart = [_on_axes(ps, axes + [n]) for ps in ipts]
+    d = len(axes)
+    # per summand and k, its sets of k + 1 vertices on a common lower cell,
+    # as (first vertex, the k differences from it); k = 0 asks nothing
+    flats = []
+    for q, ps in zip(polytopes, chart):
+        index = {v: j for j, v in enumerate(q.vertices)}
+        on_cell = set()
+        for _normal, cell in lower_facets(q):
+            ids = sorted(index[v] for v in cell.vertices)
+            for size in range(2, min(len(ids), d + 1) + 1):
+                on_cell.update(itertools.combinations(ids, size))
+        by_k: dict[int, list] = {0: [(None, [])]}
+        for ids in sorted(on_cell):
+            by_k.setdefault(len(ids) - 1, []).append(
+                (ids[0], [vec_sub(ps[j], ps[ids[0]]) for j in ids[1:]])
+            )
+        flats.append(by_k)
+
+    results = []
+    # min c.x over each summand by primitive normal c, None once c is a
+    # facet; one normal can come from sets on its faces and from sets off
+    # them
+    minima: dict[tuple[int, ...], list[int] | None] = {}
+    # one set of k_i + 1 vertices per summand, the k_i adding up to d
+    choices = itertools.chain.from_iterable(
+        itertools.product(*(by_k.get(k, []) for by_k, k in zip(flats, ks)))
+        for ks in itertools.product(range(d + 1), repeat=len(polytopes))
+        if sum(ks) == d
+    )
+    for choice in choices:
+        c = null_vector([row for _first, rows in choice for row in rows])
+        if c is None or not c[-1]:
+            continue
+        c, _ = _primitive(c if c[-1] > 0 else tuple(-x for x in c), 0)
+        if c not in minima:
+            minima[c] = [min(dot(c, x) for x in ps) for ps in chart]
+        lows = minima[c]
+        if lows is None or any(
+            first is not None and dot(c, chart[i][first]) != lows[i]
+            for i, (first, _rows) in enumerate(choice)
+        ):
+            continue
+        minima[c] = None
+        faces = tuple(
+            Polytope(tuple(v for v, x in zip(q.vertices, ps) if dot(c, x) == low))
+            for q, ps, low in zip(polytopes, chart, lows)
+        )
+        facet = convex_hull(
+            tuple(map(sum, zip(*vs))) for vs in itertools.product(*(f.vertices for f in faces))
+        )
+        if d == n:
+            r = tuple(Fraction(x, c[-1]) for x in c[:-1])
+        elif basis:
+            target = [Fraction(sum(c[k] * b[a] for k, a in enumerate(axes)), c[-1]) for b in basis]
+            r = _min_norm_preimage(basis, target)
+        else:
+            r = (Fraction(0),) * n
+        results.append((r + (Fraction(1),), facet, faces))
+    results.sort(key=lambda triple: triple[0])
     return results

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from rootbounds.arith import ord_p_value
 from rootbounds.binomials import (
+    MAX_PRINT_DIGITS,
     MAX_SUPPORT,
     MAX_SUPPORT_ELEMENT,
     MAX_T,
@@ -31,6 +33,41 @@ def test_lcm_profile_matches_bruteforce():
     for t in range(0, 13):
         for m in range(0, 5):
             assert lcm_profile(m, t).value == lcm_profile_bruteforce(m, t)
+
+
+def test_lcm_profile_valuation_counts_match_bruteforce():
+    # the per-prime counts t // p^j - t // p^(j+1) against the lcm over all
+    # distinct-factor products, past the higher prime powers 16, 27 and 25
+    for t in range(13, 29):
+        for m in range(0, 4):
+            assert lcm_profile(m, t).value == lcm_profile_bruteforce(m, t)
+    for t in range(0, 9):
+        for m in range(5, t + 2):
+            assert lcm_profile(m, t).value == lcm_profile_bruteforce(m, t)
+
+
+def test_lcm_profile_refuses_an_unprintable_value_before_building_it():
+    # lcm(1, ..., MAX_T) has 4297 digits; two factors per prime already
+    # pass the limit, and m = t = MAX_T (MAX_T!, about 35k digits) was
+    # built before the interpreter refused to print it
+    assert len(str(lcm_profile(1, MAX_T).value)) == 4297
+    for m in (2, 100, MAX_T):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="cap"):
+            lcm_profile(m, MAX_T)
+        assert time.perf_counter() - t0 < 1.0
+    assert MAX_PRINT_DIGITS == 4300
+
+
+def test_lcm_profile_digit_cap_is_exact_at_the_limit(monkeypatch):
+    from rootbounds import binomials
+
+    # lcm_profile(1, 6) = 60: two digits pass a two-digit cap, not a one-digit cap
+    monkeypatch.setattr(binomials, "MAX_PRINT_DIGITS", 2)
+    assert lcm_profile(1, 6).value == 60
+    monkeypatch.setattr(binomials, "MAX_PRINT_DIGITS", 1)
+    with pytest.raises(ValueError, match="cap"):
+        lcm_profile(1, 6)
 
 
 def test_lcm_profile_divides_factorial():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rootbounds.binomials import MAX_SUPPORT, MAX_SUPPORT_ELEMENT
+from rootbounds.binomials import MAX_SUPPORT, MAX_SUPPORT_ELEMENT, MAX_T
 from rootbounds.cli import (
     EXIT_BAD_PARAMS,
     EXIT_OK,
@@ -523,8 +523,9 @@ def test_random_trial_count_out_of_range_is_bad_params(capsys, trials):
         ["--m", "0", "--t", str(10**9), "--support", "1,2"],
         ["--m", "2", "--t", "40", "--support", ",".join(map(str, range(MAX_SUPPORT + 1)))],
         ["--m", "2", "--t", "40", f"--support=-{MAX_SUPPORT_ELEMENT + 1},0"],
+        ["--m", str(MAX_T), "--t", str(MAX_T)],
     ],
-    ids=["t-1e5", "t-1e9", "m0-t-1e9-support", "support-length", "support-element"],
+    ids=["t-1e5", "t-1e9", "m0-t-1e9-support", "support-length", "support-element", "lcm-digits"],
 )
 def test_binom_above_cap_is_bad_params(capsys, argv):
     # refused before any work; --t 100000 ran for minutes
@@ -534,6 +535,22 @@ def test_binom_above_cap_is_bad_params(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
     assert (code, out) == (EXIT_BAD_PARAMS, "")
     assert err.startswith("error: ") and "cap" in err
+
+
+def test_binom_negative_support_needs_the_equals_form(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # keep the help line unwrapped
+    # argparse reads a separate value starting with "-" as an option
+    assert main(["binom", "--m", "2", "--t", "3", "--support=-3,1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # (a choose 3) at a = -3 and a = 1 is -10 and 0, and c0 + c1 a meets both
+    assert payload["expansion"] == {"support": [-3, 1], "coefficients": ["-5/2", "5/2"]}
+    with pytest.raises(SystemExit) as exc:
+        main(["binom", "--m", "2", "--t", "3", "--support", "-3,1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["binom", "--help"])
+    assert "--support=-3,1" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["bound", "facets", "verify"])

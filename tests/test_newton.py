@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import random
@@ -246,9 +247,10 @@ def test_face_bound_sum_equals_full_mixed_volume():
     # the projected sum, so their face mixed volumes add up to the mixed
     # volume of the projected polytopes
     rng = random.Random(SEED + 5)
-    for _ in range(25):
-        n = rng.randint(1, 2)
-        s = SparseSystem.of([rand_poly(rng, n, rng.randint(2, 4), 5) for _ in range(n)])
+    for trial in range(31):
+        n = 3 if trial >= 25 else rng.randint(1, 2)
+        deg = 5 if n < 3 else 3
+        s = SparseSystem.of([rand_poly(rng, n, rng.randint(2, 4), deg) for _ in range(n)])
         total = sum(
             valuation_face_bound(s, 2, r) for r in candidate_valuations(s, 2)
         )
@@ -259,37 +261,53 @@ def test_face_bound_sum_equals_full_mixed_volume():
 
 
 def test_facets_request_builds_each_newton_object_once(capsys, monkeypatch):
-    from rootbounds import cli, newton
+    # the lower facets and face tuples come from the lifts' own lower hulls:
+    # no Minkowski sum, and no face or projection per facet
+    from rootbounds import cli, newton, polyhedra
 
     calls = {}
-    for name in ("newton_polytope", "minkowski_sum", "lower_facets", "mixed_volume"):
-        def counted(*args, _name=name, _original=getattr(newton, name)):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _original(*args)
+    counted_names = {
+        newton: ("newton_polytope", "minkowski_sum", "lower_facets", "lower_facets_of_sum",
+                 "mixed_volume", "face", "project_pi"),
+        polyhedra: ("minkowski_sum", "lower_facets"),
+    }
+    for module, names in counted_names.items():
+        for name in names:
+            key = f"{module.__name__.rsplit('.', 1)[1]}.{name}"
 
-        monkeypatch.setattr(newton, name, counted)
+            def counted(*args, _key=key, _original=getattr(module, name)):
+                calls[_key] = calls.get(_key, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
     text = "x1^2*x2 + 2*x1 - 3*x2^3 + 4\nx1*x2^2 - 6*x2 + 8*x1^3 - 1\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert cli.main(["facets", "-"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert calls["newton_polytope"] == 2
-    assert calls["minkowski_sum"] == 1
-    assert calls["lower_facets"] == 1
-    assert calls["mixed_volume"] <= len(payload["lower_facets"])
+    assert calls["newton.newton_polytope"] == 2
+    assert calls["newton.lower_facets_of_sum"] == 1
+    assert calls.get("newton.minkowski_sum", 0) == 0
+    assert calls.get("polyhedra.minkowski_sum", 0) == 0
+    assert calls.get("newton.face", 0) == 0
+    assert calls.get("newton.project_pi", 0) == 0
+    # one lower hull per lift, none of the sum
+    assert calls.get("newton.lower_facets", 0) == 0
+    assert calls["polyhedra.lower_facets"] == 2
+    assert 0 < calls["newton.mixed_volume"] <= len(payload["lower_facets"])
 
 
-def _reference_face_bounds(s, p):
-    # the Minkowski chain, its lower facets, and a positive face mixed volume
-    lifted = [newton_polytope(f, p) for f in s.polynomials]
-    acc = lifted[0]
-    for q in lifted[1:]:
-        acc = minkowski_sum(acc, q)
-    out = set()
-    for normal, _facet in lower_facets(acc):
-        mv = mixed_volume(tuple(project_pi(face(q, normal)) for q in lifted))
+def _chain_reference(s, p):
+    """The lower facets of the hulled Minkowski chain of the lifts, as
+    (normal, vertices), and the positive face bounds from ``face`` and
+    ``project_pi`` per facet: the path that ``newton_data`` replaced."""
+    lifts = [newton_polytope(f, p) for f in s.polynomials]
+    facets = lower_facets(functools.reduce(minkowski_sum, lifts))
+    bounds = []
+    for normal, _facet in facets:
+        mv = mixed_volume([project_pi(face(q, normal)) for q in lifts])
         if mv > 0:
-            out.add((normal[:-1], mv))
-    return sorted(out)
+            bounds.append((normal[:-1], mv))
+    return [(normal, facet.vertices) for normal, facet in facets], bounds
 
 
 @pytest.mark.parametrize("n, trials, deg", [(2, 8, 4), (3, 2, 3)])
@@ -299,7 +317,83 @@ def test_face_bounds_match_reference_algorithm(n, trials, deg):
         s = SparseSystem.of([rand_poly(rng, n, rng.randint(3, 4), deg) for _ in range(n)])
         p = rng.choice([2, 3])
         bounds = newton_data(s, p).face_bounds()
-        assert bounds and bounds == _reference_face_bounds(s, p)
+        assert bounds and bounds == _chain_reference(s, p)[1]
+
+
+def _unit_times_prime_power(rng, p):
+    u = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 25, 27])
+    return Fraction(rng.choice([-1, 1]) * u, rng.choice([1, 1, 1, p, p * p]))
+
+
+def _sparse(rng, exps, p):
+    return SparsePolynomial.from_dict({e: _unit_times_prime_power(rng, p) for e in exps})
+
+
+def _distinct_exponents(rng, n, terms, lo, hi):
+    exps = set()
+    while len(exps) < terms:
+        exps.add(tuple(rng.randint(lo, hi) for _ in range(n)))
+    return sorted(exps)
+
+
+def _differential_systems(kind):
+    """Seeded (system, p) pairs of one kind for the Minkowski-chain check."""
+    rng = random.Random(f"{SEED}-sum-facets-{kind}")
+    out = []
+    for trial in range(6):
+        p = (2, 3, 5)[trial % 3]
+        if kind == "generic":
+            # fewer terms and exponents as n grows keep the hulled chain small
+            n = (2, 2, 3, 3, 4, 2)[trial]
+            terms = (2, 3) if n == 4 else (2, 5)
+            exps = [_distinct_exponents(rng, n, rng.randint(*terms), 0, 5 - n) for _ in range(n)]
+        elif kind == "negative":
+            n = (2, 3)[trial % 2]
+            exps = [_distinct_exponents(rng, n, rng.randint(2, 4), -3, 2) for _ in range(n)]
+        elif kind == "shared":
+            # every equation on one support, with its own coefficients
+            n = (2, 3)[trial % 2]
+            exps = [_distinct_exponents(rng, n, rng.randint(3, 4), 0, 3)] * n
+        elif kind == "binomial":
+            n = (2, 3, 4)[trial % 3]
+            exps = [_distinct_exponents(rng, n, 2, -2, 3) for _ in range(n)]
+        elif kind == "one-term":
+            # a monomial equation: its lift is a single point
+            n = (2, 3)[trial % 2]
+            exps = [_distinct_exponents(rng, n, 1 if i == 0 else rng.randint(2, 4), 0, 4)
+                    for i in range(n)]
+        else:  # "degenerate": every support on a lattice of rank below n
+            n = (2, 3, 3, 4)[trial % 4]
+            rank = rng.randint(0 if trial == 5 else 1, n - 1)
+            dirs = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rank)]
+            exps = []
+            for _ in range(n):
+                pts = set()
+                for _ in range(rng.randint(1, 4)):
+                    coords = [rng.randint(-2, 2) for _ in dirs]
+                    pts.add(tuple(sum(a * v[j] for a, v in zip(coords, dirs)) for j in range(n)))
+                exps.append(sorted(pts))
+        out.append((SparseSystem.of([_sparse(rng, e, p) for e in exps]), p))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["generic", "negative", "shared", "binomial", "one-term", "degenerate"])
+def test_lower_facets_from_the_lifts_match_the_minkowski_chain(kind):
+    # newton_data reads the lower facets and face tuples off the lifts'
+    # own lower cells; the hull of their Minkowski sum must give the same
+    # normals, vertex tuples and order, and the same face bounds
+    dims = set()
+    for s, p in _differential_systems(kind):
+        data = newton_data(s, p)
+        facets, bounds = _chain_reference(s, p)
+        assert [(normal, facet.vertices) for normal, facet in data.facets] == facets
+        assert data.face_bounds() == bounds
+        for (normal, _facet), faces in zip(data.facets, data.faces):
+            assert faces == tuple(face(newton_polytope(f, p), normal) for f in s.polynomials)
+        dims.add((s.n, project_pi(system_polytope(s, p)).affine_dim))
+    if kind == "degenerate":
+        # projected sums of affine dimension 0 up to n - 1
+        assert all(d < n for n, d in dims) and {d for _n, d in dims} == {0, 1, 2}
 
 
 def test_face_bound_sum_over_sloped_window_is_dominated():
