@@ -1,17 +1,18 @@
 """p-adic Newton machinery for sparse Laurent polynomial systems.
 
-A sparse polynomial lifts to the hull of its (exponent, coefficient
-valuation) points; the lower facets of the aggregated system polytope
-enumerate every valuation vector a torus root can have, and the mixed volume
-of the projected faces at a given valuation bounds the number of roots
-carrying it.  :func:`newton_data` builds that analysis once per (system,
-prime) and every public view below reads it.  For a square system the
-aggregate is the Minkowski sum of the lifts, and its lower facets and their
-face tuples are read off the lifts' own lower cells
-(``polyhedra.lower_facets_of_sum``) without forming the sum, which only
-:func:`system_polytope` builds.  The shift f(1+x) and the scaled-simplex
-containment check at the bottom of the file exercise the
-slow-valuation-decay phenomenon that drives the near-one root bounds.
+A sparse polynomial lifts to its (exponent, coefficient valuation) points;
+the lower facets of the aggregated system polytope enumerate every valuation
+vector a torus root can have, and the mixed volume of the projected faces at
+a given valuation bounds the number of roots carrying it.
+:func:`newton_data` builds that analysis once per (system, prime) and every
+public view below reads it.  The aggregate is the hull of one lift (the
+coefficient-wise sum, k > n) or the Minkowski sum of the lifts (k = n); its
+lower facets and their face tuples, for every k, are read off the lifts' own
+points by one lower hull per lift (``polyhedra.lower_facets_of_sum``),
+forming neither the lifts' hulls nor their sum, which only
+:func:`newton_polytope` and :func:`system_polytope` build.  The shift f(1+x)
+and the scaled-simplex containment check at the bottom of the file exercise
+the slow-valuation-decay phenomenon that drives the near-one root bounds.
 """
 
 from __future__ import annotations
@@ -34,14 +35,12 @@ from .arith import (
 )
 from .linalg import dot, nonneg_solution_exists, to_vec
 from .polyhedra import (
+    Point,
     Polytope,
     convex_hull,
-    face,
-    lower_facets,
     lower_facets_of_sum,
     minkowski_sum,
     mixed_volume,
-    project_pi,
 )
 
 MAX_SHIFT_DEGREE = 30
@@ -226,11 +225,15 @@ def _json_int(x: object) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _lift(f: SparsePolynomial, p: int) -> list[Point]:
+    """The (exponent, coefficient valuation) points of f in Q^(n+1)."""
+    require_prime(p)
+    return [to_vec(exp) + (ord_p_value(coeff, p),) for exp, coeff in f.terms]
+
+
 def newton_polytope(f: SparsePolynomial, p: int) -> Polytope:
     """Hull of the (exponent, coefficient valuation) lift in R^(n+1)."""
-    require_prime(p)
-    pts = [exp + (ord_p_value(coeff, p),) for exp, coeff in f.terms]
-    return convex_hull(pts)
+    return convex_hull(_lift(f, p))
 
 
 def _integral_mixed_volume(faces: Sequence[Polytope]) -> int:
@@ -248,9 +251,10 @@ def _integral_mixed_volume(faces: Sequence[Polytope]) -> int:
 class NewtonData:
     """The Newton analysis of one system at one prime: the lower facets of
     the aggregated lift as (normal (r, 1), facet) pairs, sorted by normal,
-    and for k = n each facet's face tuple (F_1(r), ..., F_n(r)), the faces
-    of the per-equation lifts minimizing (r, 1), whose sum the facet is
-    (empty for k > n, where no face bound is defined)."""
+    and each facet's face tuple, the faces minimizing (r, 1) of the lifts
+    whose hull or Minkowski sum is the aggregate, which sum to the facet:
+    (F_1(r), ..., F_n(r)) for k = n, and (facet,) for k > n, where no face
+    bound is defined."""
 
     system: SparseSystem
     facets: tuple[tuple[tuple[Fraction, ...], Polytope], ...]
@@ -275,20 +279,17 @@ class NewtonData:
 
 
 def newton_data(F: SparseSystem, p: int) -> NewtonData:
-    """Build the lower facets of the aggregated lift (the lift of the
-    coefficient-wise sum for k > n, else the Minkowski sum of the lifts,
-    whose lower facets and face tuples are read from the lifts without
-    forming the sum), checking their count against the cap on valuation
+    """Build the lower facets of the aggregated lift and their face tuples
+    from the lifts' own points (the lift of the coefficient-wise sum for
+    k > n, else the lifts of the equations, whose Minkowski sum is not
+    formed), checking the facet count against the cap on valuation
     vectors."""
     if F.k < F.n:
         raise ValueError("aggregated polytope needs k >= n")
-    if F.k > F.n:
-        facets = tuple(lower_facets(newton_polytope(poly_sum(F.polynomials), p)))
-        faces: tuple[tuple[Polytope, ...], ...] = ()
-    else:
-        triples = lower_facets_of_sum([newton_polytope(f, p) for f in F.polynomials])
-        facets = tuple((normal, facet) for normal, facet, _faces in triples)
-        faces = tuple(fs for _normal, _facet, fs in triples)
+    polys = [poly_sum(F.polynomials)] if F.k > F.n else F.polynomials
+    triples = lower_facets_of_sum([_lift(g, p) for g in polys])
+    facets = tuple((normal, facet) for normal, facet, _faces in triples)
+    faces = tuple(fs for _normal, _facet, fs in triples)
     from .bounds import valuation_vector_cap
 
     cap = valuation_vector_cap(F.m, F.n) if F.m >= 2 else 1
@@ -324,17 +325,17 @@ def valuation_face_bound(F: SparseSystem, p: int, r: Sequence[Fraction]) -> int:
     """Mixed volume of the projected faces at valuation vector r.
 
     Bounds the number of torus roots whose coordinatewise valuations equal
-    r; zero when r is not a candidate valuation.
+    r; zero when r is not a candidate valuation, as where (r, 1) is no
+    lower facet normal the faces sum to a face of dimension below n.  Each
+    call runs the whole analysis of :func:`newton_data`; for many r, read
+    ``newton_data(F, p).face_bounds()`` once.
     """
     if F.k != F.n:
         raise ValueError("face bound requires k = n")
     rv = to_vec(r)
     if len(rv) != F.n:
         raise ValueError("valuation vector has wrong dimension")
-    w = rv + (Fraction(1),)
-    return _integral_mixed_volume(
-        [project_pi(face(newton_polytope(f, p), w)) for f in F.polynomials]
-    )
+    return dict(newton_data(F, p).face_bounds()).get(rv, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +458,7 @@ def _sloped_support(
     decided exactly, with constraints reduced to the dominance staircase
     first (dominated constraints are implied by their dominators).
     """
-    z = {
-        exp: ord_p_value(coeff, p) + dot(to_vec(r), to_vec(exp))
-        for exp, coeff in g.terms
-    }
+    z = {exp: ord_p_value(coeff, p) + dot(r, exp) for exp, coeff in g.terms}
     staircase = _pareto_minimal(z)
     members = []
     for t, zt in sorted(z.items()):
@@ -477,7 +475,7 @@ def _sloped_support(
         for t2 in staircase:
             if t2 == t:
                 continue
-            rows.append(to_vec(tuple(b - a for a, b in zip(t, t2))))
+            rows.append(tuple(b - a for a, b in zip(t, t2)))
             rhs.append(zt - z[t2])
         if nonneg_solution_exists(rows, rhs):
             members.append(t)

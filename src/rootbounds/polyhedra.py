@@ -289,8 +289,8 @@ class _Hull:
 # ---------------------------------------------------------------------------
 
 
-def convex_hull(points: Iterable[Sequence]) -> Polytope:
-    pts = [to_vec(p) for p in points]
+def _ambient_dim(pts: Sequence[Sequence]) -> int:
+    """The common length of a nonempty point list, refused above MAX_DIM."""
     if not pts:
         raise ValueError("convex hull of an empty point list")
     ambient = len(pts[0])
@@ -298,7 +298,12 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
         raise DimensionError("points of mixed ambient dimension")
     if ambient > MAX_DIM:
         raise DimensionError(f"ambient dimension {ambient} exceeds the cap {MAX_DIM}")
-    pts = sorted(set(pts))
+    return ambient
+
+
+def convex_hull(points: Iterable[Sequence]) -> Polytope:
+    pts = sorted({to_vec(p) for p in points})
+    _ambient_dim(pts)
     hull = _structure(pts)
     if hull is None:
         return Polytope((pts[0],))
@@ -391,97 +396,101 @@ def mixed_volume(polytopes: Sequence[Polytope]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _min_norm_preimage(basis: list[Vector], target: Sequence[Fraction]) -> Vector:
-    """Minimum-norm r with B^T r = target, for independent columns B."""
-    y = gram_solve(basis, target)
-    n = len(basis[0])
-    return tuple(
-        sum(y[k] * basis[k][i] for k in range(len(basis))) for i in range(n)
-    )
+def _scaled_normal(c: Sequence[int], axes: Sequence[int], basis: list[Vector], n: int) -> Vector:
+    """(r, 1) for a lower normal c = (c_r, c_h), c_h > 0, given on the chart
+    axes plus the height, where ``basis`` holds the chart's d independent
+    projected differences b: r = c_r / c_h on a full chart, below full rank
+    the minimum-norm r = B y with r.b = c_r.b / c_h for every b, and 0 on a
+    chart of no axes."""
+    if len(axes) == n:
+        r = tuple(Fraction(x, c[-1]) for x in c[:-1])
+    elif basis:
+        target = [Fraction(sum(c[k] * b[a] for k, a in enumerate(axes)), c[-1]) for b in basis]
+        y = gram_solve(basis, target)
+        r = tuple(sum(yk * b[i] for yk, b in zip(y, basis)) for i in range(n))
+    else:
+        r = (Fraction(0),) * n
+    return r + (Fraction(1),)
 
 
-def lower_facets(p: Polytope) -> list[tuple[Vector, Polytope]]:
-    """Maximal faces of the lower hull, each with its inner normal scaled to
-    (r, 1), sorted by normal.
+def lower_facets(points: Sequence[Point]) -> list[tuple[Vector, Polytope]]:
+    """Maximal faces of the lower hull of a point set in Q^(n+1), each with
+    its inner normal scaled to (r, 1), sorted by normal.
 
-    The lower hull of P in R^(n+1) is the graph of the largest convex
-    function under the vertex lifts; its maximal linearity regions are the
-    returned facets.  For degenerate P the normal component r is the unique
-    representative inside the span of the projected directions.
+    The points are rational tuples, a polytope's vertices or any finite set
+    such as the raw lift of a polynomial; each facet holds the hull vertices
+    on it, as given.  The lower hull is the graph of the largest convex
+    function under the points; its maximal linearity regions are the
+    returned facets.  For a degenerate set the normal component r is the
+    unique representative inside the span of the projected directions.
     """
-    if p.ambient_dim < 2:
+    n = _ambient_dim(points) - 1
+    if n < 1:
         raise DimensionError("lower facets require ambient dimension >= 2")
-    n = p.ambient_dim - 1
     lowest: dict[Point, Point] = {}
-    for v in p.vertices:
+    for v in points:
         u = v[:-1]
         if u not in lowest or v[-1] < lowest[u][-1]:
             lowest[u] = v
     kept = sorted(lowest.values())
     ipts, lcm = _lattice(kept)
     simplex_u, axes = _chart([q[:-1] for q in ipts])
-    if not axes:
-        return [(to_vec([0] * n + [1]), Polytope((kept[0],)))]
-    # the differences p_i - p_0 at the basis points of the projections; a
-    # functional given on the chart axes is pulled back into their span
+    # the differences p_i - p_0 at the basis points of the projections
     basis = [vec_sub(ipts[i][:-1], ipts[0][:-1]) for i in simplex_u[1:]]
     lifted = _on_axes(ipts, axes + [n])
     simplex, lifted_axes = _chart(lifted)
 
     if len(lifted_axes) == len(axes):
-        # single linearity region: the heights are an affine function h, and
-        # r.(p_i - p_0) = h(p_0) - h(p_i) puts every lifted point on one facet
-        h0 = ipts[0][-1]
-        r = _min_norm_preimage(basis, [h0 - ipts[i][-1] for i in simplex_u[1:]])
-        return [(r + (Fraction(1),), convex_hull(kept))]
+        # single linearity region: the lifted points span a hyperplane of
+        # the chart, whose normal puts every one of them on one facet
+        c = null_vector([vec_sub(lifted[i], lifted[0]) for i in simplex[1:]])
+        c = c if c[-1] > 0 else tuple(-x for x in c)
+        return [(_scaled_normal(c, axes, basis, n), convex_hull(kept))]
 
     hull = _Hull(lifted, lcm, simplex)
     results = []
     for normal, _offset, on_ids in hull.facets:
         if normal[-1] <= 0:
             continue
-        target = [
-            Fraction(sum(normal[k] * b[a] for k, a in enumerate(axes)), normal[-1])
-            for b in basis
-        ]
-        r = _min_norm_preimage(basis, target)
         facet = Polytope(tuple(sorted(kept[i] for i in on_ids)))
-        results.append((r + (Fraction(1),), facet))
+        results.append((_scaled_normal(normal, axes, basis, n), facet))
     results.sort(key=lambda pair: pair[0])
     return results
 
 
 def lower_facets_of_sum(
-    polytopes: Sequence[Polytope],
+    point_sets: Sequence[Sequence[Point]],
 ) -> list[tuple[Vector, Polytope, tuple[Polytope, ...]]]:
-    """The lower facets of the Minkowski sum of polytopes in R^(n+1), read
-    from the summands without forming the sum: each as (normal (r, 1),
-    facet, face tuple), sorted by normal, with the normals and facets of
-    ``lower_facets`` of the sum.
+    """The lower facets of the Minkowski sum of the hulls of point sets in
+    Q^(n+1), read from the summands without forming the sum: each as
+    (normal (r, 1), facet, face tuple), sorted by normal, with the normals
+    and facets of ``lower_facets`` of the sum.
 
     The facet with normal c is the sum of the faces F_i(c) of the summands
     minimizing c, and these are lower faces, each inside a lower cell of its
-    summand.  Work on the coordinate axes of a chart of the projected sum,
-    of dimension d, plus the height.  Pick from each summand k_i + 1
-    vertices on a common lower cell, the k_i adding up to d, and take the
-    null vector c of the d differences to each set's first vertex.  With a
-    positive height component c_h, c is a lower facet normal exactly when
-    every set attains
-    min c.x on its summand; every lower facet arises so, since d independent
-    such differences span the directions of its faces.  A normal found on
-    the chart is pulled back into the span of the projected sum, as in
-    ``lower_facets``.
+    summand.  So after one ``lower_facets`` per summand only its lower
+    vertices, the vertices of its lower cells, are read: the minima c.x and
+    the faces F_i(c), which hold vertices only.  Work on the coordinate
+    axes of a chart of the projected sum, of dimension d, plus the height.
+    Pick from each summand k_i + 1 vertices on a common lower cell, the k_i
+    adding up to d, and take the null vector c of the d differences to each
+    set's first vertex.  With a positive height component c_h, c is a lower
+    facet normal exactly when every set attains min c.x on its summand;
+    every lower facet arises so, since d independent such differences span
+    the directions of its faces.  A normal found on the chart is scaled to
+    (r, 1) as in ``lower_facets``.
     """
-    if len(polytopes) == 1:
-        return [(normal, facet, (facet,)) for normal, facet in lower_facets(polytopes[0])]
-    n = polytopes[0].ambient_dim - 1
-    if n < 1:
-        raise DimensionError("lower facets require ambient dimension >= 2")
-    if any(q.ambient_dim != n + 1 for q in polytopes):
-        raise DimensionError("Minkowski sum of polytopes in different dimensions")
-    flat, _ = _lattice([v for q in polytopes for v in q.vertices])
+    cells = [lower_facets(pts) for pts in point_sets]
+    if len(cells) == 1:
+        return [(normal, facet, (facet,)) for normal, facet in cells[0]]
+    # the lower vertices of each summand, sorted
+    verts = [sorted({v for _normal, cell in cs for v in cell.vertices}) for cs in cells]
+    n = len(verts[0][0]) - 1
+    if any(len(vs[0]) != n + 1 for vs in verts):
+        raise DimensionError("Minkowski sum of point sets in different dimensions")
+    flat, _ = _lattice([v for vs in verts for v in vs])
     it = iter(flat)
-    ipts = [[next(it) for _ in q.vertices] for q in polytopes]
+    ipts = [[next(it) for _ in vs] for vs in verts]
     # the projected sum spans the projected differences inside each summand
     diffs = [vec_sub(x[:-1], ps[0][:-1]) for ps in ipts for x in ps[1:]]
     basis_ids, axes = pivots(diffs)
@@ -491,10 +500,10 @@ def lower_facets_of_sum(
     # per summand and k, its sets of k + 1 vertices on a common lower cell,
     # as (first vertex, the k differences from it); k = 0 asks nothing
     flats = []
-    for q, ps in zip(polytopes, chart):
-        index = {v: j for j, v in enumerate(q.vertices)}
+    for vs, cs, ps in zip(verts, cells, chart):
+        index = {v: j for j, v in enumerate(vs)}
         on_cell = set()
-        for _normal, cell in lower_facets(q):
+        for _normal, cell in cs:
             ids = sorted(index[v] for v in cell.vertices)
             for size in range(2, min(len(ids), d + 1) + 1):
                 on_cell.update(itertools.combinations(ids, size))
@@ -513,7 +522,7 @@ def lower_facets_of_sum(
     # one set of k_i + 1 vertices per summand, the k_i adding up to d
     choices = itertools.chain.from_iterable(
         itertools.product(*(by_k.get(k, []) for by_k, k in zip(flats, ks)))
-        for ks in itertools.product(range(d + 1), repeat=len(polytopes))
+        for ks in itertools.product(range(d + 1), repeat=len(cells))
         if sum(ks) == d
     )
     for choice in choices:
@@ -531,19 +540,12 @@ def lower_facets_of_sum(
             continue
         minima[c] = None
         faces = tuple(
-            Polytope(tuple(v for v, x in zip(q.vertices, ps) if dot(c, x) == low))
-            for q, ps, low in zip(polytopes, chart, lows)
+            Polytope(tuple(v for v, x in zip(vs, ps) if dot(c, x) == low))
+            for vs, ps, low in zip(verts, chart, lows)
         )
         facet = convex_hull(
             tuple(map(sum, zip(*vs))) for vs in itertools.product(*(f.vertices for f in faces))
         )
-        if d == n:
-            r = tuple(Fraction(x, c[-1]) for x in c[:-1])
-        elif basis:
-            target = [Fraction(sum(c[k] * b[a] for k, a in enumerate(axes)), c[-1]) for b in basis]
-            r = _min_norm_preimage(basis, target)
-        else:
-            r = (Fraction(0),) * n
-        results.append((r + (Fraction(1),), facet, faces))
+        results.append((_scaled_normal(c, axes, basis, n), facet, faces))
     results.sort(key=lambda triple: triple[0])
     return results

@@ -346,6 +346,31 @@ def test_bad_parameters_exit_code(tmp_path, capsys):
     assert code == EXIT_BAD_PARAMS
 
 
+def _trinomials(n):
+    """x_i^2 + x_i + 4 for i = 1..n: at p = 2 each lift has two lower cells."""
+    return "\n".join(f"x{i}^2 + x{i} + 4" for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("command", ["bound", "facets", "verify"])
+@pytest.mark.parametrize(
+    "text",
+    [_trinomials(6), _trinomials(10), _trinomials(6) + "\nx1*x2 + 8"],
+    ids=["square-6", "square-10", "overdetermined-6"],
+)
+def test_lifts_above_the_dimension_cap_exit_at_once(tmp_path, capsys, command, text):
+    # a lift in R^(n+1) past MAX_DIM is refused before any lower hull is
+    # built or any face tuple searched, whatever k is: without the check
+    # square-10 searches 11^10 splits of d and overdetermined-6 gets a bound
+    path = tmp_path / "system.txt"
+    path.write_text(text + "\n")
+    t0 = time.perf_counter()
+    code = main([command, str(path), "--prime", "2"])
+    _out, err = capsys.readouterr()
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_BAD_PARAMS
+    assert "exceeds the cap" in err
+
+
 def test_missing_file_is_parse_error(capsys):
     code = main(["bound", "/nonexistent/system.txt", "--prime", "2"])
     capsys.readouterr()

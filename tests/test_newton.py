@@ -136,7 +136,7 @@ def test_support_on_or_above_lower_hull():
         lift = newton_polytope(f, p_prime)
         for exp, coeff in f.terms:
             pt = to_vec(exp + (ord_p_value(coeff, p_prime),))
-            for w, _facet in lower_facets(lift):
+            for w, _facet in lower_facets(lift.vertices):
                 floor_val = min(dot(w, to_vec(v)) for v in lift.vertices)
                 assert dot(w, pt) >= floor_val
 
@@ -220,8 +220,9 @@ def test_candidates_have_positive_face_volume():
     for _ in range(15):
         n = rng.randint(1, 2)
         s = SparseSystem.of([rand_poly(rng, n, rng.randint(2, 4), 6) for _ in range(n)])
+        bounds = dict(newton_data(s, 2).face_bounds())
         for r in candidate_valuations(s, 2):
-            assert valuation_face_bound(s, 2, r) > 0
+            assert bounds[r] > 0
 
 
 def test_candidate_count_within_facets_and_cap():
@@ -251,9 +252,7 @@ def test_face_bound_sum_equals_full_mixed_volume():
         n = 3 if trial >= 25 else rng.randint(1, 2)
         deg = 5 if n < 3 else 3
         s = SparseSystem.of([rand_poly(rng, n, rng.randint(2, 4), deg) for _ in range(n)])
-        total = sum(
-            valuation_face_bound(s, 2, r) for r in candidate_valuations(s, 2)
-        )
+        total = sum(bound for _r, bound in newton_data(s, 2).face_bounds())
         full = mixed_volume(
             [project_pi(newton_polytope(f, 2)) for f in s.polynomials]
         )
@@ -261,15 +260,15 @@ def test_face_bound_sum_equals_full_mixed_volume():
 
 
 def test_facets_request_builds_each_newton_object_once(capsys, monkeypatch):
-    # the lower facets and face tuples come from the lifts' own lower hulls:
-    # no Minkowski sum, and no face or projection per facet
+    # the lower facets and face tuples come from the lifts' own points: no
+    # hull of a lift or of the Minkowski sum, and no face or projection per
+    # facet
     from rootbounds import cli, newton, polyhedra
 
     calls = {}
     counted_names = {
-        newton: ("newton_polytope", "minkowski_sum", "lower_facets", "lower_facets_of_sum",
-                 "mixed_volume", "face", "project_pi"),
-        polyhedra: ("minkowski_sum", "lower_facets"),
+        newton: ("newton_polytope", "minkowski_sum", "lower_facets_of_sum", "mixed_volume"),
+        polyhedra: ("minkowski_sum", "lower_facets", "convex_hull"),
     }
     for module, names in counted_names.items():
         for name in names:
@@ -280,19 +279,20 @@ def test_facets_request_builds_each_newton_object_once(capsys, monkeypatch):
                 return _original(*args)
 
             monkeypatch.setattr(module, name, counted)
+    for name in ("face", "project_pi", "lower_facets"):
+        assert name not in vars(newton), f"rootbounds.newton binds {name}"
     text = "x1^2*x2 + 2*x1 - 3*x2^3 + 4\nx1*x2^2 - 6*x2 + 8*x1^3 - 1\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert cli.main(["facets", "-"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert calls["newton.newton_polytope"] == 2
+    assert calls.get("newton.newton_polytope", 0) == 0
     assert calls["newton.lower_facets_of_sum"] == 1
     assert calls.get("newton.minkowski_sum", 0) == 0
     assert calls.get("polyhedra.minkowski_sum", 0) == 0
-    assert calls.get("newton.face", 0) == 0
-    assert calls.get("newton.project_pi", 0) == 0
     # one lower hull per lift, none of the sum
-    assert calls.get("newton.lower_facets", 0) == 0
     assert calls["polyhedra.lower_facets"] == 2
+    # at most the small hull of each printed facet: no lift is hulled
+    assert calls.get("polyhedra.convex_hull", 0) <= len(payload["lower_facets"])
     assert 0 < calls["newton.mixed_volume"] <= len(payload["lower_facets"])
 
 
@@ -301,7 +301,7 @@ def _chain_reference(s, p):
     (normal, vertices), and the positive face bounds from ``face`` and
     ``project_pi`` per facet: the path that ``newton_data`` replaced."""
     lifts = [newton_polytope(f, p) for f in s.polynomials]
-    facets = lower_facets(functools.reduce(minkowski_sum, lifts))
+    facets = lower_facets(functools.reduce(minkowski_sum, lifts).vertices)
     bounds = []
     for normal, _facet in facets:
         mv = mixed_volume([project_pi(face(q, normal)) for q in lifts])
@@ -396,6 +396,61 @@ def test_lower_facets_from_the_lifts_match_the_minkowski_chain(kind):
         assert all(d < n for n, d in dims) and {d for _n, d in dims} == {0, 1, 2}
 
 
+def _direct_face_bound(s, p, r):
+    """The mixed volume of the projected faces of the hulled lifts at
+    (r, 1): the direct path that ``valuation_face_bound`` replaced."""
+    w = tuple(r) + (Fraction(1),)
+    return mixed_volume([project_pi(face(newton_polytope(f, p), w)) for f in s.polynomials])
+
+
+def _face_bound_systems(kind):
+    """Seeded square (system, p) pairs with n = 1..3 of one kind."""
+    rng = random.Random(f"{SEED}-face-bound-{kind}")
+    out = []
+    for trial in range(9):
+        n, p = trial % 3 + 1, (2, 3, 5)[trial // 3]
+        if kind == "negative":
+            exps = [_distinct_exponents(rng, n, rng.randint(2, 4), -3, 2) for _ in range(n)]
+        elif kind == "one-term":
+            exps = [_distinct_exponents(rng, n, 1 if i == 0 else rng.randint(2, 4), -1, 3)
+                    for i in range(n)]
+        else:  # "low-dimensional": each support on its own shifted lattice of rank below n
+            exps = []
+            for _ in range(n):
+                dirs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n - 1)]
+                shift = tuple(rng.randint(-1, 1) for _ in range(n))
+                pts = {shift}
+                for _ in range(rng.randint(1, 3) if dirs else 0):
+                    a = [rng.randint(-2, 2) for _ in dirs]
+                    pts.add(tuple(x + dot(a, col) for x, col in zip(shift, zip(*dirs))))
+                exps.append(sorted(pts))
+        out.append((SparseSystem.of([_sparse(rng, e, p) for e in exps]), p))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["negative", "one-term", "low-dimensional"])
+def test_valuation_face_bound_matches_the_direct_faces(kind):
+    # valuation_face_bound reads newton_data's face bounds; the mixed volume
+    # of the projected faces of the hulled lifts must agree, at every lower
+    # facet normal (bound 0 included) and at random rationals that are none
+    rng = random.Random(f"{SEED}-face-bound-r-{kind}")
+    positive = off_facet = 0
+    for s, p in _face_bound_systems(kind):
+        normals = {normal[:-1] for normal, _facet in newton_data(s, p).facets}
+        rs = sorted(normals) + [
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(s.n))
+            for _ in range(4)
+        ]
+        for r in rs:
+            bound = valuation_face_bound(s, p, r)
+            assert bound == _direct_face_bound(s, p, r)
+            positive += bound > 0
+            off_facet += r not in normals
+    assert off_facet >= 30
+    # a monomial equation makes every face bound 0
+    assert positive >= 5 if kind != "one-term" else positive == 0
+
+
 def test_face_bound_sum_over_sloped_window_is_dominated():
     # the face volumes at normals above r sum to no more than the mixed
     # volume of the hulls of the sloped support regions
@@ -411,7 +466,7 @@ def test_face_bound_sum_over_sloped_window_is_dominated():
         lifted = [newton_polytope(f, 2) for f in polys]
         acc = minkowski_sum(lifted[0], lifted[1])
         total = Fraction(0)
-        for normal, _facet in lower_facets(acc):
+        for normal, _facet in lower_facets(acc.vertices):
             svec = normal[:-1]
             if all(a >= b for a, b in zip(svec, r)):
                 faces = [project_pi(ptope_face(q, normal)) for q in lifted]

@@ -207,7 +207,7 @@ def test_minkowski_commutes_and_associates():
 
 def test_lower_facets_trinomial_lift():
     p = convex_hull([(0, 2), (2, 0), (10, 0)])
-    got = {normal: facet.vertices for normal, facet in lower_facets(p)}
+    got = {normal: facet.vertices for normal, facet in lower_facets(p.vertices)}
     assert set(got) == {(Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))}
     assert got[(Fraction(0), Fraction(1))] == (
         (Fraction(2), Fraction(0)),
@@ -217,16 +217,28 @@ def test_lower_facets_trinomial_lift():
 
 def test_lower_facets_flat_simplex():
     p = convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-    [(normal, facet)] = lower_facets(p)
+    [(normal, facet)] = lower_facets(p.vertices)
     assert normal == (Fraction(0), Fraction(0), Fraction(1))
     assert facet == p
 
 
 def test_lower_facets_cube_bottom():
     cube = convex_hull(itertools.product((0, 1), repeat=3))
-    [(normal, facet)] = lower_facets(cube)
+    [(normal, facet)] = lower_facets(cube.vertices)
     assert normal == (Fraction(0), Fraction(0), Fraction(1))
     assert len(facet.vertices) == 4
+
+
+def test_lower_facets_reject_bad_input():
+    # the checks of convex_hull, made before any lower hull is built
+    with pytest.raises(ValueError):
+        lower_facets([])
+    with pytest.raises(DimensionError):
+        lower_facets([(0, 0), (1, 1, 1)])
+    with pytest.raises(DimensionError, match="exceeds the cap"):
+        lower_facets([tuple([0] * 7), tuple([1] * 7)])
+    with pytest.raises(DimensionError):
+        lower_facets([(0,), (1,)])
 
 
 def test_lower_facets_support_property():
@@ -238,7 +250,7 @@ def test_lower_facets_support_property():
             for _ in range(rng.randint(3, 8))
         }
         p = convex_hull(pts)
-        for normal, facet in lower_facets(p):
+        for normal, facet in lower_facets(p.vertices):
             vals = [dot(normal, v) for v in p.vertices]
             mn = min(vals)
             on = [v for v, val in zip(p.vertices, vals) if val == mn]
@@ -717,7 +729,7 @@ def _reference_lower_facets(p):
         return [(pull_back([-a for a in alpha]) + (1,), convex_hull(kept).vertices)]
     back = dict(zip(lifted, kept))
     out = []
-    for normal, facet in lower_facets(convex_hull(lifted)):
+    for normal, facet in lower_facets(convex_hull(lifted).vertices):
         verts = tuple(sorted(back[v] for v in facet.vertices))
         out.append((pull_back(normal[:-1]) + (1,), verts))
     return sorted(out)
@@ -775,8 +787,51 @@ def test_chart_matches_local_coordinates(kind):
             for q in pts
         ]
         lift = convex_hull([e + (h,) for e, h in zip(emb, heights)])
-        got = [(normal, facet.vertices) for normal, facet in lower_facets(lift)]
+        got = [(normal, facet.vertices) for normal, facet in lower_facets(lift.vertices)]
         assert got == _reference_lower_facets(lift)
+
+
+def _raw_lift(rng, kind):
+    """A seeded point set in Q^(D+1) that is not in vertex form: random
+    heights over a full-dimensional or embedded point set, plus points on
+    its lower faces that are no vertices (facet centroids and midpoints of
+    two facet vertices), convex combinations of all points, points over an
+    existing projection at another height, and exact repeats, shuffled."""
+    if kind == "full":
+        D = rng.randint(1, 4)
+        base = [tuple(rng.randint(-3, 3) for _ in range(D)) for _ in range(rng.randint(D + 1, D + 6))]
+    else:
+        base, _pts, _D = _embedded_point_set(rng, kind)
+    pts = [to_vec(e + (rng.randint(0, 4),)) for e in base]
+    for _normal, facet in lower_facets(convex_hull(pts).vertices):
+        vs = facet.vertices
+        pts.append(tuple(sum(col) / len(vs) for col in zip(*vs)))
+        a, b = rng.choice(vs), rng.choice(vs)
+        pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+    pts.append(tuple(sum(col) / len(pts) for col in zip(*pts)))
+    for v in rng.sample(pts, min(3, len(pts))):
+        pts.append(v[:-1] + (v[-1] + rng.choice((-1, 1, 2)),))
+    pts += rng.sample(pts, 2)
+    rng.shuffle(pts)
+    return pts
+
+
+@pytest.mark.parametrize("kind", ["full", "lattice", "rational", "duplicates", "collinear"])
+def test_lower_facets_of_raw_points_match_the_hull_vertices(kind):
+    # lower_facets of a raw point set, non-vertex points on lower faces,
+    # interior points and repeated projections included, gives the facets of
+    # its hull's vertices, and both agree with the local-coordinate
+    # reference; the embedded kinds project to sets of dimension below D
+    rng = random.Random(f"{SEED}-raw-lift-{kind}")
+    with_non_vertices = 0
+    for _ in range(30):
+        pts = _raw_lift(rng, kind)
+        hull = convex_hull(pts)
+        with_non_vertices += len(hull.vertices) < len(set(pts))
+        got = lower_facets(pts)
+        assert got == lower_facets(hull.vertices)
+        assert [(normal, facet.vertices) for normal, facet in got] == _reference_lower_facets(hull)
+    assert with_non_vertices >= 25
 
 
 # ---------------------------------------------------------------------------
