@@ -35,6 +35,14 @@ FORMULA_COR2_1 = "cor2_1"
 FORMULA_COR3_1 = "cor3_1"
 FORMULA_REMARK1_1 = "remark1_1"
 
+# Field caps, checked before any bound is evaluated: p^d < 2^MAX_FIELD_BITS
+# keeps q and a bound in up to 5 variables printable, and d*delta <=
+# MAX_GLOBAL_DEGREE keeps the global facet sum to about 1 s at the 1000-digit
+# precision cap.  A bound past the interpreter's 4300 printable digits is refused.
+MAX_FIELD_BITS = 2048
+MAX_GLOBAL_DEGREE = 24
+MAX_BOUND_DIGITS = 4300
+
 
 @dataclass(frozen=True)
 class FieldSpec:
@@ -58,19 +66,25 @@ class FieldSpec:
             if self.d is not None and self.d != self.e * self.f:
                 raise ValueError("local degree must equal e*f; no factorization is guessed")
             object.__setattr__(self, "d", self.e * self.f)
+            if self.d * math.log2(self.p) > MAX_FIELD_BITS:
+                raise ValueError(f"p^d = {self.p}^{self.d} exceeds the cap 2^{MAX_FIELD_BITS} "
+                                 "(MAX_FIELD_BITS)")
         else:
             if not self.d or self.d < 1:
                 raise ValueError("global fields need a degree d >= 1")
             if not self.delta or self.delta < 1:
                 raise ValueError("global bounds need a root degree delta >= 1")
+            if self.d * self.delta > MAX_GLOBAL_DEGREE:
+                raise ValueError(f"d*delta = {self.d * self.delta} exceeds the cap "
+                                 f"{MAX_GLOBAL_DEGREE} (MAX_GLOBAL_DEGREE)")
 
     @classmethod
     def local(cls, p: int, e: int = 1, f: int = 1) -> "FieldSpec":
         return cls(kind="local", p=p, e=e, f=f)
 
     @classmethod
-    def global_field(cls, d: int, delta: int, p: int = 2) -> "FieldSpec":
-        return cls(kind="global", p=p, d=d, delta=delta)
+    def global_field(cls, d: int, delta: int) -> "FieldSpec":
+        return cls(kind="global", p=2, d=d, delta=delta)
 
     @property
     def q(self) -> int:
@@ -101,6 +115,9 @@ def _report(
     formula_id: str, iv: Interval, inputs: dict, notes: tuple[str, ...] = ()
 ) -> BoundReport:
     raw = iv.upper()
+    if raw.value.adjusted() >= MAX_BOUND_DIGITS:
+        raise ValueError(f"the {formula_id} bound has more than {MAX_BOUND_DIGITS} digits, "
+                         "the cap MAX_BOUND_DIGITS")
     floor = raw.floor_int()
     if floor < 0:
         notes = notes + ("negative raw bound clamped to 0: no roots in this regime",)

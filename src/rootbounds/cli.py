@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from . import arith
 from .arith import format_rational
 from .binomials import expansion_coeffs, lcm_profile
 from .bounds import (
+    BoundReport,
     FieldSpec,
     affine_bound,
     global_bound,
@@ -25,7 +27,7 @@ from .bounds import (
     local_bound,
     local_facet_bound,
 )
-from .newton import SparseSystem, newton_data
+from .newton import SparsePolynomial, SparseSystem, newton_data
 from .oracle import (
     IntegerMatrix,
     count_binomial_system,
@@ -41,9 +43,12 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_BAD_PARAMS = 3
 
-# Cap on verify --random N; one trial takes milliseconds, so this keeps a
-# run to seconds.
+# Caps on verify --random N: on N, and on N times the at most 2H^2
+# candidates the rational search of each trial tries at height cap H.  A
+# trial takes about 8 ms at the default cap 10 and 0.5 s at the cap 100, so
+# a run at either cap takes seconds.
 MAX_RANDOM_TRIALS = 1000
+MAX_RANDOM_WORK = MAX_RANDOM_TRIALS * 2 * 10**2
 
 
 class CliError(Exception):
@@ -74,19 +79,23 @@ def _load_system(args: argparse.Namespace) -> SparseSystem:
 
 
 def _field_spec(args: argparse.Namespace) -> FieldSpec:
-    try:
-        if args.global_case:
-            if args.d is None:
-                raise ValueError("the global case needs --d")
-            return FieldSpec.global_field(args.d, args.delta, p=2)
-        fs = FieldSpec.local(args.prime, args.e, args.f)
-        if args.d is not None and args.d != fs.d:
-            raise ValueError(
-                f"--d {args.d} disagrees with e*f = {fs.d}; supply a consistent (e, f)"
-            )
-        return fs
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_PARAMS)
+    if getattr(args, "global_case", False):
+        return FieldSpec.global_field(args.d, args.delta)
+    return FieldSpec(kind="local", p=args.prime, e=args.e, f=args.f, d=args.d)
+
+
+def _reports(system: SparseSystem, fs: FieldSpec) -> list[BoundReport]:
+    """The field's headline bound, then its facet refinement when k >= n."""
+    m, n, k = system.m, system.n, system.k
+    global_case = fs.kind == "global"
+    reports = [(global_bound if global_case else local_bound)(fs, m, n, k)]
+    if k >= n:
+        reports.append(
+            global_facet_sum_bound(system, fs.d, fs.delta)
+            if global_case
+            else local_facet_bound(system, fs)
+        )
+    return reports
 
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
@@ -125,21 +134,11 @@ def _text_lines(obj, indent: int):
 def cmd_bound(args: argparse.Namespace) -> int:
     system = _load_system(args)
     fs = _field_spec(args)
+    if args.global_case and args.prime != 2:
+        print("note: global bounds embed through the 2-adics; --prime is ignored",
+              file=sys.stderr)
     m, n, k = system.m, system.n, system.k
-    reports = []
-    if args.global_case:
-        if args.prime != 2:
-            print(
-                "note: global bounds embed through the 2-adics; --prime is ignored",
-                file=sys.stderr,
-            )
-        reports.append(global_bound(fs, m, n, k))
-        if k >= n:
-            reports.append(global_facet_sum_bound(system, fs.d, fs.delta))
-    else:
-        reports.append(local_bound(fs, m, n, k))
-        if k >= n:
-            reports.append(local_facet_bound(system, fs))
+    reports = _reports(system, fs)
     if args.affine:
         reports.append(affine_bound(fs, m, n, k))
     payload = {
@@ -153,12 +152,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_facets(args: argparse.Namespace) -> int:
     system = _load_system(args)
     if any(f.m == 1 for f in system.polynomials):
-        raise CliError(
-            "a one-term equation has no torus roots; the lift is a single point",
-            EXIT_BAD_PARAMS,
-        )
+        raise ValueError("a one-term equation has no torus roots; the lift is a single point")
     if system.k < system.n:
-        raise CliError("facet data needs k >= n", EXIT_BAD_PARAMS)
+        raise ValueError("facet data needs k >= n")
     p = args.prime
     notes = []
     data = square = newton_data(system, p)
@@ -173,10 +169,7 @@ def cmd_facets(args: argparse.Namespace) -> int:
         "prime": p,
         "facet_count": len(data.facets),
         "lower_facets": [
-            {
-                "normal": [format_rational(x) for x in normal],
-                "vertices": facet.to_json_obj(),
-            }
+            {"normal": [format_rational(x) for x in normal], "vertices": facet.to_json_obj()}
             for normal, facet in data.facets
         ],
         "candidate_valuations": [
@@ -197,13 +190,8 @@ def _verify_rows(system: SparseSystem, args: argparse.Namespace, fs: FieldSpec) 
     counts = []
     if system.n == 1 and system.k == 1:
         counts.append(count_univariate_padic(system.polynomials[0], args.prime))
-    if (
-        system.k == system.n
-        and all(f.m == 2 for f in system.polynomials)
-        and system.n <= 6
-    ):
-        exponents = []
-        constants = []
+    if system.k == system.n <= 6 and all(f.m == 2 for f in system.polynomials):
+        exponents, constants = [], []
         for f in system.polynomials:
             (e1, c1), (e2, c2) = sorted(f.terms)
             exponents.append(tuple(b - a for a, b in zip(e1, e2)))
@@ -218,10 +206,7 @@ def _verify_rows(system: SparseSystem, args: argparse.Namespace, fs: FieldSpec) 
     if system.n <= 3:
         counts.append(rational_root_search(system, args.height_cap))
 
-    m, n, k = system.m, system.n, system.k
-    bounds = [local_bound(fs, m, n, k)]
-    if k >= n:
-        bounds.append(local_facet_bound(system, fs))
+    bounds = _reports(system, fs)
     for rc in counts:
         for rep in bounds:
             row = {
@@ -241,8 +226,6 @@ def _verify_rows(system: SparseSystem, args: argparse.Namespace, fs: FieldSpec) 
 
 
 def _random_trinomial(rng, n_terms: int = 3):
-    from .newton import SparsePolynomial
-
     while True:
         terms = {}
         while len(terms) < n_terms:
@@ -256,26 +239,24 @@ def _random_trinomial(rng, n_terms: int = 3):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not 0 <= args.random_trials <= MAX_RANDOM_TRIALS:
-        raise CliError(
-            f"--random takes 0 to {MAX_RANDOM_TRIALS} trials, got {args.random_trials}",
-            EXIT_BAD_PARAMS,
+    trials, work = args.random_trials, args.random_trials * 2 * args.height_cap**2
+    if not 0 <= trials <= MAX_RANDOM_TRIALS:
+        raise ValueError(f"--random takes 0 to {MAX_RANDOM_TRIALS} trials, got {trials}")
+    if work > MAX_RANDOM_WORK:
+        raise ValueError(
+            f"--random {trials} at --height-cap {args.height_cap} tries up to {work} "
+            f"candidate roots, above the cap {MAX_RANDOM_WORK} (MAX_RANDOM_WORK)"
         )
     fs = _field_spec(args)
     rows = []
     if args.input is not None:
-        system = _load_system(args)
-        rows.extend(_verify_rows(system, args, fs))
-    if args.random_trials:
-        import random
-
+        rows.extend(_verify_rows(_load_system(args), args, fs))
+    if trials:
         rng = random.Random(args.seed)
-        for _ in range(args.random_trials):
-            f = _random_trinomial(rng)
-            system = SparseSystem.of([f])
-            rows.extend(_verify_rows(system, args, fs))
+        for _ in range(trials):
+            rows.extend(_verify_rows(SparseSystem.of([_random_trinomial(rng)]), args, fs))
     if not rows:
-        raise CliError("nothing to verify: give an input system or --random N", EXIT_BAD_PARAMS)
+        raise ValueError("nothing to verify: give an input system or --random N")
     ok = all(row["ok"] for row in rows)
     payload = {"rows": rows, "all_ok": ok}
     _emit(payload, args)
@@ -314,60 +295,55 @@ def _build_parser() -> argparse.ArgumentParser:
         "fields and number fields, with exact verification oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
-        if with_input:
-            p.add_argument("input", nargs="?", default=None, help="system file or - for stdin")
-        p.add_argument("--prime", type=int, default=2)
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--e", type=int, default=1)
-        p.add_argument("--f", type=int, default=1)
-        p.add_argument("--delta", type=int, default=1)
-        p.add_argument("--global", dest="global_case", action="store_true")
-        p.add_argument("--height-cap", type=int, default=10)
-        p.add_argument("--precision", type=int, default=arith.DEFAULT_DIGITS)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "text"), default="json")
-
-    b = sub.add_parser("bound", help="closed-form bound reports for a system")
-    common(b)
-    b.add_argument("--affine", action="store_true", help="add the off-torus variant")
-
-    fct = sub.add_parser("facets", help="lower facets, candidate valuations, face bounds")
-    common(fct)
-
-    v = sub.add_parser("verify", help="oracle counts vs bounds, pass/fail per row")
-    common(v)
-    v.add_argument("--random", type=int, default=0, dest="random_trials",
-                   help="additionally verify N seeded random trinomials "
-                   f"(0 <= N <= {MAX_RANDOM_TRIALS})")
-
-    bn = sub.add_parser("binom", help="lcm profiles and binomial-basis expansions")
-    common(bn, with_input=False)
-    bn.add_argument("--m", type=int, required=True)
-    bn.add_argument("--t", type=int, required=True)
-    bn.add_argument("--support", default=None,
-                    help="comma-separated integers; write a support that starts "
-                    "with a minus sign as --support=-3,1")
+    options = {
+        "input": dict(nargs="?", default=None, help="system file or - for stdin"),
+        "--prime": dict(type=int, default=2),
+        "--e": dict(type=int, default=1),
+        "--f": dict(type=int, default=1),
+        "--d": dict(type=int, default=None),
+        "--delta": dict(type=int, default=1),
+        "--global": dict(dest="global_case", action="store_true"),
+        "--affine": dict(action="store_true", help="add the off-torus variant"),
+        "--height-cap": dict(type=int, default=10),
+        "--precision": dict(type=int, default=arith.DEFAULT_DIGITS),
+        "--seed": dict(type=int, default=0),
+        "--random": dict(type=int, default=0, dest="random_trials",
+                         help="additionally verify N seeded random trinomials "
+                         f"(0 <= N <= {MAX_RANDOM_TRIALS})"),
+        "--m": dict(type=int, required=True),
+        "--t": dict(type=int, required=True),
+        "--support": dict(default=None, help="comma-separated integers; write a "
+                          "support that starts with a minus sign as --support=-3,1"),
+        "--format": dict(choices=("json", "text"), default="json"),
+    }
+    # each subcommand declares only the flags it reads, and no abbreviation
+    # stands in for one it lacks (--f for --format in facets)
+    for name, summary, flags in (
+        ("bound", "closed-form bound reports for a system",
+         "input --prime --e --f --d --delta --global --affine --precision --format"),
+        ("facets", "lower facets, candidate valuations, face bounds",
+         "input --prime --seed --format"),
+        ("verify", "oracle counts vs bounds, pass/fail per row",
+         "input --prime --e --f --d --height-cap --precision --seed --random --format"),
+        ("binom", "lcm profiles and binomial-basis expansions", "--m --t --support --format"),
+    ):
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in flags.split():
+            p.add_argument(flag, **options[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # looked up per call, so that a rebound cmd_* (a tracer's) is the one run
+    commands = {"bound": cmd_bound, "facets": cmd_facets, "verify": cmd_verify, "binom": cmd_binom}
     try:
         try:
-            arith.set_precision(args.precision)
-            if not arith.is_prime(args.prime):
-                raise CliError(f"--prime {args.prime} is not prime", EXIT_BAD_PARAMS)
-            if args.command == "bound":
-                return cmd_bound(args)
-            if args.command == "facets":
-                return cmd_facets(args)
-            if args.command == "verify":
-                return cmd_verify(args)
-            if args.command == "binom":
-                return cmd_binom(args)
-            raise CliError(f"unknown command {args.command}", EXIT_BAD_PARAMS)
+            if "precision" in args:
+                arith.set_precision(args.precision)
+            if "prime" in args and not arith.is_prime(args.prime):
+                raise ValueError(f"--prime {args.prime} is not prime")
+            return commands[args.command](args)
         except (ValueError, ArithmeticError) as exc:
             raise CliError(str(exc), EXIT_BAD_PARAMS)
     except CliError as exc:

@@ -22,6 +22,11 @@ from .linalg import det, solve_square
 
 DEFAULT_PRECISION_CAP = 60
 
+# Cap on the prime of the univariate counter, which scans the p - 1 nonzero
+# residues and all p again at each refinement level: at p near the cap a
+# quadratic whose roots agree in 20 p-adic digits takes about 0.1 s.
+MAX_SCAN_PRIME = 10**4
+
 
 class PrecisionCapError(ArithmeticError):
     """Residue refinement hit the recursion cap before deciding."""
@@ -185,6 +190,9 @@ def count_univariate_padic(
     units at each eligible valuation are counted by residue refinement.
     """
     require_prime(p)
+    if p > MAX_SCAN_PRIME:
+        raise ValueError(f"the univariate counter scans every residue mod p; p = {p} "
+                         f"exceeds the cap {MAX_SCAN_PRIME} (MAX_SCAN_PRIME)")
     if f.n != 1:
         raise ValueError("the univariate counter takes one-variable polynomials")
     g = laurent_normalize(f)

@@ -206,7 +206,7 @@ def parse_polynomial_text(text: str, n: int) -> SparsePolynomial:
     return SparsePolynomial.from_dict(poly)
 
 
-def parse_system_text(text: str, n: int | None = None) -> SparseSystem:
+def parse_system_text(text: str) -> SparseSystem:
     chunks = [
         chunk.strip()
         for line in text.splitlines()
@@ -215,7 +215,6 @@ def parse_system_text(text: str, n: int | None = None) -> SparseSystem:
     ]
     if not chunks:
         raise ParseError("no polynomials in input")
-    if n is None:
-        indices = [int(v[1:]) for v in re.findall(r"x\d+", text)]
-        n = max(indices) if indices else 1
+    indices = [int(v[1:]) for v in re.findall(r"x\d+", text)]
+    n = max(indices) if indices else 1
     return SparseSystem.of([parse_polynomial_text(c, n) for c in chunks])

@@ -13,6 +13,8 @@ from rootbounds.bounds import (
     FORMULA_THM1_LOCAL,
     FORMULA_THM2_GENERAL,
     FORMULA_THM2_PER_EQ,
+    MAX_FIELD_BITS,
+    MAX_GLOBAL_DEGREE,
     FieldSpec,
     affine_bound,
     cp_bound,
@@ -47,6 +49,28 @@ def test_field_spec_validation():
         FieldSpec.global_field(0, 1)
     with pytest.raises(ValueError):
         FieldSpec(kind="other", p=2)
+
+
+def test_field_caps_refuse_before_any_bound_is_evaluated():
+    # at the caps: 2^2048, 3^1292 < 2^2048, and d*delta = 24
+    assert FieldSpec.local(2, MAX_FIELD_BITS).d == MAX_FIELD_BITS
+    assert FieldSpec(kind="local", p=3, e=2, f=646, d=1292).q == 3**646
+    assert FieldSpec.global_field(4, 6).d * FieldSpec.global_field(4, 6).delta == MAX_GLOBAL_DEGREE
+    for make in (
+        lambda: FieldSpec.local(2, MAX_FIELD_BITS + 1),
+        lambda: FieldSpec.local(3, 1, 1293),
+        lambda: FieldSpec.local(2, 10**9, 10**9),
+        lambda: FieldSpec.local(1000003, 3000),
+    ):
+        with pytest.raises(ValueError, match="MAX_FIELD_BITS"):
+            make()
+    for d, delta in [(25, 1), (5, 5), (3000, 10)]:
+        with pytest.raises(ValueError, match="MAX_GLOBAL_DEGREE"):
+            FieldSpec.global_field(d, delta)
+    # every field the benchmark corpus draws stays accepted
+    for d in range(1, 5):
+        for delta in range(1, 4):
+            FieldSpec.global_field(d, delta)
 
 
 def test_valuation_vector_cap():

@@ -1,10 +1,15 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rootbounds.binomials import MAX_SUPPORT, MAX_SUPPORT_ELEMENT, MAX_T
 from rootbounds.cli import (
@@ -150,9 +155,6 @@ def test_multi_term_power_above_the_work_cap_is_parse_error(capsys, monkeypatch,
 
 def run_cli(capsys, args, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
-        import io
-        import sys
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     code = main(args)
     out, err = capsys.readouterr()
@@ -601,3 +603,139 @@ def test_verify_height_cap_below_one_is_bad_params(capsys, monkeypatch, cap):
     code, out, err = run_cli(capsys, argv, stdin_text="x1^2 - 1\n", monkeypatch=monkeypatch)
     assert (code, out) == (EXIT_BAD_PARAMS, "")
     assert err.startswith("error: ") and "height cap" in err
+
+
+# ---------------------------------------------------------------------------
+# the flags of each subcommand, and the caps on their values
+# ---------------------------------------------------------------------------
+
+# every settable value of the CLI: what each subcommand reads, and nothing else
+SUBCOMMAND_FLAGS = {
+    "bound": {"input", "--prime", "--e", "--f", "--d", "--delta", "--global", "--affine",
+              "--precision", "--format"},
+    "facets": {"input", "--prime", "--seed", "--format"},
+    "verify": {"input", "--prime", "--e", "--f", "--d", "--height-cap", "--precision", "--seed",
+               "--random", "--format"},
+    "binom": {"--m", "--t", "--support", "--format"},
+}
+ALL_FLAGS = set().union(*SUBCOMMAND_FLAGS.values()) - {"input"}
+SWITCHES = {"--global", "--affine"}
+
+
+def _accepted(command):
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = sub.choices[command]._actions
+    return {a.option_strings[0] if a.option_strings else a.dest for a in actions if a.dest != "help"}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    assert {command: _accepted(command) for command in SUBCOMMAND_FLAGS} == SUBCOMMAND_FLAGS
+    assert sum(len(flags) for flags in SUBCOMMAND_FLAGS.values()) == 28
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, f) for c in SUBCOMMAND_FLAGS for f in sorted(ALL_FLAGS - SUBCOMMAND_FLAGS[c])],
+)
+def test_a_flag_the_subcommand_does_not_read_is_an_argparse_error(capsys, command, flag):
+    # --global on verify always ended in exit 3, --prime 4 on binom exited 3
+    # over a prime binom never uses, and --f on facets must not read as --format
+    argv = [command, flag] + ([] if flag in SWITCHES else ["4"])
+    if command == "binom":
+        argv += ["--m", "2", "--t", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
+_UNI = "x1^2 - 3*x1 + 2\n"
+_EIGHT_VARS = "".join(f"x{i} + x{i + 1} + {i}\n" for i in range(1, 8))
+
+
+@pytest.mark.parametrize(
+    "argv,stdin_text,cap",
+    [
+        (["bound", "-", "--e", "10000000"], _UNI, "MAX_FIELD_BITS"),
+        (["bound", "-", "--f", "100000"], _UNI, "MAX_FIELD_BITS"),
+        (["bound", "-", "--prime", "1000003", "--e", "3000"], _UNI, "MAX_FIELD_BITS"),
+        (["bound", "-", "--global", "--d", "100000", "--delta", "1"], _UNI, "MAX_GLOBAL_DEGREE"),
+        (["bound", "-", "--global", "--d", "3000", "--delta", "10"], _UNI, "MAX_GLOBAL_DEGREE"),
+        (["bound", "-", "--e", "2048", "--affine"], _EIGHT_VARS, "MAX_BOUND_DIGITS"),
+        (["verify", "-", "--prime", "1000000007"], _UNI, "MAX_SCAN_PRIME"),
+        (["verify", "--random", "1000", "--height-cap", "100"], None, "MAX_RANDOM_WORK"),
+    ],
+    ids=["e-1e7", "f-1e5", "p-1e6-e-3000", "global-d-1e5", "global-d-3000-delta-10",
+         "affine-bound-digits", "verify-p-1e9", "random-work"],
+)
+def test_requests_past_a_cap_exit_at_once(capsys, monkeypatch, argv, stdin_text, cap):
+    # these ran past 20 s, or exited 3 with the interpreter's 4300-digit message
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, argv, stdin_text=stdin_text, monkeypatch=monkeypatch)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (EXIT_BAD_PARAMS, "")
+    assert err.startswith("error: ") and cap in err
+    assert "Exceeds the limit" not in err
+
+
+def _ints(small):
+    """Mostly the small range, else an extreme value."""
+    extreme = st.sampled_from([-(10**9), 10**9, 10**9 + 7, 10**12])
+    return st.one_of(small, small, small, extreme)
+
+
+_VALUES = {
+    "--precision": _ints(st.integers(28, 100)),
+    "--format": st.sampled_from(["json", "text"]),
+    "--support": st.sampled_from(["0,1,3", "-3,1", "1,x", ""]),
+}
+_STDIN = [
+    TRINOMIAL + "\n",
+    "x1^2 - 4\nx1*x2 - 2\n",
+    "x1 - 1\n1 - x1\n",
+    "x1 +++ 2\n",
+    '{"n": 1, "polynomials": [[{"exp": [1], "coeff": "1"}',
+]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    readable = sorted(SUBCOMMAND_FLAGS[command] - {"input"})
+    flags = draw(st.lists(st.sampled_from(readable), unique=True, max_size=4))
+    argv = [command]
+    if command == "binom":
+        flags = [f for f in flags if f not in ("--m", "--t")] + ["--m", "--t"]
+    elif command != "verify" or draw(st.booleans()):
+        argv.append("-")
+    for flag in flags:
+        argv.append(flag)
+        if flag not in SWITCHES:
+            argv.append(str(draw(_VALUES.get(flag, _ints(st.integers(-3, 12))))))
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=3000, max_examples=2000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argv(), stdin_text=st.sampled_from(_STDIN))
+def test_any_readable_flags_end_in_a_documented_exit_code(argv, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2  # argparse's, and only argparse's
+                code = exc.code
+    finally:
+        sys.stdin = saved_stdin
+    assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_PARSE_ERROR, EXIT_BAD_PARAMS)
+    if code == EXIT_VERIFY_FAILED:
+        if "text" in argv:
+            assert "all_ok: False" in out.getvalue()
+        else:
+            assert json.loads(out.getvalue())["all_ok"] is False
+    assert "Exceeds the limit" not in err.getvalue()

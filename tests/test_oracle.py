@@ -7,6 +7,7 @@ from rootbounds.bounds import FieldSpec, local_bound, local_facet_bound
 from rootbounds.linalg import det
 from rootbounds.newton import SparsePolynomial, SparseSystem
 from rootbounds.oracle import (
+    MAX_SCAN_PRIME,
     IntegerMatrix,
     PrecisionCapError,
     RootCount,
@@ -44,6 +45,15 @@ def test_univariate_examples():
     assert count_univariate_padic(poly({(10,): 3, (2,): 1, (0,): -4}), 2).count == 6
     assert count_univariate_padic(poly({(2,): 1, (0,): -1}), 2).count == 2
     assert count_univariate_padic(poly({(2,): 1, (0,): -2}), 3).count == 0
+
+
+def test_univariate_prime_above_the_scan_cap_is_refused():
+    # refused before the p - 1 residues are scanned; p = 10^9 + 7 ran past 30 s
+    f = poly({(2,): 1, (1,): -3, (0,): 2})
+    assert count_univariate_padic(f, 9973).count == 2  # the largest prime under the cap
+    for p in (MAX_SCAN_PRIME + 7, 10**9 + 7):
+        with pytest.raises(ValueError, match="MAX_SCAN_PRIME"):
+            count_univariate_padic(f, p)
 
 
 def test_univariate_known_factorizations():
