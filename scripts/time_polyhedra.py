@@ -6,11 +6,16 @@
 
 Cases: ``facet_count`` for n = 3 and 4 and ``candidate_valuations`` for
 n = 3, on square systems of 4 terms per equation with exponents 0..6 and
-coefficients +-{1, 2, 3, 4, 6, 8, 12, 16} at p = 2; and the mixed volume of
-n = 3 and 4 polytopes, each the hull of 7 random lattice points in [0, 4]^n.
-Each case draws its input from a fresh ``random.Random(seed)``.  The script
-prints one line per case: its name, its result and the best wall time over
-the repeats.
+coefficients +-{1, 2, 3, 4, 6, 8, 12, 16} at p = 2; ``face_bounds`` of the
+5x5 such system with 3 terms per equation, its bound sum as the result and
+``newton_data`` built untimed; ``facet_count`` of flat lifts, a 3x3 system
+with 7 terms and a 4x4 with 5 terms per equation, exponents 0..4 and the
+units +-{1, 3, 5, 7} at p = 2 as coefficients, where each lift is one cell
+and the sum has one lower facet; and the mixed volume of n = 3 and 4
+polytopes, each the hull of 7 random lattice points in [0, 4]^n.  Each case
+draws its input from a fresh ``random.Random(seed)``.  The script prints
+one line per case: its name, its result and the best wall time over the
+repeats.
 """
 
 from __future__ import annotations
@@ -29,26 +34,31 @@ from rootbounds.newton import (  # noqa: E402
     SparseSystem,
     candidate_valuations,
     facet_count,
+    newton_data,
 )
 from rootbounds.polyhedra import convex_hull, mixed_volume  # noqa: E402
 
 COEFFS = (1, 2, 3, 4, 6, 8, 12, 16)
+UNITS = (1, 3, 5, 7)
 TERMS = 4
 MAX_EXP = 6
+FLAT_MAX_EXP = 4
 PRIME = 2
 MV_POINTS = 7
 MV_BOX = 4
 
 
-def seeded_system(seed: int, n: int) -> SparseSystem:
+def seeded_system(
+    seed: int, n: int, terms: int = TERMS, max_exp: int = MAX_EXP, coeffs: tuple = COEFFS
+) -> SparseSystem:
     rng = random.Random(seed)
     polys = []
     for _ in range(n):
-        terms: dict[tuple[int, ...], Fraction] = {}
-        while len(terms) < TERMS:
-            exp = tuple(rng.randint(0, MAX_EXP) for _ in range(n))
-            terms[exp] = Fraction(rng.choice((-1, 1)) * rng.choice(COEFFS))
-        polys.append(SparsePolynomial.from_dict(terms))
+        poly: dict[tuple[int, ...], Fraction] = {}
+        while len(poly) < terms:
+            exp = tuple(rng.randint(0, max_exp) for _ in range(n))
+            poly[exp] = Fraction(rng.choice((-1, 1)) * rng.choice(coeffs))
+        polys.append(SparsePolynomial.from_dict(poly))
     return SparseSystem.of(polys)
 
 
@@ -67,6 +77,11 @@ def cases(seed: int):
         yield f"facet_count n={n}", lambda s=system: facet_count(s, PRIME)
     system = seeded_system(seed, 3)
     yield "candidate_valuations n=3", lambda s=system: len(candidate_valuations(s, PRIME))
+    data = newton_data(seeded_system(seed, 5, terms=3), PRIME)
+    yield "face_bounds n=5", lambda d=data: sum(bound for _r, bound in d.face_bounds())
+    for n, terms in ((3, 7), (4, 5)):
+        system = seeded_system(seed, n, terms, FLAT_MAX_EXP, UNITS)
+        yield f"facet_count flat {n}x{n} m={terms}", lambda s=system: facet_count(s, PRIME)
     for n in (3, 4):
         polytopes = seeded_polytopes(seed, n)
         yield f"mixed_volume n={n}", lambda ps=polytopes: mixed_volume(ps)

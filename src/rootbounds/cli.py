@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -100,10 +101,20 @@ def _reports(system: SparseSystem, fs: FieldSpec) -> list[BoundReport]:
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        return
-    for line in _text_lines(payload, indent=0):
-        print(line)
+        lines = [json.dumps(payload, sort_keys=True, indent=2)]
+    else:
+        lines = _text_lines(payload, indent=0)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`rootbounds facets ... | head -1`): the
+        # command's exit code stands, and stdout is pointed at devnull so
+        # that the interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _text_lines(obj, indent: int):

@@ -33,7 +33,7 @@ from .arith import (
     ord_p_value,
     require_prime,
 )
-from .linalg import dot, nonneg_solution_exists, to_vec
+from .linalg import det, dot, nonneg_solution_exists, to_vec, vec_sub
 from .polyhedra import (
     Point,
     Polytope,
@@ -236,10 +236,20 @@ def newton_polytope(f: SparsePolynomial, p: int) -> Polytope:
     return convex_hull(_lift(f, p))
 
 
-def _integral_mixed_volume(faces: Sequence[Polytope]) -> int:
-    """Mixed volume of n polytopes in R^n; an integer under the
-    standard-simplex normalization for lattice faces, asserted not assumed."""
-    mv = mixed_volume(faces)
+def _face_bound(faces: Sequence[Polytope], fine: bool) -> int:
+    """Normalized mixed volume of n polytopes in R^n, given whether their
+    dimensions add up to the dimension of their sum (a fine tuple).  It is
+    0 when a polytope is a point; for a fine tuple without one, every
+    polytope is a segment and it is |det| of the n edges; otherwise it is
+    the inclusion-exclusion of ``mixed_volume``.  An integer under the
+    standard-simplex normalization for lattice polytopes, asserted not
+    assumed."""
+    if any(len(f.vertices) == 1 for f in faces):
+        return 0
+    if fine:
+        mv = abs(det([vec_sub(b, a) for a, b in (f.vertices for f in faces)]))
+    else:
+        mv = mixed_volume(faces)
     if mv.denominator != 1:
         raise ArithmeticError(
             f"face mixed volume {mv} is not an integer; normalization broken"
@@ -254,24 +264,29 @@ class NewtonData:
     and each facet's face tuple, the faces minimizing (r, 1) of the lifts
     whose hull or Minkowski sum is the aggregate, which sum to the facet:
     (F_1(r), ..., F_n(r)) for k = n, and (facet,) for k > n, where no face
-    bound is defined."""
+    bound is defined.  ``fine`` tells per facet whether the dimensions of
+    its faces add up to its own, so that the sum is direct."""
 
     system: SparseSystem
     facets: tuple[tuple[tuple[Fraction, ...], Polytope], ...]
     faces: tuple[tuple[Polytope, ...], ...]
+    fine: tuple[bool, ...]
 
     def face_bounds(self) -> list[tuple[tuple[Fraction, ...], int]]:
         """Sorted (r, bound) over the lower facet normals (r, 1) with a
         positive face mixed volume: the candidate valuation vectors, each with
-        its bound on the torus roots carrying it.  Requires k = n."""
+        its bound on the torus roots carrying it.  Requires k = n.  A face
+        tuple with a point face bounds 0, a fine one of n segments bounds
+        |det| of its edges (Huber-Sturmfels), and only the rest run the
+        inclusion-exclusion of ``mixed_volume``."""
         if self.system.k != self.system.n:
             raise ValueError("candidate valuations require k = n (reduce the system first)")
         out = []
-        for (normal, _facet), faces in zip(self.facets, self.faces):
+        for (normal, _facet), faces, fine in zip(self.facets, self.faces, self.fine):
             # pi is injective on a non-vertical face, so the projected
             # vertices are the vertices of the projection, still sorted
-            bound = _integral_mixed_volume(
-                [Polytope(tuple(v[:-1] for v in f.vertices)) for f in faces]
+            bound = _face_bound(
+                [Polytope(tuple(v[:-1] for v in f.vertices)) for f in faces], fine
             )
             if bound > 0:
                 out.append((normal[:-1], bound))
@@ -287,9 +302,10 @@ def newton_data(F: SparseSystem, p: int) -> NewtonData:
     if F.k < F.n:
         raise ValueError("aggregated polytope needs k >= n")
     polys = [poly_sum(F.polynomials)] if F.k > F.n else F.polynomials
-    triples = lower_facets_of_sum([_lift(g, p) for g in polys])
-    facets = tuple((normal, facet) for normal, facet, _faces in triples)
-    faces = tuple(fs for _normal, _facet, fs in triples)
+    quads = lower_facets_of_sum([_lift(g, p) for g in polys])
+    facets = tuple((normal, facet) for normal, facet, _faces, _fine in quads)
+    faces = tuple(fs for _normal, _facet, fs, _fine in quads)
+    fine = tuple(fine for *_rest, fine in quads)
     from .bounds import valuation_vector_cap
 
     cap = valuation_vector_cap(F.m, F.n) if F.m >= 2 else 1
@@ -297,7 +313,7 @@ def newton_data(F: SparseSystem, p: int) -> NewtonData:
         raise ArithmeticError(
             f"lower facet count {len(facets)} exceeds the combinatorial cap {cap}"
         )
-    return NewtonData(F, facets, faces)
+    return NewtonData(F, facets, faces, fine)
 
 
 def system_polytope(F: SparseSystem, p: int) -> Polytope:

@@ -27,7 +27,11 @@ bijectively.  That projection keeps vertices and faces, so a
 lower-dimensional set is hulled on those axes, and a lower-facet functional
 found there is pulled back into the span of the point set.  The lower facets
 of a Minkowski sum are found the same way from its summands' lower cells,
-without hulling the sum (``lower_facets_of_sum``).
+without hulling the sum (``lower_facets_of_sum``).  A lower facet whose
+faces have dimensions adding up to its own is a direct sum of them, a fine
+facet: its vertices are the sums of one vertex per face, with no hull, and
+the mixed volume of its faces is 0 or the |det| of n edges, with no
+inclusion-exclusion.
 """
 
 from __future__ import annotations
@@ -460,11 +464,11 @@ def lower_facets(points: Sequence[Point]) -> list[tuple[Vector, Polytope]]:
 
 def lower_facets_of_sum(
     point_sets: Sequence[Sequence[Point]],
-) -> list[tuple[Vector, Polytope, tuple[Polytope, ...]]]:
+) -> list[tuple[Vector, Polytope, tuple[Polytope, ...], bool]]:
     """The lower facets of the Minkowski sum of the hulls of point sets in
     Q^(n+1), read from the summands without forming the sum: each as
-    (normal (r, 1), facet, face tuple), sorted by normal, with the normals
-    and facets of ``lower_facets`` of the sum.
+    (normal (r, 1), facet, face tuple, fine), sorted by normal, with the
+    normals and facets of ``lower_facets`` of the sum.
 
     The facet with normal c is the sum of the faces F_i(c) of the summands
     minimizing c, and these are lower faces, each inside a lower cell of its
@@ -478,17 +482,20 @@ def lower_facets_of_sum(
     facet normal exactly when every set attains min c.x on its summand;
     every lower facet arises so, since d independent such differences span
     the directions of its faces.  A normal found on the chart is scaled to
-    (r, 1) as in ``lower_facets``.
+    (r, 1) as in ``lower_facets``.  The facet is fine when the dimensions
+    of its faces, taken on the chart, add up to d: the sum is then direct,
+    so every sum of one vertex per face is a vertex and no two coincide,
+    and the facet is not hulled.  A single summand's facets are fine.
     """
     cells = [lower_facets(pts) for pts in point_sets]
     if len(cells) == 1:
-        return [(normal, facet, (facet,)) for normal, facet in cells[0]]
+        return [(normal, facet, (facet,), True) for normal, facet in cells[0]]
     # the lower vertices of each summand, sorted
     verts = [sorted({v for _normal, cell in cs for v in cell.vertices}) for cs in cells]
     n = len(verts[0][0]) - 1
     if any(len(vs[0]) != n + 1 for vs in verts):
         raise DimensionError("Minkowski sum of point sets in different dimensions")
-    flat, _ = _lattice([v for vs in verts for v in vs])
+    flat, lcm = _lattice([v for vs in verts for v in vs])
     it = iter(flat)
     ipts = [[next(it) for _ in vs] for vs in verts]
     # the projected sum spans the projected differences inside each summand
@@ -539,13 +546,16 @@ def lower_facets_of_sum(
         ):
             continue
         minima[c] = None
-        faces = tuple(
-            Polytope(tuple(v for v, x in zip(vs, ps) if dot(c, x) == low))
-            for vs, ps, low in zip(verts, chart, lows)
-        )
-        facet = convex_hull(
-            tuple(map(sum, zip(*vs))) for vs in itertools.product(*(f.vertices for f in faces))
-        )
-        results.append((_scaled_normal(c, axes, basis, n), facet, faces))
-    results.sort(key=lambda triple: triple[0])
+        on = [[j for j, x in enumerate(ps) if dot(c, x) == low] for ps, low in zip(chart, lows)]
+        faces = tuple(Polytope(tuple(vs[j] for j in ids)) for vs, ids in zip(verts, on))
+        fine = sum(len(_chart([ps[j] for j in ids])[1]) for ps, ids in zip(chart, on)) == d
+        sums = {
+            tuple(map(sum, zip(*xs)))
+            for xs in itertools.product(*([ps[j] for j in ids] for ps, ids in zip(ipts, on)))
+        }
+        pts = tuple(tuple(Fraction(x, lcm) for x in v) for v in sorted(sums))
+        # a direct sum has every sum of one vertex per face as a vertex
+        facet = Polytope(pts) if fine else convex_hull(pts)
+        results.append((_scaled_normal(c, axes, basis, n), facet, faces, fine))
+    results.sort(key=lambda quad: quad[0])
     return results

@@ -3,10 +3,13 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -474,6 +477,48 @@ def test_huge_monomial_exponent_is_fast(capsys, monkeypatch):
     assert time.perf_counter() - t0 < 5.0
     assert code == EXIT_OK
     assert json.loads(out)["system"] == {"m": 3, "n": 1, "k": 1}
+
+
+def _long_facets_input():
+    """A 2x2 system whose exponents, scaled by 10^600, print as 600-digit
+    facet coordinates."""
+    rng = random.Random("closed-pipe")
+    lines = []
+    for _ in range(2):
+        exps = {(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(8)}
+        lines.append(" + ".join(
+            f"{rng.choice([1, 2, 3, 4, 8, 16, 32])}*x1^{a * 10**600}*x2^{b * 10**600}"
+            for a, b in sorted(exps)
+        ))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, long_input",
+    [(["facets", "-"], True), (["verify", "--random", "150", "--height-cap", "1"], False)],
+)
+def test_a_reader_closing_the_pipe_keeps_the_exit_code(argv, long_input):
+    # `rootbounds facets ... | head -1`: each command prints over 100 kB,
+    # more than a pipe holds (64 KiB on Linux), so it is still writing when
+    # the reader closes the pipe after the first line
+    stdin_text = _long_facets_input() if long_input else ""
+    cmd = [sys.executable, "-m", "rootbounds.cli", *argv]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    whole = subprocess.run(cmd, input=stdin_text, capture_output=True, text=True, env=env, timeout=120)
+    assert len(whole.stdout) > 100_000 and "Traceback" not in whole.stderr
+    proc = subprocess.Popen(
+        cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+    )
+    proc.stdin.write(stdin_text)
+    proc.stdin.close()
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == whole.returncode
+    assert first == whole.stdout.splitlines(keepends=True)[0]
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 @pytest.mark.parametrize("command", ["bound", "verify"])

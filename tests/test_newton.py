@@ -264,7 +264,10 @@ def test_facets_request_builds_each_newton_object_once(capsys, monkeypatch):
     # hull of a lift or of the Minkowski sum, and no face or projection per
     # facet
     from rootbounds import cli, newton, polyhedra
+    from rootbounds.parsing import parse_system_text
 
+    text = "x1^2*x2 + 2*x1 - 3*x2^3 + 4\nx1*x2^2 - 6*x2 + 8*x1^3 - 1\n"
+    not_fine = newton.newton_data(parse_system_text(text), 2).fine.count(False)
     calls = {}
     counted_names = {
         newton: ("newton_polytope", "minkowski_sum", "lower_facets_of_sum", "mixed_volume"),
@@ -281,7 +284,6 @@ def test_facets_request_builds_each_newton_object_once(capsys, monkeypatch):
             monkeypatch.setattr(module, name, counted)
     for name in ("face", "project_pi", "lower_facets"):
         assert name not in vars(newton), f"rootbounds.newton binds {name}"
-    text = "x1^2*x2 + 2*x1 - 3*x2^3 + 4\nx1*x2^2 - 6*x2 + 8*x1^3 - 1\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert cli.main(["facets", "-"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -291,9 +293,12 @@ def test_facets_request_builds_each_newton_object_once(capsys, monkeypatch):
     assert calls.get("polyhedra.minkowski_sum", 0) == 0
     # one lower hull per lift, none of the sum
     assert calls["polyhedra.lower_facets"] == 2
-    # at most the small hull of each printed facet: no lift is hulled
-    assert calls.get("polyhedra.convex_hull", 0) <= len(payload["lower_facets"])
-    assert 0 < calls["newton.mixed_volume"] <= len(payload["lower_facets"])
+    # a fine facet, whose face dimensions add up to its own, is the direct
+    # sum of its faces: neither its vertices nor its face bound need a hull
+    # or an inclusion-exclusion, and no lift is hulled
+    assert not_fine < len(payload["lower_facets"])
+    assert calls.get("polyhedra.convex_hull", 0) <= not_fine
+    assert calls.get("newton.mixed_volume", 0) <= not_fine
 
 
 def _chain_reference(s, p):
@@ -336,6 +341,10 @@ def _distinct_exponents(rng, n, terms, lo, hi):
     return sorted(exps)
 
 
+def _unit(rng, p):
+    return rng.choice([-1, 1]) * rng.choice([u for u in range(1, 10) if u % p])
+
+
 def _differential_systems(kind):
     """Seeded (system, p) pairs of one kind for the Minkowski-chain check."""
     rng = random.Random(f"{SEED}-sum-facets-{kind}")
@@ -362,6 +371,20 @@ def _differential_systems(kind):
             n = (2, 3)[trial % 2]
             exps = [_distinct_exponents(rng, n, 1 if i == 0 else rng.randint(2, 4), 0, 4)
                     for i in range(n)]
+        elif kind in ("flat", "near-flat"):
+            # unit coefficients at p make each lift one flat cell, so the
+            # lower facets of the sum hold large faces and most are not
+            # fine; a near-flat lift has one term times p
+            n = (2, 3)[trial % 2]
+            polys = []
+            for _ in range(n):
+                exps = _distinct_exponents(rng, n, rng.randint(3, 5), 0, 3)
+                lowered = rng.randrange(len(exps)) if kind == "near-flat" else None
+                polys.append(SparsePolynomial.from_dict({
+                    e: _unit(rng, p) * (p if j == lowered else 1) for j, e in enumerate(exps)
+                }))
+            out.append((SparseSystem.of(polys), p))
+            continue
         else:  # "degenerate": every support on a lattice of rank below n
             n = (2, 3, 3, 4)[trial % 4]
             rank = rng.randint(0 if trial == 5 else 1, n - 1)
@@ -377,12 +400,15 @@ def _differential_systems(kind):
     return out
 
 
-@pytest.mark.parametrize("kind", ["generic", "negative", "shared", "binomial", "one-term", "degenerate"])
+@pytest.mark.parametrize(
+    "kind", ["generic", "negative", "shared", "binomial", "one-term", "degenerate", "flat", "near-flat"]
+)
 def test_lower_facets_from_the_lifts_match_the_minkowski_chain(kind):
     # newton_data reads the lower facets and face tuples off the lifts'
     # own lower cells; the hull of their Minkowski sum must give the same
     # normals, vertex tuples and order, and the same face bounds
     dims = set()
+    hulled = 0
     for s, p in _differential_systems(kind):
         data = newton_data(s, p)
         facets, bounds = _chain_reference(s, p)
@@ -391,9 +417,16 @@ def test_lower_facets_from_the_lifts_match_the_minkowski_chain(kind):
         for (normal, _facet), faces in zip(data.facets, data.faces):
             assert faces == tuple(face(newton_polytope(f, p), normal) for f in s.polynomials)
         dims.add((s.n, project_pi(system_polytope(s, p)).affine_dim))
+        hulled += sum(
+            not fine and all(len(f.vertices) > 1 for f in faces)
+            for faces, fine in zip(data.faces, data.fine)
+        )
     if kind == "degenerate":
         # projected sums of affine dimension 0 up to n - 1
         assert all(d < n for n, d in dims) and {d for _n, d in dims} == {0, 1, 2}
+    if kind in ("flat", "near-flat"):
+        # facets that still hull their face sum and run mixed_volume
+        assert hulled
 
 
 def _direct_face_bound(s, p, r):

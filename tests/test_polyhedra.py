@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -19,6 +20,7 @@ from rootbounds.linalg import (
     to_vec,
     vec_sub,
 )
+from rootbounds.newton import _face_bound
 from rootbounds.polyhedra import (
     DimensionError,
     Polytope,
@@ -30,6 +32,7 @@ from rootbounds.polyhedra import (
     convex_hull,
     face,
     lower_facets,
+    lower_facets_of_sum,
     minkowski_sum,
     mixed_volume,
     project_pi,
@@ -940,3 +943,107 @@ def test_elimination_normal_matches_cofactors(d):
             _primitive([-x for x in normal], -offset),
         )
     assert degenerate >= 50
+
+
+# ---------------------------------------------------------------------------
+# fine face tuples: vertices without a hull, face bounds as 0 or |det|
+# ---------------------------------------------------------------------------
+
+
+def _is_fine(ps):
+    """Whether the dimensions of the polytopes add up to that of their sum."""
+    return sum(p.affine_dim for p in ps) == functools.reduce(minkowski_sum, ps).affine_dim
+
+
+def _face_tuple(rng, n, kind):
+    """n lattice polytopes in R^n of one kind: with a point among them,
+    segments, one polytope of dimension >= 2 beside points and segments (the
+    dimensions adding up to n), dimensions adding up to more than n, or all
+    of dimension >= 1 inside a proper linear subspace (the sum of dimension
+    d < n).  Each spans its own random directions in a common span."""
+    if kind == "point":
+        ps = [rand_polytope(rng, n, rng.randint(1, 5)) for _ in range(n)]
+        ps[rng.randrange(n)] = convex_hull([tuple(rng.randint(0, 4) for _ in range(n))])
+        return ps
+    rank = rng.randint(1, n - 1) if kind == "low" else n
+    span = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rank)]
+    if kind == "segments":
+        dims = [1] * n
+    elif kind == "big":
+        big = rng.randint(2, n)
+        dims = [big] + [1] * (n - big) + [0] * (big - 1)
+    elif kind == "over":  # not fine: dimensions adding up to more than n
+        dims = [2] + [rng.randint(1, 2) for _ in range(n - 1)]
+    else:  # "low": not fine either, as n polytopes of dimension >= 1 sum to d < n
+        dims = [rng.randint(1, 2) for _ in range(n)]
+    rng.shuffle(dims)
+    ps = []
+    for dim in dims:
+        base = tuple(rng.randint(-2, 2) for _ in range(n))
+        dirs = []
+        for _ in range(dim):
+            coeffs = [rng.randint(-2, 2) for _ in span]
+            dirs.append(tuple(sum(c * v[j] for c, v in zip(coeffs, span)) for j in range(n)))
+        pts = [base] + [tuple(map(sum, zip(base, v))) for v in dirs]
+        if dim >= 2 and rng.random() < 0.5:
+            # a parallelogram corner: the polytope is no simplex
+            pts.append(tuple(map(sum, zip(base, dirs[0], dirs[1]))))
+        ps.append(convex_hull(pts))
+    return ps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_face_bound_rule_matches_inclusion_exclusion(n):
+    # a point among the polytopes bounds 0 (the Rado condition for one
+    # polytope); a fine tuple without a point is n segments and bounds |det|
+    # of their edges; the rest run mixed_volume's inclusion-exclusion
+    rng = random.Random(f"{SEED}-face-bound-rule-{n}")
+    kinds = ["point", "segments"] + (["big", "over", "low"] if n >= 2 else [])
+    seen = set()
+    for kind in kinds:
+        for _ in range(12 if n < 4 else 6):
+            ps = _face_tuple(rng, n, kind)
+            fine = _is_fine(ps)
+            mv = mixed_volume(ps)
+            assert _face_bound(ps, fine) == mv
+            point = any(len(p.vertices) == 1 for p in ps)
+            low = functools.reduce(minkowski_sum, ps).affine_dim < n
+            seen.add((kind, fine, point, mv > 0, low))
+    # fine segments with a positive |det|, and the ways to 0; a point beside
+    # n - 1 polytopes leaves the tuple fine for n <= 2
+    assert ("segments", True, False, True) in {case[:4] for case in seen}
+    assert ("point", n <= 2, True, False) in {case[:4] for case in seen}
+    if n >= 2:
+        assert ("big", True, True, False, False) in seen
+        assert ("over", False, False, True, False) in seen
+        assert ("low", False, False, False, True) in seen
+
+
+def _lifted_point_sets(rng, n, flat):
+    """n seeded point sets in Z^(n+1): lattice points of [0, 3]^n with
+    heights in 0..3, or all at height 0 when ``flat``."""
+    sets = []
+    for _ in range(n):
+        exps = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 5))}
+        sets.append([to_vec(e + (0 if flat else rng.randint(0, 3),)) for e in sorted(exps)])
+    return sets
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fine_facet_vertices_are_the_sums_of_face_vertices(n):
+    # a fine lower facet of a Minkowski sum is the direct sum of its faces:
+    # every sum of one vertex per face is a vertex, no two alike, so the
+    # facet needs no hull; on any other facet some sums are no vertices
+    rng = random.Random(f"{SEED}-fine-facets-{n}")
+    fine_seen = extra_sums = 0
+    for trial in range(12 if n < 4 else 6):
+        for _normal, facet, faces, fine in lower_facets_of_sum(_lifted_point_sets(rng, n, trial % 3 == 0)):
+            sums = [tuple(map(sum, zip(*vs))) for vs in itertools.product(*(f.vertices for f in faces))]
+            assert facet == convex_hull(sums)
+            assert fine == (sum(f.affine_dim for f in faces) == facet.affine_dim)
+            if fine:
+                assert sorted(sums) == list(facet.vertices)
+                fine_seen += 1
+            else:
+                extra_sums += len(set(sums)) > len(facet.vertices)
+    assert fine_seen and extra_sums
