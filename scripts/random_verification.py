@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Seeded randomized sweep: oracle counts must stay below every bound.
 
-Generates random univariate sparse polynomials, counts their p-adic roots
-exactly, and checks the counts against the headline and facet-refined
-bounds.  Any violation is printed with the full instance and the script
-exits nonzero.  The binomial sweep (SNF count equals the face bound at the
+Generates random univariate sparse polynomials, a seeded quarter of them
+of the form g * h^2 so that the counter's squarefree reduction runs, counts
+their p-adic roots exactly, and checks the counts against the headline and
+facet-refined bounds.  Any violation is printed with the full instance and
+the script exits nonzero.  The binomial sweep (SNF count equals the face bound at the
 solved valuation vector) runs in the test suite, in tests/test_newton.py.
 """
 
@@ -15,6 +16,7 @@ from fractions import Fraction
 from rootbounds.bounds import FieldSpec, local_bound, local_facet_bound
 from rootbounds.newton import SparsePolynomial, SparseSystem
 from rootbounds.oracle import count_univariate_padic
+from rootbounds.parsing import _pmul
 
 
 def random_univariate(rng: random.Random, terms: int, degree: int) -> SparsePolynomial:
@@ -27,12 +29,25 @@ def random_univariate(rng: random.Random, terms: int, degree: int) -> SparsePoly
     return SparsePolynomial.from_dict(d)
 
 
-def sweep_univariate(rng: random.Random, trials: int, precision_cap: int) -> int:
-    violations = 0
+def repeated_factor_univariate(rng: random.Random) -> SparsePolynomial:
+    """g * h^2 with h = c0 + c1 x^e, e >= 1: never squarefree."""
+    g = random_univariate(rng, rng.randint(2, 3), 15).as_dict()
+    h = {(0,): Fraction(rng.choice([-3, -2, -1, 1, 2, 3])),
+         (rng.randint(1, 5),): Fraction(rng.choice([-2, -1, 1, 2]))}
+    return SparsePolynomial.from_dict(_pmul(g, _pmul(h, h)))
+
+
+def sweep_univariate(rng: random.Random, trials: int, precision_cap: int) -> tuple[int, int]:
+    """Violations, and instances whose squarefree reduction dropped degree."""
+    violations = reduced = 0
     for _ in range(trials):
         p = rng.choice([2, 3, 5])
-        f = random_univariate(rng, rng.randint(2, 4), 30)
-        count = count_univariate_padic(f, p, precision_cap).count
+        if rng.random() < 0.25:
+            f = repeated_factor_univariate(rng)
+        else:
+            f = random_univariate(rng, rng.randint(2, 4), 30)
+        rc = count_univariate_padic(f, p, precision_cap)
+        count, reduced = rc.count, reduced + bool(rc.notes)
         fs = FieldSpec.local(p, 1, 1)
         system = SparseSystem.of([f])
         for rep in (local_bound(fs, f.m, 1, 1), local_facet_bound(system, fs)):
@@ -40,7 +55,7 @@ def sweep_univariate(rng: random.Random, trials: int, precision_cap: int) -> int
                 violations += 1
                 print(f"VIOLATION p={p} f={dict(f.terms)} count={count} "
                       f"{rep.formula_id}={rep.integer_bound}")
-    return violations
+    return violations, reduced
 
 
 def main() -> int:
@@ -50,8 +65,9 @@ def main() -> int:
     parser.add_argument("--precision-cap", type=int, default=60)
     args = parser.parse_args()
     rng = random.Random(args.seed)
-    violations = sweep_univariate(rng, args.trials, args.precision_cap)
-    print(f"{violations} violations over {args.trials} instances")
+    violations, reduced = sweep_univariate(rng, args.trials, args.precision_cap)
+    print(f"{violations} violations over {args.trials} instances, "
+          f"{reduced} with a repeated factor reduced to the squarefree part")
     return 1 if violations else 0
 
 

@@ -10,13 +10,14 @@ never return a wrong count.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import ord_p_value, require_prime
+from .arith import _int_ord, ord_p_value, require_prime
 from .newton import SparsePolynomial, SparseSystem, laurent_normalize
 from .linalg import det, solve_square
 
@@ -42,53 +43,62 @@ class RootCount:
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate helpers (coefficient lists, low degree first)
+# Dense univariate helpers (integer coefficient lists, low degree first)
 # ---------------------------------------------------------------------------
 
 
-def _trim(cs: list[Fraction]) -> list[Fraction]:
+def _trim(cs: list[int]) -> list[int]:
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
 
 
-def _deriv(cs: Sequence[Fraction]) -> list[Fraction]:
-    return _trim([Fraction(i) * cs[i] for i in range(1, len(cs))])
+def _deriv(cs: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(cs)][1:]
 
 
-def _divmod_exact(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = list(a)
-    b = list(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _trim(a):
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        q[shift] = factor
-        for i, bc in enumerate(b):
-            a[shift + i] -= factor * bc
-        _trim(a)
-    return _trim(q), a
+def _primitive(cs: list[int]) -> list[int]:
+    g = math.gcd(*cs)
+    return [c // g for c in cs]
 
 
-def _gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        _, r = _divmod_exact(a, b)
-        a, b = b, _trim(r)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two nonzero integer polynomials by the primitive
+    pseudo-remainder sequence (Brown 1971): each step of a pseudo-remainder
+    scales a by lc(b) / gcd(lc(a), lc(b)) before cancelling its top term,
+    and every remainder is divided by its content."""
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        lb, db = b[-1], len(b) - 1
+        while len(a) > db:
+            la = a.pop()
+            g = math.gcd(la, lb)
+            if lb != g:
+                a = [lb // g * x for x in a]
+            shift, factor = len(a) - db, la // g
+            for i in range(db):
+                a[shift + i] -= factor * b[i]
+            _trim(a)
+        if not a:
+            return b
+        a, b = b, _primitive(a)
+    return [1]
 
 
-def _squarefree_part(cs: Sequence[Fraction]) -> list[Fraction]:
-    g = _gcd(cs, _deriv(cs))
-    if len(g) <= 1:
-        return _trim(list(cs))
-    q, r = _divmod_exact(cs, g)
-    if _trim(r):
+def _squarefree_part(cs: list[int]) -> list[int]:
+    """The squarefree part of a primitive integer polynomial.  It is cs over
+    the primitive gcd of cs and cs'; by Gauss's lemma the quotient is
+    integral and primitive, so the division below is exact."""
+    if len(cs) <= 2:
+        return cs  # constants and linear polynomials are squarefree
+    g = _primitive_gcd(cs, _deriv(cs))
+    a, lg, dg = list(cs), g[-1], len(g) - 1
+    q = [0] * (len(a) - dg)
+    for shift in reversed(range(len(q))):
+        q[shift], a[shift + dg] = divmod(a[shift + dg], lg)
+        for i in range(dg):
+            a[shift + i] -= q[shift] * g[i]
+    if any(a):
         raise ArithmeticError("squarefree division left a remainder")
     return q
 
@@ -106,20 +116,9 @@ def _lower_hull_slopes(points: list[tuple[int, Fraction]]) -> list[Fraction]:
                 break
         hull.append(pt)
     return [
-        (hull[i + 1][1] - hull[i][1]) / (hull[i + 1][0] - hull[i][0])
+        Fraction(hull[i + 1][1] - hull[i][1], hull[i + 1][0] - hull[i][0])
         for i in range(len(hull) - 1)
     ]
-
-
-def _mod_p(c: Fraction, p: int) -> int:
-    den = c.denominator % p
-    if den == 0:
-        raise ArithmeticError("coefficient with negative valuation in reduction")
-    return c.numerator * pow(den, -1, p) % p
-
-
-def _poly_mod_p(cs: Sequence[Fraction], p: int) -> list[int]:
-    return [_mod_p(c, p) for c in cs]
 
 
 def _eval_mod(cs_mod: Sequence[int], x: int, p: int) -> int:
@@ -129,35 +128,30 @@ def _eval_mod(cs_mod: Sequence[int], x: int, p: int) -> int:
     return acc
 
 
-def _compose_residue(cs: Sequence[Fraction], rho: int, p: int) -> list[Fraction]:
+def _compose_residue(cs: Sequence[int], rho: int, p: int) -> list[int]:
     """Coefficients of h(rho + p*y)."""
-    out: list[Fraction] = [Fraction(0)]
-    for c in reversed(list(cs)):
+    out = [0]
+    for c in reversed(cs):
         # out = out * (rho + p y) + c
-        shifted = [Fraction(0)] + [p * x for x in out]
+        shifted = [0] + [p * x for x in out]
         for i, x in enumerate(out):
             shifted[i] += rho * x
         shifted[0] += c
-        out = _trim(shifted)
-        if not out:
-            out = [Fraction(0)]
+        out = _trim(shifted) or [0]
     return out
 
 
-def _normalize_content(cs: Sequence[Fraction], p: int) -> list[Fraction]:
-    nz = [c for c in cs if c != 0]
-    if not nz:
-        raise ArithmeticError("zero polynomial in residue refinement")
-    shift = min(ord_p_value(c, p) for c in nz)
-    scale = Fraction(p) ** (-shift)
-    return [c * scale for c in cs]
+def _normalize_content(cs: list[int], p: int) -> list[int]:
+    """cs != 0 divided by the largest power of p dividing every coefficient."""
+    scale = p ** _int_ord(math.gcd(*cs), p)
+    return [c // scale for c in cs]
 
 
 def _count_padic_integer_roots(
-    cs: list[Fraction], p: int, residues: Sequence[int], depth: int, cap: int
+    cs: list[int], p: int, residues: Sequence[int], depth: int, cap: int
 ) -> int:
-    """Distinct p-adic integer roots of a squarefree polynomial whose leading
-    residue structure is explored class by class.
+    """Distinct p-adic integer roots of a squarefree integer polynomial, not
+    every coefficient divisible by p, explored residue class by class.
 
     Simple residues lift uniquely; multiple residues are refined by the
     substitution y -> rho + p y until they become simple or die out.
@@ -166,8 +160,8 @@ def _count_padic_integer_roots(
         raise PrecisionCapError(
             f"residue refinement exceeded the cap of {cap} levels"
         )
-    cs_mod = _poly_mod_p(cs, p)
-    deriv_mod = _poly_mod_p(_deriv(cs), p) if len(cs) > 1 else [0]
+    cs_mod = [c % p for c in cs]
+    deriv_mod = [c % p for c in _deriv(cs_mod)] or [0]
     count = 0
     for rho in residues:
         if _eval_mod(cs_mod, rho, p) != 0:
@@ -185,9 +179,14 @@ def count_univariate_padic(
 ) -> RootCount:
     """Exact number of distinct roots of f in the punctured p-adic line.
 
-    The polynomial is reduced to its squarefree part first; only integer
-    Newton-polygon slopes can carry roots with rational coordinates, and the
-    units at each eligible valuation are counted by residue refinement.
+    All on Python ints: f is cleared of denominators once (times their lcm,
+    over their gcd) and reduced to its squarefree part by a primitive
+    pseudo-remainder sequence with f'.  Only integer Newton-polygon slopes
+    carry roots with rational coordinates; for each, f(p^r y) is scaled by
+    the power of p that leaves its coefficients integral, one a unit, and the
+    units y are counted by residue refinement.  These integer forms differ
+    from f by rational scalars that the content normalisation makes p-adic
+    units, and a unit changes no residue and no derivative test mod p.
     """
     require_prime(p)
     if p > MAX_SCAN_PRIME:
@@ -196,29 +195,28 @@ def count_univariate_padic(
     if f.n != 1:
         raise ValueError("the univariate counter takes one-variable polynomials")
     g = laurent_normalize(f)
-    degree = g.total_degree()
-    dense = [Fraction(0)] * (degree + 1)
+    scale = math.lcm(*(c.denominator for _, c in g.terms))
+    dense = [0] * (g.total_degree() + 1)
     for exp, coeff in g.terms:
-        dense[exp[0]] = coeff
-    sf = _squarefree_part(dense)
+        dense[exp[0]] = coeff.numerator * (scale // coeff.denominator)
+    sf = _squarefree_part(_primitive(dense))
     notes = ()
     if len(sf) != len(dense):
         notes = (
             f"squarefree reduction dropped degree {len(dense) - len(sf)}; "
             "multiple factors counted once",
         )
-    if len(sf) <= 1:
-        return RootCount(0, "univariate_padic", f"Q_{p}^*", False, notes)
 
-    points = [(i, ord_p_value(c, p)) for i, c in enumerate(sf) if c != 0]
+    points = [(i, _int_ord(c, p)) for i, c in enumerate(sf) if c != 0]
     total = 0
     for slope in _lower_hull_slopes(points):
-        r = -slope
-        if r.denominator != 1:
+        if slope.denominator != 1:
             continue
-        rr = int(r)
-        substituted = [c * Fraction(p) ** (rr * i) for i, c in enumerate(sf)]
-        substituted = _normalize_content(substituted, p)
+        r = -slope.numerator
+        low = min(v + r * i for i, v in points)
+        # sf(p^r y) / p^low: every coefficient stays integral, one is a unit
+        substituted = [c * p ** (r * i - low) if r * i >= low else c // p ** (low - r * i)
+                       for i, c in enumerate(sf)]
         total += _count_padic_integer_roots(
             substituted, p, range(1, p), 0, precision_cap
         )
@@ -385,23 +383,58 @@ def count_binomial_system(
 # ---------------------------------------------------------------------------
 
 
-def _rationals_up_to_height(h: int) -> list[Fraction]:
-    out = []
-    for den in range(1, h + 1):
-        for num in range(1, h + 1):
-            if math.gcd(num, den) == 1:
-                out.append(Fraction(num, den))
-                out.append(Fraction(-num, den))
-    return sorted(out)
+# Cap on the work of one rational search: at each level, the points tested
+# (2H^2 candidates at height cap H times the survivors of the level above, at
+# most the exponent span of an equation in x1 alone for the first) times 64
+# plus, per term of each equation tested there, 64 + b + (b/64)^2, where
+# b = span * bits(H) bounds the bits of the term's powers.  At the dearest
+# unit measured, 2 ns (two-term equations in two or three variables, one
+# core of an Intel Xeon server), the slowest search under the cap takes 6 s.
+MAX_SEARCH_WORK = 3 * 10**9
+
+
+@functools.cache
+def _rationals_up_to_height(h: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero rationals of height <= h as (numerator, denominator)."""
+    return tuple((s * a, b) for b in range(1, h + 1) for a in range(1, h + 1)
+                 if math.gcd(a, b) == 1 for s in (1, -1))
+
+
+def _integer_form(f: SparsePolynomial):
+    """f as integer terms (c, ((j, e_j - lo_j, hi_j - e_j), ...)), and the
+    (j, lo_j, hi_j) of the variables whose exponent varies in f, between
+    lo_j and hi_j."""
+    scale = math.lcm(*(c.denominator for _, c in f.terms))
+    ranges = [(j, min(col), max(col)) for j, col in enumerate(zip(*f.support))]
+    ranges = [r for r in ranges if r[1] != r[2]]
+    terms = [
+        (c.numerator * (scale // c.denominator),
+         tuple((j, e[j] - lo, hi - e[j]) for j, lo, hi in ranges))
+        for e, c in f.terms
+    ]
+    return terms, ranges
+
+
+def _vanishes(terms, nums: list[int], dens: list[int]) -> bool:
+    total = 0
+    for c, powers in terms:
+        for j, up, down in powers:
+            c *= nums[j] ** up * dens[j] ** down
+        total += c
+    return total == 0
 
 
 def rational_root_search(F: SparseSystem, height_cap: int) -> RootCount:
     """Exhaustive count of common roots in the punctured rational box of the
     given height: numerators and denominators up to the cap in magnitude.
 
-    The search assigns variables one at a time and evaluates each polynomial
-    as soon as all the variables it mentions are fixed, so equations in few
-    variables prune the grid early; exactness is unaffected.
+    Each equation f becomes, once, integer coefficients c (f times the lcm of
+    its denominators) with exponent offsets lo_j <= e_j <= hi_j: x_j = a_j/b_j
+    is a root exactly when sum c * prod a_j^(e_j - lo_j) * b_j^(hi_j - e_j),
+    f(x) times a nonzero integer, is 0, for Laurent exponents too.  Variables
+    are assigned one at a time and each equation is tested once all of its
+    variables are fixed, so equations in few variables prune the grid early.
+    A search weighing more than MAX_SEARCH_WORK is refused before it starts.
     """
     if F.n > 3:
         raise ValueError("rational search capped at 3 variables")
@@ -410,46 +443,47 @@ def rational_root_search(F: SparseSystem, height_cap: int) -> RootCount:
     if height_cap < 1:
         raise ValueError(f"rational search needs a height cap >= 1, got {height_cap}")
     n = F.n
-    candidates = _rationals_up_to_height(height_cap)
-
-    def used_vars(f: SparsePolynomial) -> list[int]:
-        return [i for i in range(n) if any(exp[i] for exp, _ in f.terms)]
-
-    by_depth: list[list[SparsePolynomial]] = [[] for _ in range(n)]
+    region = f"(Q^*)^{n}, numerator and denominator magnitudes <= {height_cap}"
+    by_depth: list[list] = [[] for _ in range(n)]
+    candidates = 2 * height_cap**2  # per variable, at most
+    level_cost = [64] * n  # per point tested at each level
+    first_level_roots = candidates
     for f in F.polynomials:
-        vs = used_vars(f)
-        if not vs:
-            # a nonzero constant equation has no roots at all
-            return RootCount(
-                0,
-                "rational_search",
-                f"(Q^*)^{n}, numerator and denominator magnitudes <= {height_cap}",
-                with_multiplicity=False,
-            )
-        by_depth[max(vs)].append(f)
+        terms, ranges = _integer_form(f)
+        if not ranges:
+            # one monomial: no root in the torus
+            return RootCount(0, "rational_search", region, with_multiplicity=False)
+        depth = ranges[-1][0]
+        by_depth[depth].append(terms)
+        span = sum(hi - lo for _, lo, hi in ranges)
+        if depth == 0:
+            # a nonzero Laurent polynomial in x1 alone has at most span roots
+            first_level_roots = min(first_level_roots, span)
+        bits = span * height_cap.bit_length()
+        level_cost[depth] += len(terms) * (64 + bits + (bits // 64) ** 2)
+    work, points = 0, candidates
+    for depth in range(n):
+        work += points * level_cost[depth]
+        points = (first_level_roots if depth == 0 else points) * candidates
+    if work > MAX_SEARCH_WORK:
+        raise ValueError(f"the rational search at height cap {height_cap} weighs {work} "
+                         f"(points times exponent bits), above the cap {MAX_SEARCH_WORK} "
+                         "(MAX_SEARCH_WORK)")
 
-    ones = tuple(Fraction(1) for _ in range(n))
+    nums, dens = [1] * n, [1] * n
     count = 0
-    assignment: list[Fraction] = [Fraction(1)] * n
 
     def dfs(depth: int) -> None:
         nonlocal count
         if depth == n:
             count += 1
             return
-        for x in candidates:
-            assignment[depth] = x
-            point = tuple(assignment[: depth + 1]) + ones[depth + 1 :]
-            if all(f.evaluate(point) == 0 for f in by_depth[depth]):
+        for nums[depth], dens[depth] in _rationals_up_to_height(height_cap):
+            if all(_vanishes(terms, nums, dens) for terms in by_depth[depth]):
                 dfs(depth + 1)
 
     dfs(0)
-    return RootCount(
-        count,
-        "rational_search",
-        f"(Q^*)^{n}, numerator and denominator magnitudes <= {height_cap}",
-        with_multiplicity=False,
-    )
+    return RootCount(count, "rational_search", region, with_multiplicity=False)
 
 
 def product_system_root_count(m: int, n: int) -> RootCount:

@@ -24,6 +24,7 @@ from rootbounds.cli import (
     _build_parser,
     main,
 )
+from rootbounds.oracle import rational_root_search
 from rootbounds.parsing import (
     MAX_VARS,
     ParseError,
@@ -784,3 +785,51 @@ def test_any_readable_flags_end_in_a_documented_exit_code(argv, stdin_text):
         else:
             assert json.loads(out.getvalue())["all_ok"] is False
     assert "Exceeds the limit" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "stdin_text",
+    [
+        "1 + x1*x2*x3 + x3^2*x1; 2 + x2*x1 + x1*x3^2; 3 + x3*x2 + x1*x2^2*x3\n",
+        "x1^3000000*x2 + 3*x1 - 1; x2^2 - 2*x1^5 + 1\n",
+    ],
+    ids=["3x3-height-10", "exponent-3e6"],
+)
+def test_verify_search_ends_or_is_refused(capsys, monkeypatch, stdin_text):
+    # the first ran past 60 s at the default height cap, the second never
+    # returned: each exact power of a candidate was millions of bits long
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, ["verify", "-"], stdin_text=stdin_text, monkeypatch=monkeypatch)
+    assert time.perf_counter() - t0 < 10.0
+    assert code in (EXIT_OK, EXIT_BAD_PARAMS)
+    if code == EXIT_BAD_PARAMS:
+        assert out == "" and "MAX_SEARCH_WORK" in err
+
+
+def test_search_just_under_the_work_cap_is_accepted(capsys, monkeypatch):
+    # x1^2 - 2 has no rational root, so the search stops at the first level
+    # whatever the second equation weighs; the largest k accepted is found
+    # by bisection, each refusal being made before any candidate is tried
+    def system(k):
+        return parse_system_text(f"x1^2 - 2; x2^{k} + x2 - x1")
+
+    def accepted(k):
+        try:
+            rational_root_search(system(k), 10)
+        except ValueError as exc:
+            assert "MAX_SEARCH_WORK" in str(exc)
+            return False
+        return True
+
+    lo, hi = 1, 10**6
+    assert accepted(lo) and not accepted(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    code, out, _ = run_cli(capsys, ["verify", "-"], stdin_text=f"x1^2 - 2; x2^{lo} + x2 - x1\n",
+                           monkeypatch=monkeypatch)
+    assert code == EXIT_OK
+    assert [r["count"] for r in json.loads(out)["rows"] if r["oracle"] == "rational_search"] == [0, 0]
+    code, out, err = run_cli(capsys, ["verify", "-"], stdin_text=f"x1^2 - 2; x2^{hi} + x2 - x1\n",
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (EXIT_BAD_PARAMS, "") and "MAX_SEARCH_WORK" in err

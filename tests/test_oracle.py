@@ -1,16 +1,21 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from rootbounds import oracle
+from rootbounds.arith import ord_p_value
 from rootbounds.bounds import FieldSpec, local_bound, local_facet_bound
 from rootbounds.linalg import det
-from rootbounds.newton import SparsePolynomial, SparseSystem
+from rootbounds.newton import SparsePolynomial, SparseSystem, laurent_normalize
 from rootbounds.oracle import (
     MAX_SCAN_PRIME,
     IntegerMatrix,
     PrecisionCapError,
     RootCount,
+    _lower_hull_slopes,
     count_binomial_system,
     count_univariate_padic,
     product_system,
@@ -274,3 +279,239 @@ def test_root_count_is_frozen_data():
     rc = RootCount(3, "rational_search", "box", False)
     with pytest.raises(AttributeError):
         rc.count = 4
+
+
+# ---------------------------------------------------------------------------
+# differential checks against the Fraction kernels the integer ones replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_trim(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_deriv(cs):
+    return _ref_trim([Fraction(i) * cs[i] for i in range(1, len(cs))])
+
+
+def _ref_divmod(a, b):
+    a = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and _ref_trim(a):
+        shift = len(a) - len(b)
+        factor = a[-1] / b[-1]
+        q[shift] = factor
+        for i, bc in enumerate(b):
+            a[shift + i] -= factor * bc
+        _ref_trim(a)
+    return _ref_trim(q), a
+
+
+def _ref_squarefree(cs):
+    """Squarefree part by Euclid's algorithm over Fraction."""
+    a, b = _ref_trim(list(cs)), _ref_deriv(cs)
+    while b:
+        a, b = b, _ref_trim(_ref_divmod(a, b)[1])
+    if len(a) <= 1:
+        return _ref_trim(list(cs))
+    q, r = _ref_divmod(cs, a)
+    assert not _ref_trim(r)
+    return q
+
+
+def _ref_compose_residue(cs, rho, p):
+    out = [Fraction(0)]
+    for c in reversed(cs):
+        shifted = [Fraction(0)] + [p * x for x in out]
+        for i, x in enumerate(out):
+            shifted[i] += rho * x
+        shifted[0] += c
+        out = _ref_trim(shifted) or [Fraction(0)]
+    return out
+
+
+def _ref_normalize(cs, p):
+    shift = min(ord_p_value(c, p) for c in cs if c != 0)
+    return [c * Fraction(p) ** (-shift) for c in cs]
+
+
+def _ref_mod_p(cs, p):
+    return [c.numerator * pow(c.denominator, -1, p) % p for c in cs]
+
+
+def _ref_padic_integer_roots(cs, p, residues, depth=0):
+    assert depth <= 60
+    count = 0
+    cs_mod, deriv_mod = _ref_mod_p(cs, p), _ref_mod_p(_ref_deriv(cs), p) or [0]
+    for rho in residues:
+        if sum(c * rho**i for i, c in enumerate(cs_mod)) % p:
+            continue
+        if sum(c * rho**i for i, c in enumerate(deriv_mod)) % p:
+            count += 1
+            continue
+        refined = _ref_normalize(_ref_compose_residue(cs, rho, p), p)
+        count += _ref_padic_integer_roots(refined, p, range(p), depth + 1)
+    return count
+
+
+def _ref_count_univariate(f, p):
+    """The p-adic root count of the Fraction kernel: Euclid over Fraction,
+    Fraction valuations and Fraction residue refinement."""
+    g = laurent_normalize(f)
+    dense = [Fraction(0)] * (g.total_degree() + 1)
+    for exp, coeff in g.terms:
+        dense[exp[0]] = coeff
+    sf = _ref_squarefree(dense)
+    points = [(i, ord_p_value(c, p)) for i, c in enumerate(sf) if c != 0]
+    total = 0
+    for slope in _lower_hull_slopes(points):
+        if slope.denominator == 1:
+            shifted = [c * Fraction(p) ** (-slope * i) for i, c in enumerate(sf)]
+            total += _ref_padic_integer_roots(_ref_normalize(shifted, p), p, range(1, p))
+    return total
+
+
+def _ref_rational_search(system, height):
+    """Brute force over the whole box with SparsePolynomial.evaluate."""
+    values = sorted({Fraction(s * a, b) for a in range(1, height + 1)
+                     for b in range(1, height + 1) for s in (1, -1)})
+    return sum(
+        all(f.evaluate(point) == 0 for f in system.polynomials)
+        for point in itertools.product(values, repeat=system.n)
+    )
+
+
+def _pmul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _repeated_factor_polynomial(rng, p):
+    """A dense Fraction list g * h^2 (or g * h^3) with rational roots of both
+    valuation signs among its factors."""
+    def linear():
+        # b x - a with a root of valuation in -2..2
+        v = rng.randint(-2, 2)
+        a = rng.choice([1, -1, 2, 3, -5, 7]) * p ** max(v, 0)
+        b = rng.choice([1, 2, 3, 11]) * p ** max(-v, 0)
+        return [Fraction(-a), Fraction(b)]
+
+    def random_factor():
+        cs = [Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(2, 4))]
+        cs[-1] = cs[-1] or Fraction(1)
+        cs[0] = cs[0] or Fraction(p)
+        return cs
+
+    g = random_factor() if rng.random() < 0.5 else linear()
+    for _ in range(rng.randint(0, 2)):
+        g = _pmul(g, linear())
+    h = linear() if rng.random() < 0.6 else random_factor()
+    if rng.random() < 0.5:
+        h = _pmul(h, linear())
+    f = _pmul(g, _pmul(h, h))
+    if rng.random() < 0.3:
+        f = _pmul(f, h)
+    return f
+
+
+def _as_polynomial(dense, p, rng):
+    """The dense list as a Laurent polynomial, its coefficients divided by
+    powers of p now and then so that some carry p in the denominator."""
+    shift = rng.randint(-4, 2)
+    terms = {}
+    for i, c in enumerate(dense):
+        if c:
+            if rng.random() < 0.3:
+                c /= p ** rng.randint(1, 3)
+            terms[(i + shift,)] = c
+    return SparsePolynomial.from_dict(terms)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_squarefree_part_matches_the_fraction_euclid(p):
+    rng = random.Random(SEED + 10 + p)
+    reduced = 0
+    for _ in range(40):
+        dense = _repeated_factor_polynomial(rng, p)
+        scale = math.lcm(*(c.denominator for c in dense))
+        ints = oracle._primitive([int(c * scale) for c in dense])
+        sf = oracle._squarefree_part(ints)
+        ref = _ref_squarefree(dense)
+        assert len(sf) == len(ref)
+        # equal up to a rational scalar
+        assert all(a * ref[-1] == b * sf[-1] for a, b in zip(sf, ref))
+        assert math.gcd(*sf) == 1
+        reduced += len(sf) < len(dense)
+    assert reduced == 40
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_univariate_count_matches_the_fraction_counter(p):
+    rng = random.Random(SEED + 20 + p)
+    positive = 0
+    for _ in range(25):
+        f = _as_polynomial(_repeated_factor_polynomial(rng, p), p, rng)
+        count = count_univariate_padic(f, p).count
+        assert count == _ref_count_univariate(f, p), dict(f.terms)
+        positive += count > 0
+    for _ in range(15):
+        f = rand_poly(rng, 1, rng.randint(2, 5), 25)
+        f = _as_polynomial([f.as_dict().get((i,), Fraction(0)) for i in range(26)], p, rng)
+        assert count_univariate_padic(f, p).count == _ref_count_univariate(f, p), dict(f.terms)
+    assert positive >= 15
+
+
+def _planted_polynomial(rng, n, root, lo=-3, hi=3):
+    """A random Laurent polynomial in n variables vanishing at root."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            exp = tuple(rng.randint(lo, hi) for _ in range(n))
+            terms[exp] = Fraction(rng.randint(-20, 20))
+        terms = {e: c for e, c in terms.items() if c}
+        if len(terms) < 2:
+            continue
+        f = SparsePolynomial.from_dict(terms)
+        # cancel the value at the root through one term's coefficient
+        exp, coeff = f.terms[0]
+        monomial = math.prod(x**e for x, e in zip(root, exp))
+        terms[exp] = coeff - f.evaluate(root) / monomial
+        terms = {e: c for e, c in terms.items() if c}
+        if len(terms) >= 2:
+            return SparsePolynomial.from_dict(terms)
+
+
+def _product(f, g):
+    out = {}
+    for e1, c1 in f.terms:
+        for e2, c2 in g.terms:
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return SparsePolynomial.from_dict({e: c for e, c in out.items() if c})
+
+
+@pytest.mark.parametrize("n,height", [(1, 6), (2, 4), (3, 2)])
+def test_rational_search_matches_brute_force(n, height):
+    rng = random.Random(SEED + 30 + n)
+    values = sorted({Fraction(s * a, b) for a in range(1, height + 1)
+                     for b in range(1, height + 1) for s in (1, -1)})
+    positive = 0
+    for trial in range(12 if n < 3 else 6):
+        roots = [tuple(rng.choice(values) for _ in range(n)) for _ in range(2)]
+        polys = []
+        for _ in range(n):
+            f = _planted_polynomial(rng, n, roots[0])
+            if trial % 2:
+                # vanishes at both roots
+                f = _product(f, _planted_polynomial(rng, n, roots[1]))
+            polys.append(f)
+        system = SparseSystem.of(polys)
+        count = rational_root_search(system, height).count
+        assert count == _ref_rational_search(system, height), system.to_json_obj()
+        positive += count > 0
+    assert positive >= (12 if n < 3 else 6)
