@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the polyhedral kernels on the seeded inputs of the ROADMAP timing table.
+"""Time the polyhedral and log kernels on the seeded inputs of the ROADMAP timing table.
 
     python3 scripts/time_polyhedra.py                 # seed 2024, one run per case
     python3 scripts/time_polyhedra.py --repeats 3     # best of three
@@ -12,10 +12,15 @@ coefficients +-{1, 2, 3, 4, 6, 8, 12, 16} at p = 2; ``face_bounds`` of the
 with 7 terms and a 4x4 with 5 terms per equation, exponents 0..4 and the
 units +-{1, 3, 5, 7} at p = 2 as coefficients, where each lift is one cell
 and the sum has one lower facet; and the mixed volume of n = 3 and 4
-polytopes, each the hull of 7 random lattice points in [0, 4]^n.  Each case
-draws its input from a fresh ``random.Random(seed)``.  The script prints
-one line per case: its name, its result and the best wall time over the
-repeats.
+polytopes, each the hull of 7 random lattice points in [0, 4]^n.  The
+``natural_log`` rows time the interval-log kernel ``arith._ln_half_even``
+beside ``Decimal.ln`` at 40, 80 and 1000 digits (the precision cap), on 500
+seeded ratios of integers below 10^12 (20 at 1000 digits) rounded to the
+working precision; before timing, each row asserts that the two agree digit
+for digit, which also builds the kernel's table.  Each case draws its input
+from a fresh ``random.Random(seed)``.  The script prints one line per case:
+its name, its result (for the logs, the number of arguments) and the best
+wall time over the repeats.
 """
 
 from __future__ import annotations
@@ -24,11 +29,13 @@ import argparse
 import random
 import sys
 import time
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from rootbounds.arith import _GUARD_DIGITS, MAX_DIGITS, _ln_half_even  # noqa: E402
 from rootbounds.newton import (  # noqa: E402
     SparsePolynomial,
     SparseSystem,
@@ -70,6 +77,15 @@ def seeded_polytopes(seed: int, n: int) -> list:
     ]
 
 
+def seeded_log_arguments(seed: int, digits: int, count: int) -> tuple[Context, list[Decimal]]:
+    rng = random.Random(seed)
+    ctx = Context(prec=digits + _GUARD_DIGITS)
+    return ctx, [
+        ctx.divide(Decimal(rng.randint(1, 10**12)), Decimal(rng.randint(1, 10**12)))
+        for _ in range(count)
+    ]
+
+
 def cases(seed: int):
     """(name, thunk) per case; each thunk returns the printed result."""
     for n in (3, 4):
@@ -85,6 +101,14 @@ def cases(seed: int):
     for n in (3, 4):
         polytopes = seeded_polytopes(seed, n)
         yield f"mixed_volume n={n}", lambda ps=polytopes: mixed_volume(ps)
+    for digits, count in ((40, 500), (80, 500), (MAX_DIGITS, 20)):
+        ctx, xs = seeded_log_arguments(seed, digits, count)
+        want = [x.ln(ctx).as_tuple() for x in xs]
+        if [_ln_half_even(x, ctx.prec).as_tuple() for x in xs] != want:
+            raise AssertionError(f"the log kernel disagrees with Decimal.ln at {digits} digits")
+        yield f"natural_log d={digits} kernel", lambda c=ctx, xs=xs: len(
+            [_ln_half_even(x, c.prec) for x in xs])
+        yield f"natural_log d={digits} Decimal.ln", lambda c=ctx, xs=xs: len([x.ln(c) for x in xs])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -98,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
             start = time.perf_counter()
             result = thunk()
             best = min(best, time.perf_counter() - start)
-        print(f"{name:<26} result {result!s:<8} {best:8.3f} s", flush=True)
+        print(f"{name:<31} result {result!s:<8} {best:8.3f} s", flush=True)
     return 0
 
 

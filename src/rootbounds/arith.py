@@ -13,14 +13,21 @@ significant digits and can be raised at startup via :func:`set_precision`.
 
 Everything that depends only on the precision is built once per precision:
 the floor/ceiling ``Context`` pair, the enclosure of c returned by
-:func:`euler_ratio`, and (per prime) the enclosure of ln p returned by
-:func:`ln_prime`.  An interval log of a point interval makes a single
-``Decimal.ln`` call, since decimal rounds ln half-even in every context.
+:func:`euler_ratio`, (per prime) the enclosure of ln p returned by
+:func:`ln_prime`, and the log kernel's table.  Interval logs run on that
+kernel, :func:`_ln_half_even`: fixed-point arithmetic on ints (a table of
+ln(1 + j/256), an atanh series and a proven error bound E) followed by a
+rounding test, which returns exactly what ``Decimal.ln`` returns, the result
+correctly rounded half-even, at a fifth of its cost.  An argument whose log
+the test cannot decide (within about 10^-prec ulp of a rounding tie), 1, an
+exponent past _LN_MAX_EXPONENT and an infinity go to ``Decimal.ln``.  An
+interval log of a point interval makes one kernel call.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
@@ -32,9 +39,10 @@ RationalLike = Union[Fraction, int]
 
 DEFAULT_DIGITS = 40
 
-# Cap on the working precision: the Decimal logs grow superlinearly in the
-# digit count (a trinomial bound takes about 0.5 s at 1000 digits and 12 s at
-# 3000), so a larger request is refused instead of running unbounded.
+# Cap on the working precision: the interval logs grow superlinearly in the
+# digit count (a trinomial's bounds take about 0.01 s at 1000 digits and 0.13 s
+# at 3000, after 0.1 s and 1.1 s to build the log table once per process), so
+# a larger request is refused instead of running unbounded.
 MAX_DIGITS = 1000
 
 # Extra working digits beyond the requested precision; absorbs the +/- 1 ulp
@@ -167,6 +175,160 @@ def _ulp(x: Decimal, prec: int) -> Decimal:
     return Decimal(1).scaleb(x.adjusted() - prec + 1)
 
 
+# ---------------------------------------------------------------------------
+# The natural-log kernel: fixed point on ints, rounded half-even
+# ---------------------------------------------------------------------------
+
+_LOG2_10 = math.log2(10)
+_LOG10_2 = math.log10(2)
+
+# Bits carried beyond the ones a correctly rounded result needs.  The error
+# bound E of a first attempt stays below 2^13 units (k <= 3326 under
+# _LN_MAX_EXPONENT), so it is left undecided only when ln x lies within
+# 2^-27 ulp of a rounding tie; the retry, at twice the bits, only within
+# about 10^-prec ulp.
+_LN_GUARD_BITS = 40
+# Extra bits of the table's private accumulator.
+_LN_TABLE_BITS = 32
+# Largest |adjusted exponent| the kernel takes.  Converting x to n/d costs
+# time quadratic in the exponent (0.3 ms at 10^4, 0.3 s at 10^6, against
+# 0.1 ms for Decimal.ln at 48 digits), so larger ones go to Decimal.ln.
+_LN_MAX_EXPONENT = 1000
+
+
+def _ln_bits(prec: int) -> int:
+    """Working bits for a result of prec digits: prec digits, 9 bits because
+    |ln y| >= ln(1 + 1/256) > 2^-9 whenever a table entry is used, and the
+    guard bits, rounded up to a multiple of 64 so that nearby precisions
+    share one table (at most MAX_DIGITS/19 + 2 tables, and as many for the
+    retries at twice the bits)."""
+    return -(-(math.ceil(prec * _LOG2_10) + 9 + _LN_GUARD_BITS) // 64) * 64
+
+
+def _atanh_sum(t: int, num: int, den: int, shift: int) -> tuple[int, int]:
+    """sum over i of floor(t_i / (2i + 1)), where t_0 = t and
+    t_{i+1} = floor(t_i * num / (den * 2^shift)), stopping at the first
+    t_i = 0; and the number N of terms summed."""
+    s = i = 0
+    while t:
+        s += t // (2 * i + 1)
+        t = (t * num >> shift) // den
+        i += 1
+    return s, i
+
+
+@functools.cache
+def _ln_table(wp: int) -> tuple[tuple[int, ...], int]:
+    """ln(1 + j/256) * 2^wp for j = 0..256 (ln 2 last), each floored from a
+    sum built with _LN_TABLE_BITS more bits, and a bound, in units of
+    2^-wp, on the error of every entry.
+
+    ln((256 + j)/(255 + j)) = 2 atanh(1/(511 + 2j)), and the series of each
+    step falls short by less than 2(N + 1) units (see :func:`_ln_half_even`),
+    so the running sum falls short by less than err units of 2^-w; the final
+    floor adds at most one unit of 2^-wp.  Built on first use, for the
+    working bits of :func:`_ln_bits`, each table of 257 entries.
+    """
+    w = wp + _LN_TABLE_BITS
+    acc = err = 0
+    table = [0]
+    for j in range(1, 257):
+        q = 511 + 2 * j
+        s, terms = _atanh_sum((1 << w) // q, 1, q * q, 0)
+        acc += 2 * s
+        err += 4 * (terms + 1)
+        table.append(acc >> _LN_TABLE_BITS)
+    return tuple(table), (err >> _LN_TABLE_BITS) + 2
+
+
+def _round_half_even(v: int, w: int, prec: int) -> tuple[int, int]:
+    """(c, e) with c * 10^e the value v / 2^w > 0 rounded half-even to prec
+    significant digits, 10^(prec-1) <= c < 10^prec."""
+    top = 10**prec
+    e = math.floor((v.bit_length() - 1 - w) * _LOG10_2) - prec + 1
+    while True:
+        num, den = (v * 10**-e, 1 << w) if e <= 0 else (v, 10**e << w)
+        c, r = divmod(num, den)
+        if c >= top:
+            e += 1
+        elif c * 10 < top:
+            e -= 1
+        else:
+            break
+    if 2 * r > den or (2 * r == den and c & 1):
+        c += 1
+        if c == top:
+            c, e = c // 10, e + 1
+    return c, e
+
+
+def _ln_half_even(x: Decimal, prec: int) -> Decimal:
+    """ln x rounded half-even to prec digits: exactly ``x.ln(ctx)`` for a
+    context of precision prec, the same value with the same coefficient and
+    exponent (Ziv's method: a cheap approximation, then a rounding test).
+
+    For x > 0.  With y = max(x, 1/x) = n/d > 1 (the sign is put back
+    at the end), write y = m * 2^k with m in [1, 2), let j = floor(256(m - 1))
+    and c_j = 1 + j/256.  Then m/c_j lies in [1, 1 + 1/(256 + j)), so
+
+        ln y = k ln 2 + ln c_j + 2 atanh(z),   z = (m - c_j)/(m + c_j),
+
+    with 0 <= z < 2^-9; z is an exact ratio of ints, and every term is
+    nonnegative, so nothing cancels.  In fixed point with unit 2^-w:
+
+    * Z = floor(z 2^w) and z2 = floor(Z^2 / 2^w) >= z^2 2^w - (2z + 1), and
+      the series terms t_i = z^(2i+1) 2^w are carried as T_0 = Z,
+      T_{i+1} = floor(T_i z2 / 2^w).  The shortfall d_i = t_i - T_i is
+      >= 0 and, since T_i <= z 2^w, d_{i+1} <= d_i z^2 + z(2z + 1) + 1,
+      so d_i < 1.0031 for every i.
+    * floor(T_i/(2i + 1)) falls short of t_i/(2i + 1) by less than 1 at
+      i = 0 and less than 1.0031/3 + 1 < 2 after; once T_N = 0, the tail
+      sum over i >= N of t_i/(2i + 1) is below d_N/(1 - z^2) < 1.004.  So
+      the N-term sum S falls short of atanh(z) 2^w by less than 2(N + 1),
+      and 2S of 2 atanh(z) 2^w by less than 4(N + 1).
+    * The table entries for ln c_j and ln 2 (:func:`_ln_table`) are each
+      within Et units.
+
+    Hence R = k L_256 + L_j + 2S is within E = 4(N + 1) + (k + 1) Et units
+    of ln(y) 2^w.  When j = k = 0 no entry is used and w carries the leading
+    zero bits of z on top of wp, so the margin is relative to ln y.  If
+    R - E and R + E round to the same prec digits, so does ln y; otherwise
+    the test is repeated once with twice the bits, which also decides the
+    near ties that ln(1 + e) = e - e^2/2 + ... makes of x a few ulp from 1
+    (the series then has two or three terms at any width).  A result still
+    undecided (ln y within about 10^-prec ulp of a tie), like x = 1, an x
+    beyond _LN_MAX_EXPONENT and an infinite x, is left to ``Decimal.ln``.
+    """
+    if x.is_finite() and x != 1 and abs(x.adjusted()) <= _LN_MAX_EXPONENT:
+        n, d = x.as_integer_ratio()
+        sign = ""
+        if n < d:
+            n, d, sign = d, n, "-"
+        k = n.bit_length() - d.bit_length()
+        if n < d << k:
+            k -= 1
+        d <<= k
+        j = (n << 8) // d - 256
+        num = 256 * n - (256 + j) * d
+        den = 256 * n + (256 + j) * d
+        wp = _ln_bits(prec)
+        for w in (wp, 2 * wp):
+            if j == k == 0:
+                w += den.bit_length() - num.bit_length()
+            big_z = (num << w) // den
+            s, terms = _atanh_sum(big_z, big_z * big_z >> w, 1, w)
+            r, e = 2 * s, 4 * (terms + 1)
+            if j or k:
+                table, table_err = _ln_table(w)
+                r += k * table[256] + table[j]
+                e += (k + 1) * table_err
+            if r > e:
+                lo = _round_half_even(r - e, w, prec)
+                if lo == _round_half_even(r + e, w, prec):
+                    return Decimal(f"{sign}{lo[0]}E{lo[1]}")
+    return x.ln(Context(prec=prec))
+
+
 @dataclass(frozen=True)
 class Interval:
     """A closed interval [lo, hi] of decimals enclosing an exact real."""
@@ -255,11 +417,12 @@ class Interval:
     def ln(self) -> "Interval":
         """Natural log; requires a strictly positive interval.
 
-        decimal computes ln with half-even rounding no matter the context
-        rounding mode, so the correctly rounded result is inflated by one ulp
-        on each side.  For the same reason a point interval (lo == hi) needs
-        only one ``Decimal.ln`` call: the round-up context would return the
-        same value.
+        Each endpoint's log is rounded half-even to the working digits by
+        :func:`_ln_half_even`, which returns what ``Decimal.ln`` returns
+        (decimal, too, rounds ln half-even in every context); the rounded
+        value is then widened by one ulp on each side, so the enclosure
+        holds whatever the rounding direction was.  A point interval
+        (lo == hi) takes one kernel call.
         """
         if self.lo <= 0:
             raise ValueError(f"log of nonpositive value (interval [{self.lo}, {self.hi}])")
@@ -267,8 +430,8 @@ class Interval:
             return Interval.exact(0)
         cf, cc = _ctx_floor(), _ctx_ceil()
         prec = cf.prec
-        lo_ln = self.lo.ln(cf)
-        hi_ln = lo_ln if self.hi == self.lo else self.hi.ln(cc)
+        lo_ln = _ln_half_even(self.lo, prec)
+        hi_ln = lo_ln if self.hi == self.lo else _ln_half_even(self.hi, prec)
         return Interval(
             cf.subtract(lo_ln, _ulp(lo_ln, prec)),
             cc.add(hi_ln, _ulp(hi_ln, prec)),

@@ -44,12 +44,14 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_BAD_PARAMS = 3
 
-# Caps on verify --random N: on N, and on N times the at most 2H^2
-# candidates the rational search of each trial tries at height cap H.  A
-# trial takes about 8 ms at the default cap 10 and 0.5 s at the cap 100, so
-# a run at either cap takes seconds.
+# Caps on verify --random N: on N, and on its work, N times the at most 2H^2
+# candidates the rational search of each trial tries at height cap H plus
+# P^2/4000 for the bound formulas at P digits (one unit is about 2.5 us of
+# search).  A trial takes about 1.3 ms at the defaults (cap 10, 40 digits),
+# 42 ms at the cap 100 and 12 ms at 1000 digits, so the slowest accepted run,
+# 666 trials at 1000 digits, takes about 8 s.
 MAX_RANDOM_TRIALS = 1000
-MAX_RANDOM_WORK = MAX_RANDOM_TRIALS * 2 * 10**2
+MAX_RANDOM_WORK = MAX_RANDOM_TRIALS * 300
 
 
 class CliError(Exception):
@@ -250,13 +252,15 @@ def _random_trinomial(rng, n_terms: int = 3):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    trials, work = args.random_trials, args.random_trials * 2 * args.height_cap**2
+    trials = args.random_trials
+    work = trials * (2 * args.height_cap**2 + args.precision**2 // 4000)
     if not 0 <= trials <= MAX_RANDOM_TRIALS:
         raise ValueError(f"--random takes 0 to {MAX_RANDOM_TRIALS} trials, got {trials}")
     if work > MAX_RANDOM_WORK:
         raise ValueError(
-            f"--random {trials} at --height-cap {args.height_cap} tries up to {work} "
-            f"candidate roots, above the cap {MAX_RANDOM_WORK} (MAX_RANDOM_WORK)"
+            f"--random {trials} at --height-cap {args.height_cap} and --precision "
+            f"{args.precision} weighs {work} (candidate roots plus precision^2/4000 per "
+            f"trial), above the cap {MAX_RANDOM_WORK} (MAX_RANDOM_WORK)"
         )
     fs = _field_spec(args)
     rows = []

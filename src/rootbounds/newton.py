@@ -18,6 +18,7 @@ the slow-valuation-decay phenomenon that drives the near-one root bounds.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -371,20 +372,24 @@ def _check_shift_caps(f: SparsePolynomial) -> SparsePolynomial:
 
 
 def shift_polynomial(f: SparsePolynomial) -> SparsePolynomial:
-    """Exact expansion of f(1+x_1, ..., 1+x_n) after clearing Laurent terms."""
-    import itertools
+    """Exact expansion of f(1+x_1, ..., 1+x_n) after clearing Laurent terms.
 
+    The coefficients are cleared of denominators once, by their lcm, so the
+    binomial expansion accumulates on ints; each output coefficient is
+    divided by the lcm once.
+    """
     g = _check_shift_caps(f)
-    acc: dict[Exponent, Fraction] = {}
+    scale = math.lcm(*(c.denominator for _, c in g.terms))
+    acc: dict[Exponent, int] = {}
     for exp, coeff in g.terms:
-        for t in itertools.product(*(range(e + 1) for e in exp)):
-            weight = coeff
-            for a_i, t_i in zip(exp, t):
-                weight *= math.comb(a_i, t_i)
-            if weight != 0:
-                acc[t] = acc.get(t, Fraction(0)) + weight
-    cleaned = {e: c for e, c in acc.items() if c != 0}
-    return SparsePolynomial.from_dict(cleaned)
+        c = coeff.numerator * (scale // coeff.denominator)
+        rows = [[math.comb(a, t) for t in range(a + 1)] for a in exp]
+        for t in itertools.product(*(range(a + 1) for a in exp)):
+            weight = c
+            for row, t_i in zip(rows, t):
+                weight *= row[t_i]
+            acc[t] = acc.get(t, 0) + weight
+    return SparsePolynomial.from_dict({t: Fraction(c, scale) for t, c in acc.items() if c})
 
 
 def shift_system(F: SparseSystem) -> SparseSystem:

@@ -28,6 +28,14 @@ DEFAULT_PRECISION_CAP = 60
 # quadratic whose roots agree in 20 p-adic digits takes about 0.1 s.
 MAX_SCAN_PRIME = 10**4
 
+# Cap on the degree span of the univariate counter, checked before the
+# polynomial is made dense: the pseudo-remainder sequence of f and f' is at
+# least quadratic in the degree.  At the cap, x^d + 7x^(d-1) - 5x^(d/2) + 3x - 1
+# takes about 7 s at p = 3 (over 40 s at 2d) and x^d + 1 - 3x 0.3 s.  The
+# degree alone does not bound the time: below the cap, a dense input of high
+# height spends minutes in the content gcds of the sequence (ROADMAP item 5).
+MAX_UNIVARIATE_DEGREE = 2000
+
 
 class PrecisionCapError(ArithmeticError):
     """Residue refinement hit the recursion cap before deciding."""
@@ -195,8 +203,12 @@ def count_univariate_padic(
     if f.n != 1:
         raise ValueError("the univariate counter takes one-variable polynomials")
     g = laurent_normalize(f)
+    degree = g.total_degree()
+    if degree > MAX_UNIVARIATE_DEGREE:
+        raise ValueError(f"the univariate counter makes the polynomial dense; its degree "
+                         f"{degree} exceeds the cap {MAX_UNIVARIATE_DEGREE} (MAX_UNIVARIATE_DEGREE)")
     scale = math.lcm(*(c.denominator for _, c in g.terms))
-    dense = [0] * (g.total_degree() + 1)
+    dense = [0] * (degree + 1)
     for exp, coeff in g.terms:
         dense[exp[0]] = coeff.numerator * (scale // coeff.denominator)
     sf = _squarefree_part(_primitive(dense))

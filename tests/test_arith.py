@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootbounds import arith
 from rootbounds.arith import (
     _GUARD_DIGITS,
+    _LN_MAX_EXPONENT,
     MAX_DIGITS,
     Interval,
     euler_ratio,
@@ -19,6 +21,8 @@ from rootbounds.arith import (
     natural_log,
     ord_p_value,
     set_precision,
+    _ln_half_even,
+    _round_half_even,
 )
 
 SEED = 0xA217
@@ -281,6 +285,113 @@ def test_interval_ln_matches_two_call_reference(digits):
             points.append((Decimal(1), hi if a > 1 else Decimal(1) + hi))
             for x_lo, x_hi in points:
                 iv = Interval(x_lo, x_hi).ln()
-                assert (iv.lo, iv.hi) == _ref_ln(x_lo, x_hi, digits)
+                ref = _ref_ln(x_lo, x_hi, digits)
+                assert (iv.lo.as_tuple(), iv.hi.as_tuple()) == (ref[0].as_tuple(), ref[1].as_tuple())
 
     _at_precision(digits, check)
+
+
+# ---------------------------------------------------------------------------
+# The log kernel against Decimal.ln, digit for digit
+# ---------------------------------------------------------------------------
+
+KERNEL_DIGITS = (38, 48, 88, 308, 1008)
+
+
+def _kernel_arguments(rng, prec):
+    """Seeded arguments by kind; the kernel must decide all but the last
+    two kinds itself, and leave those to Decimal.ln."""
+    ctx = Context(prec=prec)
+    short = max(1, prec // 40)
+    kinds = {}
+    kinds["ratio"] = [
+        ctx.divide(Decimal(rng.randint(1, 10 ** rng.randint(1, 40))),
+                   Decimal(rng.randint(1, 10 ** rng.randint(1, 40))))
+        for _ in range(40 // short)
+    ] + [Decimal(2), Decimal(3), Decimal("0.5"), Decimal(rng.randint(2, 10**6))]
+    # ln(1 + e) = e(1 - e/2 + e^2/3 - ...) puts ln(1 + 10^-prec) and
+    # ln(1 - 10^-(prec-1)) within 10^-prec ulp of a tie (near ties below)
+    near_one = sorted({1, 2, 3, prec // 2, prec - 1, prec, prec + 1, prec + 10}
+                      | {rng.randint(1, prec + 10) for _ in range(8 // short)})
+    kinds["near one"] = [Decimal("1." + "0" * (k - 1) + "1") for k in near_one if k != prec] + [
+        Decimal("0." + "9" * k) for k in near_one if k != prec - 1
+    ]
+
+    def scientific(digits, adjusted):
+        return Decimal(f"{digits[0]}.{digits[1:]}E{adjusted}")
+
+    exponents = (-_LN_MAX_EXPONENT, -300, -10, 10, 300, _LN_MAX_EXPONENT)
+    kinds["exponent"] = [
+        scientific(str(rng.randint(10 ** (prec - 1), 10**prec)), e) for e in exponents
+    ] + [  # coefficients with trailing zeros
+        scientific(f"{rng.randint(1, 9)}{rng.randint(0, 10 ** (prec // 2))}{'0' * (prec // 2)}", e)
+        for e in exponents
+    ]
+    exact = Context(prec=prec + 200)
+    boundaries = []
+    for j in (0, 1, 127, 128, 255):
+        for k in (-3, 0, 5):
+            y = exact.multiply(Decimal(256 + j), exact.power(Decimal(2), k - 8))
+            boundaries += [y, ctx.next_plus(y), ctx.next_minus(y)]
+    kinds["table boundary"] = [y for y in boundaries if y != 1]
+    def near_ties(extra, count):
+        """exp of a tie point, computed with extra digits."""
+        ties = []
+        for _ in range(count):
+            c = rng.randint(10 ** (prec - 1), 10**prec - 1)
+            tie = Decimal(f"{c}5E{rng.randint(-prec - 2, -prec + 1)}")
+            ties.append(tie.exp(Context(prec=prec + extra)))
+        return ties
+
+    kinds["near tie"] = near_ties(20, max(1, 6 // short)) + near_ties(60, max(1, 6 // short))
+    if prec < 1000:  # Decimal.ln takes 15 s on each at 1008 digits, the kernel 1 ms
+        kinds["near tie"] += [Decimal("1." + "0" * (prec - 1) + "1"), Decimal("0." + "9" * (prec - 1)),
+                              Decimal("0." + "9" * (prec - 2) + "7")]
+    # past the retry's reach: Decimal.ln runs its own long search on these,
+    # so only below 100 digits
+    kinds["undecided tie"] = near_ties(prec + 80, 3) if prec < 100 else []
+    kinds["past the exponent cap"] = [
+        Decimal(f"7.5E{e}") for e in (-(10**4), -_LN_MAX_EXPONENT - 1, _LN_MAX_EXPONENT + 1, 10**4)
+    ] + [Decimal(1), Decimal("Infinity")]
+    return kinds
+
+
+@pytest.mark.parametrize("prec", KERNEL_DIGITS)
+def test_ln_kernel_matches_decimal_ln(prec, monkeypatch):
+    # the kernel builds a Context only to fall back on Decimal.ln
+    fallbacks = []
+
+    def counting_context(*args, **kwargs):
+        fallbacks.append(kwargs.get("prec"))
+        return Context(*args, **kwargs)
+
+    monkeypatch.setattr(arith, "Context", counting_context)
+    rng = random.Random(SEED + prec)
+    ctx = Context(prec=prec)
+    for kind, xs in _kernel_arguments(rng, prec).items():
+        fallbacks.clear()
+        for x in xs:
+            got = _ln_half_even(x, prec)
+            assert got.as_tuple() == x.ln(ctx).as_tuple(), (kind, x)
+            assert x == 1 or not x.is_finite() or len(got.as_tuple().digits) == prec
+        if kind in ("undecided tie", "past the exponent cap"):
+            assert fallbacks == [prec] * len(xs), kind
+        else:
+            assert fallbacks == [], kind
+
+
+def test_round_half_even_matches_decimal_on_dyadics_and_exact_ties():
+    rng = random.Random(SEED + 5)
+    wide = Context(prec=1000)
+    for trial in range(3000):
+        prec = rng.choice((1, 2, 5, 38, 48))
+        w = rng.randint(1, 200)
+        if trial % 2:
+            c = rng.randint(10 ** (prec - 1), 10**prec - 1)
+            v = (2 * c + 1) * 10 ** rng.randint(0, 30) << (w - 1)  # (c + 1/2) 10^e exactly
+        else:
+            v = rng.randint(1, 2 ** rng.randint(1, 400))
+        c, e = _round_half_even(v, w, prec)
+        assert 10 ** (prec - 1) <= c < 10**prec
+        want = Context(prec=prec).plus(wide.divide(Decimal(v), Decimal(2**w)))
+        assert Decimal(f"{c}E{e}") == want, (v, w, prec)

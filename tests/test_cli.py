@@ -21,10 +21,11 @@ from rootbounds.cli import (
     EXIT_PARSE_ERROR,
     EXIT_VERIFY_FAILED,
     MAX_RANDOM_TRIALS,
+    MAX_RANDOM_WORK,
     _build_parser,
     main,
 )
-from rootbounds.oracle import rational_root_search
+from rootbounds.oracle import MAX_UNIVARIATE_DEGREE, rational_root_search
 from rootbounds.parsing import (
     MAX_VARS,
     ParseError,
@@ -712,9 +713,12 @@ _EIGHT_VARS = "".join(f"x{i} + x{i + 1} + {i}\n" for i in range(1, 8))
         (["bound", "-", "--e", "2048", "--affine"], _EIGHT_VARS, "MAX_BOUND_DIGITS"),
         (["verify", "-", "--prime", "1000000007"], _UNI, "MAX_SCAN_PRIME"),
         (["verify", "--random", "1000", "--height-cap", "100"], None, "MAX_RANDOM_WORK"),
+        (["verify", "--random", "1000", "--precision", "1000"], None, "MAX_RANDOM_WORK"),
+        (["verify", "-", "--prime", "3"], "x1^3000000 + 3*x1 - 1\n", "MAX_UNIVARIATE_DEGREE"),
     ],
     ids=["e-1e7", "f-1e5", "p-1e6-e-3000", "global-d-1e5", "global-d-3000-delta-10",
-         "affine-bound-digits", "verify-p-1e9", "random-work"],
+         "affine-bound-digits", "verify-p-1e9", "random-work", "random-precision-1000",
+         "univariate-degree-3e6"],
 )
 def test_requests_past_a_cap_exit_at_once(capsys, monkeypatch, argv, stdin_text, cap):
     # these ran past 20 s, or exited 3 with the interpreter's 4300-digit message
@@ -833,3 +837,26 @@ def test_search_just_under_the_work_cap_is_accepted(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["verify", "-"], stdin_text=f"x1^2 - 2; x2^{hi} + x2 - x1\n",
                              monkeypatch=monkeypatch)
     assert (code, out) == (EXIT_BAD_PARAMS, "") and "MAX_SEARCH_WORK" in err
+
+
+def test_largest_accepted_univariate_degree_and_random_precision_run_in_budget(capsys, monkeypatch):
+    # the counter at the degree cap, and the most --random trials the work
+    # cap accepts at 1000 digits (1000 trials there took about 13 s)
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, ["verify", "-", "--prime", "3"],
+                           stdin_text=f"x1^{MAX_UNIVARIATE_DEGREE} + 1 - 3*x1\n", monkeypatch=monkeypatch)
+    assert code == EXIT_OK and json.loads(out)["rows"][0]["oracle"] == "univariate_padic"
+    code, _, err = run_cli(capsys, ["verify", "-", "--prime", "3"],
+                           stdin_text=f"x1^{MAX_UNIVARIATE_DEGREE + 1} + 1 - 3*x1\n", monkeypatch=monkeypatch)
+    assert code == EXIT_BAD_PARAMS and "MAX_UNIVARIATE_DEGREE" in err
+    assert time.perf_counter() - t0 < 10.0
+
+    trials = MAX_RANDOM_WORK // (2 * 10**2 + 1000**2 // 4000)
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, ["verify", "--random", str(trials), "--precision", "1000"],
+                           monkeypatch=monkeypatch)
+    assert time.perf_counter() - t0 < 10.0
+    assert code == EXIT_OK and len(json.loads(out)["rows"]) >= trials
+    code, _, err = run_cli(capsys, ["verify", "--random", str(trials + 1), "--precision", "1000"],
+                           monkeypatch=monkeypatch)
+    assert code == EXIT_BAD_PARAMS and "MAX_RANDOM_WORK" in err
