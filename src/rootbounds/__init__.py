@@ -7,7 +7,6 @@ brute-force oracles verify the bounds at desk scale.
 
 from .arith import (
     Interval,
-    Rational,
     UpperReal,
     euler_ratio,
     log_base,
@@ -17,7 +16,6 @@ from .arith import (
 )
 from .binomials import (
     BinomialExpansion,
-    LcmProfile,
     expansion_coeffs,
     gen_binomial,
     lcm_profile,
@@ -33,26 +31,22 @@ from .bounds import (
     local_bound,
     local_facet_bound,
     log_inequality_check,
-    valuation_vector_cap,
 )
 from .newton import (
     NewtonData,
-    ScaledSimplex,
     SparsePolynomial,
     SparseSystem,
     candidate_valuations,
     containment_check,
-    containment_report,
     facet_count,
     newton_data,
     newton_polytope,
     shift_polynomial,
-    shift_system,
     system_polytope,
     valuation_face_bound,
+    valuation_vector_cap,
 )
 from .oracle import (
-    IntegerMatrix,
     RootCount,
     count_binomial_system,
     count_univariate_padic,

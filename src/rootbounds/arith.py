@@ -1,8 +1,7 @@
 """Exact rational arithmetic, p-adic valuations, and safely rounded reals.
 
 Rationals are plain ``fractions.Fraction`` values: the stdlib type already
-guarantees lowest terms, a positive denominator, and exact arithmetic, so we
-re-export it as :data:`Rational` rather than wrapping it.
+guarantees lowest terms, a positive denominator, and exact arithmetic.
 
 The transcendental pieces of the root-bound formulas (natural logs, the
 constant c = e/(e-1)) are evaluated with directed-rounding interval
@@ -32,8 +31,6 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
 from typing import Union
-
-Rational = Fraction
 
 RationalLike = Union[Fraction, int]
 

@@ -41,17 +41,6 @@ def _check_t(t: int) -> None:
 
 
 @dataclass(frozen=True)
-class LcmProfile:
-    m: int
-    t: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value < 1:
-            raise ValueError("lcm profile value must be positive")
-
-
-@dataclass(frozen=True)
 class BinomialExpansion:
     """Coefficients writing (a choose t) in the basis (a choose j), j < m.
 
@@ -82,7 +71,7 @@ def _top_valuation_sum(m: int, t: int, p: int) -> int:
     return total
 
 
-def lcm_profile(m: int, t: int) -> LcmProfile:
+def lcm_profile(m: int, t: int) -> int:
     """Greedy per-prime evaluation of the lcm over distinct-factor products.
 
     For each prime p <= t the exponent is the largest total p-valuation
@@ -94,7 +83,7 @@ def lcm_profile(m: int, t: int) -> LcmProfile:
         raise ValueError("lcm profile arguments must be nonnegative")
     _check_t(t)
     if m == 0 or t == 0:
-        return LcmProfile(m, t, 1)
+        return 1
     exponents = [(p, _top_valuation_sum(m, t, p)) for p in _primes_up_to(t)]
     # the float sum is good to far better than the margin, and a value
     # within the margin of the limit is compared exactly once built
@@ -106,7 +95,7 @@ def lcm_profile(m: int, t: int) -> LcmProfile:
     value = math.prod(p**e for p, e in exponents)
     if value >= 10**MAX_PRINT_DIGITS:
         raise ValueError(f"lcm profile of more than {MAX_PRINT_DIGITS} digits exceeds the cap")
-    return LcmProfile(m, t, value)
+    return value
 
 
 def lcm_profile_bruteforce(m: int, t: int) -> int:

@@ -25,7 +25,7 @@ from .arith import (
     require_prime,
 )
 from .linalg import to_vec
-from .newton import SparseSystem, facet_count, near_one_radius
+from .newton import SparseSystem, facet_count, near_one_radius, valuation_vector_cap
 
 FORMULA_THM1_LOCAL = "thm1_local"
 FORMULA_THM1_GLOBAL = "thm1_global"
@@ -129,20 +129,6 @@ def _zero_report(formula_id: str, inputs: dict, reason: str) -> BoundReport:
     return BoundReport(
         formula_id, Interval.exact(0).upper(), 0, inputs, (f"zero case: {reason}",)
     )
-
-
-def valuation_vector_cap(m: int, n: int) -> int:
-    """Combinatorial cap on the number of valuation vectors of torus roots:
-    m-1, 4(m-1)^2, or (m(m-1)/2)^n according to n = 1, n = 2, n >= 3."""
-    if m < 2:
-        raise ValueError("the cap needs m >= 2")
-    if n < 1:
-        raise ValueError("the cap needs n >= 1")
-    if n == 1:
-        return m - 1
-    if n == 2:
-        return 4 * (m - 1) ** 2
-    return (m * (m - 1) // 2) ** n
 
 
 # ---------------------------------------------------------------------------

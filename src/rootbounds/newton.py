@@ -10,9 +10,10 @@ coefficient-wise sum, k > n) or the Minkowski sum of the lifts (k = n); its
 lower facets and their face tuples, for every k, are read off the lifts' own
 points by one lower hull per lift (``polyhedra.lower_facets_of_sum``),
 forming neither the lifts' hulls nor their sum, which only
-:func:`newton_polytope` and :func:`system_polytope` build.  The shift f(1+x)
-and the scaled-simplex containment check at the bottom of the file exercise
-the slow-valuation-decay phenomenon that drives the near-one root bounds.
+:func:`newton_polytope` and :func:`system_polytope` build.  The shift f(1+x),
+the near-one radius and the containment check at the bottom of the file
+exercise the slow-valuation-decay phenomenon that drives the near-one root
+bounds.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .arith import (
     Interval,
-    UpperReal,
     euler_ratio,
     format_rational,
     ln_prime,
@@ -294,6 +294,20 @@ class NewtonData:
         return out
 
 
+def valuation_vector_cap(m: int, n: int) -> int:
+    """Combinatorial cap on the number of valuation vectors of torus roots:
+    m-1, 4(m-1)^2, or (m(m-1)/2)^n according to n = 1, n = 2, n >= 3."""
+    if m < 2:
+        raise ValueError("the cap needs m >= 2")
+    if n < 1:
+        raise ValueError("the cap needs n >= 1")
+    if n == 1:
+        return m - 1
+    if n == 2:
+        return 4 * (m - 1) ** 2
+    return (m * (m - 1) // 2) ** n
+
+
 def newton_data(F: SparseSystem, p: int) -> NewtonData:
     """Build the lower facets of the aggregated lift and their face tuples
     from the lifts' own points (the lift of the coefficient-wise sum for
@@ -307,8 +321,6 @@ def newton_data(F: SparseSystem, p: int) -> NewtonData:
     facets = tuple((normal, facet) for normal, facet, _faces, _fine in quads)
     faces = tuple(fs for _normal, _facet, fs, _fine in quads)
     fine = tuple(fine for *_rest, fine in quads)
-    from .bounds import valuation_vector_cap
-
     cap = valuation_vector_cap(F.m, F.n) if F.m >= 2 else 1
     if len(facets) > cap:
         raise ArithmeticError(
@@ -392,65 +404,19 @@ def shift_polynomial(f: SparsePolynomial) -> SparsePolynomial:
     return SparsePolynomial.from_dict({t: Fraction(c, scale) for t, c in acc.items() if c})
 
 
-def shift_system(F: SparseSystem) -> SparseSystem:
-    return SparseSystem.of([shift_polynomial(f) for f in F.polynomials])
-
-
 # ---------------------------------------------------------------------------
-# Scaled simplex and the containment check
+# The near-one radius and the containment check
 # ---------------------------------------------------------------------------
-
-BORDERLINE_MARGIN = Fraction(1, 10**15)
 
 
 def near_one_radius(m: int, n: int, r: tuple[Fraction, ...], p: int) -> Interval:
     """c(m-1)[sum r_j + log_p((m-1)^n / (r_1...r_n ln^n p))]: the radius of
-    the scaled simplex, the right-hand side of the slow-decay implication,
-    and the base of the general near-one bound."""
+    the scaled simplex sum r_j t_j <= radius, the right-hand side of the
+    slow-decay implication, and the base of the general near-one bound."""
     s = sum(r, Fraction(0))
     prod_r = math.prod(r, start=Fraction(1))
     arg = Interval.from_fraction(Fraction((m - 1) ** n) / prod_r) / (ln_prime(p) ** n)
     return euler_ratio() * (m - 1) * (s + log_base(arg, p))
-
-
-@dataclass(frozen=True)
-class ScaledSimplex:
-    """Region t >= 0, sum r_j t_j <= radius, with the radius rounded upward.
-
-    The radius is c(m-1)[sum r_j + log_p((m-1)^n / (r_1...r_n ln^n p))];
-    upward rounding can only enlarge the region, which is the sound direction
-    for containment testing.
-    """
-
-    m: int
-    n: int
-    r: tuple[Fraction, ...]
-    p: int
-    radius: UpperReal
-
-    @classmethod
-    def build(cls, m: int, n: int, r: Sequence[Fraction], p: int) -> "ScaledSimplex":
-        require_prime(p)
-        rv = to_vec(r)
-        if len(rv) != n or any(x <= 0 for x in rv):
-            raise ValueError("r must be a length-n vector of positive rationals")
-        if m < 2:
-            radius = Interval.exact(0).upper()
-        else:
-            radius = near_one_radius(m, n, rv, p).upper()
-        return cls(m, n, rv, p, radius)
-
-    def radius_fraction(self) -> Fraction:
-        return self.radius.as_fraction()
-
-    def contains(self, t: Sequence[Fraction | int]) -> bool:
-        tv = to_vec(t)
-        if any(x < 0 for x in tv):
-            return False
-        return dot(self.r, tv) <= self.radius_fraction()
-
-    def is_borderline(self, t: Sequence[Fraction | int]) -> bool:
-        return abs(dot(self.r, to_vec(t)) - self.radius_fraction()) <= BORDERLINE_MARGIN
 
 
 def _pareto_minimal(points: dict[Exponent, Fraction]) -> list[Exponent]:
@@ -503,42 +469,19 @@ def _sloped_support(
     return members
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
-    ok: bool
-    checked: int
-    outside: tuple[tuple[int, Exponent], ...]
-    borderline: tuple[tuple[int, Exponent], ...]
-
-
-def containment_report(
-    F: SparseSystem, p: int, r: Sequence[Fraction]
-) -> ContainmentReport:
-    """Check that every sloped support point of each shifted polynomial lies
-    in the scaled simplex for its term count."""
+def containment_check(F: SparseSystem, p: int, r: Sequence[Fraction]) -> bool:
+    """Check that every sloped support point t of each shifted polynomial lies
+    in the scaled simplex for its term count: r.t <= the near-one radius
+    rounded upward, which can only enlarge the simplex (the sound direction),
+    or <= 0 for a monomial.  Shifted exponents are nonnegative, so t >= 0
+    holds by construction."""
     require_prime(p)
     rv = to_vec(r)
     if len(rv) != F.n or any(x <= 0 for x in rv):
         raise ValueError("r must be a positive vector of length n")
-    outside = []
-    borderline = []
-    checked = 0
-    for i, f in enumerate(F.polynomials):
+    outside = 0
+    for f in F.polynomials:
         g = shift_polynomial(f)
-        simplex = ScaledSimplex.build(f.m, F.n, rv, p)
-        for t in _sloped_support(g, p, rv):
-            checked += 1
-            if not simplex.contains(t):
-                outside.append((i, t))
-            elif simplex.is_borderline(t):
-                borderline.append((i, t))
-    return ContainmentReport(
-        ok=not outside,
-        checked=checked,
-        outside=tuple(outside),
-        borderline=tuple(borderline),
-    )
-
-
-def containment_check(F: SparseSystem, p: int, r: Sequence[Fraction]) -> bool:
-    return containment_report(F, p, r).ok
+        radius = near_one_radius(f.m, F.n, rv, p).upper().as_fraction() if f.m >= 2 else 0
+        outside += sum(dot(rv, t) > radius for t in _sloped_support(g, p, rv))
+    return outside == 0

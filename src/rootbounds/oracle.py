@@ -30,11 +30,18 @@ MAX_SCAN_PRIME = 10**4
 
 # Cap on the degree span of the univariate counter, checked before the
 # polynomial is made dense: the pseudo-remainder sequence of f and f' is at
-# least quadratic in the degree.  At the cap, x^d + 7x^(d-1) - 5x^(d/2) + 3x - 1
-# takes about 7 s at p = 3 (over 40 s at 2d) and x^d + 1 - 3x 0.3 s.  The
-# degree alone does not bound the time: below the cap, a dense input of high
-# height spends minutes in the content gcds of the sequence (ROADMAP item 5).
+# least quadratic in the degree.  At the cap x^d + 1 - 3x takes 0.2 s at p = 3.
 MAX_UNIVARIATE_DEGREE = 2000
+
+# Cap on the work of that sequence, which the degree alone does not bound:
+# per pseudo-remainder step, 64 per coefficient touched plus, per nonzero one,
+# its bits times the 64-bit words of the divisor's largest coefficient.  At
+# 0.27 to 0.4 ns a unit (one core of an Intel Xeon server, Python 3.11), the
+# slowest run under the cap takes about 4 s, and a refusal comes within about
+# as long: a dense degree-200 input with 30-digit coefficients, a 5-term
+# degree-1000 one and x^d + 7x^(d-1) - 5x^(d/2) + 3x - 1 at d = 2000 are
+# refused, and a dense degree-300 input with coefficients 1..9 passes.
+MAX_GCD_WORK = 10**10
 
 
 class PrecisionCapError(ArithmeticError):
@@ -70,19 +77,32 @@ def _primitive(cs: list[int]) -> list[int]:
     return [c // g for c in cs]
 
 
+def _bits(cs: list[int]) -> int:
+    return max(max(cs), -min(cs)).bit_length()
+
+
 def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
     """Primitive gcd of two nonzero integer polynomials by the primitive
     pseudo-remainder sequence (Brown 1971): each step of a pseudo-remainder
     scales a by lc(b) / gcd(lc(a), lc(b)) before cancelling its top term,
-    and every remainder is divided by its content."""
+    and every remainder is divided by its content.  A sequence weighing more
+    than MAX_GCD_WORK is refused as it reaches the cap."""
     a, b = _primitive(a), _primitive(b)
+    work = 0
     while len(b) > 1:
         lb, db = b[-1], len(b) - 1
+        bits, words_b = _bits(a), max(_bits(b), 64) // 64
         while len(a) > db:
             la = a.pop()
+            work += 64 * len(a) + (len(a) - a.count(0)) * bits * words_b
+            if work > MAX_GCD_WORK:
+                raise ValueError(f"the univariate counter's gcd weighs more than the cap "
+                                 f"{MAX_GCD_WORK} (MAX_GCD_WORK), in coefficients touched "
+                                 "times their bits")
             g = math.gcd(la, lb)
             if lb != g:
                 a = [lb // g * x for x in a]
+                bits += (lb // g).bit_length()
             shift, factor = len(a) - db, la // g
             for i in range(db):
                 a[shift + i] -= factor * b[i]
@@ -240,26 +260,6 @@ def count_univariate_padic(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("empty matrix")
-        w = len(self.entries[0])
-        if any(len(r) != w for r in self.entries):
-            raise ValueError("ragged matrix")
-
-    @classmethod
-    def of(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        return cls(tuple(tuple(int(x) for x in r) for r in rows))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.entries), len(self.entries[0])
-
-
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -271,10 +271,13 @@ def _mat_mul(a, b):
     ]
 
 
-def smith_normal_form(a: IntegerMatrix):
-    """U, D, V with U a V = D diagonal, U and V unimodular; verified."""
-    rows, cols = a.shape
-    m = [list(r) for r in a.entries]
+def smith_normal_form(a: Sequence[Sequence[int]]):
+    """U, D, V with U a V = D diagonal, U and V unimodular, as lists of int
+    rows, for a nonempty rectangular int matrix a; verified."""
+    if not a or any(len(r) != len(a[0]) for r in a):
+        raise ValueError("smith normal form takes a nonempty rectangular matrix")
+    rows, cols = len(a), len(a[0])
+    m = [list(r) for r in a]
     u = _identity(rows)
     v = _identity(cols)
 
@@ -345,42 +348,42 @@ def smith_normal_form(a: IntegerMatrix):
             continue
         t += 1
 
-    d = IntegerMatrix.of(m)
     # verification: U a V = D and unimodularity
-    ud = _mat_mul(_mat_mul(u, [list(r) for r in a.entries]), v)
+    ud = _mat_mul(_mat_mul(u, [list(r) for r in a]), v)
     if ud != m:
         raise ArithmeticError("smith normal form transformation check failed")
     if abs(det(u)) != 1 or abs(det(v)) != 1:
         raise ArithmeticError("smith normal form transforms are not unimodular")
-    return IntegerMatrix.of(u), d, IntegerMatrix.of(v)
+    return u, m, v
 
 
 def count_binomial_system(
-    a: IntegerMatrix, c: Sequence[Fraction], p: int
+    a: Sequence[Sequence[int]], c: Sequence[Fraction], p: int
 ) -> tuple[RootCount, tuple[Fraction, ...] | None]:
-    """Roots of x^(row_i of a) = c_i in the p-adic complex torus.
+    """Roots of x^(row_i of a) = c_i in the p-adic complex torus, for a
+    square int matrix a.
 
     The count is the product of the Smith invariants (= |det a|); every root
     shares the valuation vector solving a . r = v_p(c), v_p the p-adic
     valuation of each constant."""
     require_prime(p)
-    rows, cols = a.shape
-    if rows != cols:
+    rows = len(a)
+    if not rows or any(len(row) != rows for row in a):
         raise ValueError("binomial counting takes a square exponent matrix")
     if len(c) != rows or any(Fraction(x) == 0 for x in c):
         raise ValueError("need one nonzero constant per equation")
-    detv = det(a.entries)
+    detv = det(a)
     if detv == 0:
         raise ValueError("singular exponent matrix")
     _, d, _ = smith_normal_form(a)
-    invariants = [d.entries[i][i] for i in range(rows)]
+    invariants = [d[i][i] for i in range(rows)]
     count = 1
     for x in invariants:
         count *= abs(x)
     if count != abs(detv):
         raise ArithmeticError("smith invariant product disagrees with the determinant")
     ords = [ord_p_value(Fraction(x), p) for x in c]
-    r = solve_square([[Fraction(x) for x in row] for row in a.entries], ords)
+    r = solve_square([[Fraction(x) for x in row] for row in a], ords)
     rc = RootCount(
         count,
         "snf_binomial",

@@ -11,7 +11,7 @@ canonical primitive facet hyperplanes; each candidate facet normal is the
 integer null vector of its d - 1 difference vectors (``linalg.null_vector``).
 Both run on Python ints: rational input is scaled once by the lcm L of its
 denominators (L = 1 for lattice points such as the lifts of a system), and
-volumes and offsets are divided back at the end.  In dimension d >= 3
+volumes are divided back at the end.  In dimension d >= 3
 volume accumulates during construction as the sum of the initial simplex
 and the pyramids swept out by each insertion.  A :class:`Polytope` stores
 its sorted vertices and nothing else: the ambient dimension is their
@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .arith import format_rational
 from .linalg import Vector, det, dot, gram_solve, mat_rank, null_vector, pivots, to_vec, vec_sub
 
 MAX_DIM = 6
@@ -72,8 +73,6 @@ class Polytope:
         return _affine_dim(self.vertices)
 
     def to_json_obj(self) -> list[list[str]]:
-        from .arith import format_rational
-
         return [[format_rational(c) for c in v] for v in self.vertices]
 
 
@@ -160,10 +159,10 @@ class _Hull:
     first simplex of the beneath-beyond construction for d >= 3 (lines and
     planar sets are hulled directly), and L (``scale``) is the lcm of the
     input's coordinate denominators, 1 for lattice input.  Exposes
-    ``vertex_ids``, canonical ``facets`` as (normal, offset, vertex-id
-    frozenset) with normal.x >= offset over the hull, and the Euclidean
-    ``volume``.  A uniform scale leaves the facet normals unchanged; the
-    offsets and the volume are divided by L and L^d once at the end.
+    ``vertex_ids`` and the Euclidean ``volume``, and for d >= 2 the
+    canonical ``facets`` as (inner primitive normal, vertex-id frozenset)
+    pairs sorted by normal.  A uniform scale leaves the facet normals
+    unchanged; the volume is divided by L^d once at the end.
     """
 
     def __init__(self, pts: list[tuple[int, ...]], scale: int, simplex: Sequence[int]):
@@ -183,10 +182,6 @@ class _Hull:
         hi = max(xs)
         self.vertex_ids = [lo[1]] if lo[0] == hi[0] else sorted({lo[1], hi[1]})
         self.volume = Fraction(hi[0] - lo[0], self.scale)
-        self.facets = [
-            ((1,), Fraction(lo[0], self.scale), frozenset({lo[1]})),
-            ((-1,), Fraction(-hi[0], self.scale), frozenset({hi[1]})),
-        ]
 
     def _build_2d(self) -> None:
         # Andrew's monotone chain over the distinct points; a duplicate point
@@ -205,11 +200,9 @@ class _Hull:
             twice_area += a[0] * b[1] - b[0] * a[1]
             g = math.gcd(dx, dy)
             # the interior lies left of a counterclockwise edge
-            normal = (-dy // g, dx // g)
-            offset = Fraction(normal[0] * a[0] + normal[1] * a[1], self.scale)
-            facets.append((normal, offset, frozenset(ids[a] + ids[b])))
+            facets.append(((-dy // g, dx // g), frozenset(ids[a] + ids[b])))
         self.vertex_ids = sorted(i for v in ring for i in ids[v])
-        self.facets = sorted(facets, key=lambda f: f[:2])
+        self.facets = sorted(facets, key=lambda f: f[0])
         self.volume = Fraction(twice_area, 2 * self.scale**2)
 
     def _oriented(self, verts: tuple[int, ...]) -> _Facet | None:
@@ -268,14 +261,13 @@ class _Hull:
         self._finalize(facets)
 
     def _finalize(self, facets: list[_Facet]) -> None:
-        planes = sorted({(f.normal, f.offset) for f in facets})
-        geo: list[tuple[tuple[int, ...], int, frozenset[int]]] = []
-        for normal, offset in planes:
-            on = frozenset(i for i, p in enumerate(self.pts) if dot(normal, p) == offset)
-            geo.append((normal, offset, on))
+        geo = [
+            (normal, frozenset(i for i, p in enumerate(self.pts) if dot(normal, p) == offset))
+            for normal, offset in sorted({(f.normal, f.offset) for f in facets})
+        ]
         # a point is extreme iff its incident facet normals span the space
         incident: dict[int, list[tuple[int, ...]]] = {}
-        for normal, _offset, on in geo:
+        for normal, on in geo:
             for i in on:
                 incident.setdefault(i, []).append(normal)
         vertex_ids = [
@@ -283,9 +275,7 @@ class _Hull:
         ]
         self.vertex_ids = sorted(vertex_ids)
         vset = set(self.vertex_ids)
-        self.facets = [
-            (normal, Fraction(offset, self.scale), on & vset) for normal, offset, on in geo
-        ]
+        self.facets = [(normal, on & vset) for normal, on in geo]
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +443,7 @@ def lower_facets(points: Sequence[Point]) -> list[tuple[Vector, Polytope]]:
 
     hull = _Hull(lifted, lcm, simplex)
     results = []
-    for normal, _offset, on_ids in hull.facets:
+    for normal, on_ids in hull.facets:
         if normal[-1] <= 0:
             continue
         facet = Polytope(tuple(sorted(kept[i] for i in on_ids)))

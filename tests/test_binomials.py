@@ -23,16 +23,16 @@ SEED = 0x1C3
 
 
 def test_lcm_profile_examples():
-    assert lcm_profile(0, 7).value == 1
-    assert lcm_profile(5, 0).value == 1
-    assert lcm_profile(3, 3).value == 6
-    assert lcm_profile(1, 6).value == 60
+    assert lcm_profile(0, 7) == 1
+    assert lcm_profile(5, 0) == 1
+    assert lcm_profile(3, 3) == 6
+    assert lcm_profile(1, 6) == 60
 
 
 def test_lcm_profile_matches_bruteforce():
     for t in range(0, 13):
         for m in range(0, 5):
-            assert lcm_profile(m, t).value == lcm_profile_bruteforce(m, t)
+            assert lcm_profile(m, t) == lcm_profile_bruteforce(m, t)
 
 
 def test_lcm_profile_valuation_counts_match_bruteforce():
@@ -40,17 +40,17 @@ def test_lcm_profile_valuation_counts_match_bruteforce():
     # distinct-factor products, past the higher prime powers 16, 27 and 25
     for t in range(13, 29):
         for m in range(0, 4):
-            assert lcm_profile(m, t).value == lcm_profile_bruteforce(m, t)
+            assert lcm_profile(m, t) == lcm_profile_bruteforce(m, t)
     for t in range(0, 9):
         for m in range(5, t + 2):
-            assert lcm_profile(m, t).value == lcm_profile_bruteforce(m, t)
+            assert lcm_profile(m, t) == lcm_profile_bruteforce(m, t)
 
 
 def test_lcm_profile_refuses_an_unprintable_value_before_building_it():
     # lcm(1, ..., MAX_T) has 4297 digits; two factors per prime already
     # pass the limit, and m = t = MAX_T (MAX_T!, about 35k digits) was
     # built before the interpreter refused to print it
-    assert len(str(lcm_profile(1, MAX_T).value)) == 4297
+    assert len(str(lcm_profile(1, MAX_T))) == 4297
     for m in (2, 100, MAX_T):
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match="cap"):
@@ -64,7 +64,7 @@ def test_lcm_profile_digit_cap_is_exact_at_the_limit(monkeypatch):
 
     # lcm_profile(1, 6) = 60: two digits pass a two-digit cap, not a one-digit cap
     monkeypatch.setattr(binomials, "MAX_PRINT_DIGITS", 2)
-    assert lcm_profile(1, 6).value == 60
+    assert lcm_profile(1, 6) == 60
     monkeypatch.setattr(binomials, "MAX_PRINT_DIGITS", 1)
     with pytest.raises(ValueError, match="cap"):
         lcm_profile(1, 6)
@@ -73,20 +73,20 @@ def test_lcm_profile_digit_cap_is_exact_at_the_limit(monkeypatch):
 def test_lcm_profile_divides_factorial():
     for t in range(1, 13):
         for m in range(0, t + 3):
-            assert math.factorial(t) % lcm_profile(m, t).value == 0
+            assert math.factorial(t) % lcm_profile(m, t) == 0
 
 
 def test_lcm_profile_full_range_is_factorial():
     for t in range(0, 11):
         for m in range(t, t + 3):
-            assert lcm_profile(m, t).value == math.factorial(t)
+            assert lcm_profile(m, t) == math.factorial(t)
 
 
 def test_factorials_divide_lcm_profile():
     for t in range(1, 13):
         for m in range(0, t):
             for i in range(0, m + 1):
-                assert lcm_profile(m, t).value % math.factorial(i) == 0
+                assert lcm_profile(m, t) % math.factorial(i) == 0
 
 
 def _floor_log(t: int, p: int) -> int:
@@ -100,7 +100,7 @@ def test_lcm_profile_valuation_cap():
     for p in (2, 3, 5, 7):
         for t in range(1, 13):
             for m in range(0, 5):
-                v = ord_p_value(lcm_profile(m, t).value, p)
+                v = ord_p_value(lcm_profile(m, t), p)
                 assert v <= m * _floor_log(t, p)
 
 
@@ -152,7 +152,7 @@ def test_expansion_reconstruction_example():
 
 def test_expansion_denominator_divisibility_example():
     e = expansion_coeffs((0, 1, 3), 3)
-    d2 = lcm_profile(2, 3).value
+    d2 = lcm_profile(2, 3)
     for j, c in enumerate(e.coefficients):
         cap = d2 // math.factorial(j)
         assert cap % c.denominator == 0
@@ -172,7 +172,7 @@ def test_expansion_random_reconstruction_and_denominators():
                 c * gen_binomial(a, j) for j, c in enumerate(e.coefficients)
             )
         if t >= m:
-            cap = lcm_profile(m - 1, t).value
+            cap = lcm_profile(m - 1, t)
             for j, c in enumerate(e.coefficients):
                 assert (cap // math.factorial(j)) % c.denominator == 0
         else:

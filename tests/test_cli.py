@@ -427,7 +427,7 @@ def test_arithmetic_error_is_bad_params(capsys, monkeypatch):
     assert (code, out) == (EXIT_BAD_PARAMS, "")
     assert err.startswith("error: ") and "refinement" in err
     # the lower facet count check of the Newton analysis
-    monkeypatch.setattr("rootbounds.bounds.valuation_vector_cap", lambda m, n: 0)
+    monkeypatch.setattr("rootbounds.newton.valuation_vector_cap", lambda m, n: 0)
     code, out, err = run_cli(capsys, ["bound", "-"], stdin_text=TRINOMIAL + "\n", monkeypatch=monkeypatch)
     assert (code, out) == (EXIT_BAD_PARAMS, "")
     assert err.startswith("error: ") and "combinatorial cap" in err
@@ -860,3 +860,59 @@ def test_largest_accepted_univariate_degree_and_random_precision_run_in_budget(c
     code, _, err = run_cli(capsys, ["verify", "--random", str(trials + 1), "--precision", "1000"],
                            monkeypatch=monkeypatch)
     assert code == EXIT_BAD_PARAMS and "MAX_RANDOM_WORK" in err
+
+
+def _thirty_digit_polynomial(rng, exponents):
+    return " + ".join(f"{rng.randint(10**29, 10**30)}*x1^{e}" for e in exponents) + "\n"
+
+
+_GCD_RNG = random.Random(2001)
+
+
+@pytest.mark.parametrize(
+    "stdin_text",
+    [
+        _thirty_digit_polynomial(_GCD_RNG, range(201)),
+        _thirty_digit_polynomial(_GCD_RNG, [0, 1000] + _GCD_RNG.sample(range(1, 1000), 3)),
+    ],
+    ids=["dense-degree-200", "5-term-degree-1000"],
+)
+def test_univariate_gcd_past_its_work_cap_is_refused_in_budget(capsys, monkeypatch, stdin_text):
+    # below MAX_UNIVARIATE_DEGREE, these spent 74 s and 45 s in the content
+    # gcds of the squarefree reduction's pseudo-remainder sequence
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, ["verify", "-", "--prime", "3"], stdin_text=stdin_text,
+                             monkeypatch=monkeypatch)
+    assert time.perf_counter() - t0 < 10.0
+    assert (code, out) == (EXIT_BAD_PARAMS, "") and "MAX_GCD_WORK" in err
+
+
+def test_univariate_gcd_under_its_work_cap_is_accepted_in_budget(capsys, monkeypatch):
+    # a dense degree-300 polynomial with one-digit coefficients weighs about
+    # 0.7 MAX_GCD_WORK
+    rng = random.Random(2002)
+    text = " + ".join(f"{rng.randint(1, 9)}*x1^{i}" for i in range(301)) + "\n"
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, ["verify", "-", "--prime", "3"], stdin_text=text, monkeypatch=monkeypatch)
+    assert time.perf_counter() - t0 < 10.0
+    assert code == EXIT_OK and json.loads(out)["rows"][0]["oracle"] == "univariate_padic"
+
+
+@pytest.mark.parametrize("degree", [100, 1000])
+def test_verify_binomial_count_above_a_bound_is_inconclusive(capsys, monkeypatch, degree):
+    # the Smith count is over (C_2^*)^2 and exceeds the cor2_1 bound, which
+    # covers the torus of the field only: the row passes, marked, with no
+    # failure dump; a row at or under its bound is unchanged
+    code, out, _ = run_cli(capsys, ["verify", "-", "--height-cap", "2"],
+                           stdin_text=f"x1^2 - 2\nx2^{degree} - x1\n", monkeypatch=monkeypatch)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["all_ok"] is True
+    snf = {row["bound_id"]: row for row in payload["rows"] if row["oracle"] == "snf_binomial"}
+    above = snf["cor2_1"]
+    assert above["count"] == 2 * degree > above["bound"]
+    assert above["ok"] is True and "(C_2^*)^2" in above["inconclusive"]
+    assert "system" not in above and "bound_report" not in above
+    under = snf["thm1_local"]
+    assert under["count"] <= under["bound"] and "inconclusive" not in under
+    assert all("inconclusive" not in row for row in payload["rows"] if row["oracle"] != "snf_binomial")

@@ -8,28 +8,27 @@ from fractions import Fraction
 import pytest
 
 from rootbounds.arith import ord_p_value
-from rootbounds.bounds import valuation_vector_cap
 from rootbounds.linalg import det, dot, to_vec
 from rootbounds.newton import (
     CancellationError,
     CapExceededError,
-    ScaledSimplex,
     SparsePolynomial,
     SparseSystem,
+    _sloped_support,
     candidate_valuations,
     clear_negative_exponents,
     containment_check,
-    containment_report,
     facet_count,
     laurent_normalize,
+    near_one_radius,
     newton_data,
     newton_polytope,
     shift_polynomial,
-    shift_system,
     system_polytope,
     valuation_face_bound,
+    valuation_vector_cap,
 )
-from rootbounds.oracle import IntegerMatrix, _lower_hull_slopes, count_binomial_system
+from rootbounds.oracle import _lower_hull_slopes, count_binomial_system
 from rootbounds.polyhedra import (
     convex_hull,
     face,
@@ -532,7 +531,7 @@ def test_face_bound_matches_binomial_determinant():
             unit = Fraction(rng.choice([1, 3, 5, 7]), rng.choice([1, 3, 5, 7]))
             consts.append(unit * Fraction(2) ** rng.randint(-3, 3))
         s = _binomial_system(rows, consts)
-        rc, r = count_binomial_system(IntegerMatrix.of(rows), consts, 2)
+        rc, r = count_binomial_system(rows, consts, 2)
         assert r is not None
         assert valuation_face_bound(s, 2, r) == rc.count
         # the solved valuation vector is the only candidate for binomials
@@ -560,7 +559,7 @@ def test_binomial_sweep_count_equals_face_bound(seed):
             * Fraction(p) ** rng.randint(-2, 2)
             for _ in range(n)
         ]
-        rc, r = count_binomial_system(IntegerMatrix.of(rows), consts, p)
+        rc, r = count_binomial_system(rows, consts, p)
         assert rc.count == valuation_face_bound(_binomial_system(rows, consts), p, r)
 
 
@@ -601,7 +600,7 @@ def test_shift_caps():
     with pytest.raises(CapExceededError):
         shift_polynomial(poly({(31,): 1, (0,): 1}))
     with pytest.raises(CapExceededError):
-        shift_system(SparseSystem.of([poly({(1, 1, 1, 1): 1, (0, 0, 0, 0): 1})]))
+        shift_polynomial(poly({(1, 1, 1, 1): 1, (0, 0, 0, 0): 1}))
 
 
 def test_shift_coefficient_recursion():
@@ -634,23 +633,32 @@ def test_shift_coefficient_recursion():
 
 
 def test_scaled_simplex_membership():
-    s = ScaledSimplex.build(3, 1, (Fraction(1),), 2)
-    # radius is c*2*(1 + log2(2/ln 2)) which is a little above 8
-    assert s.contains((8,))
-    assert not s.contains((9,))
-    assert not s.contains((-1,))
-    assert ScaledSimplex.build(1, 2, (Fraction(1), Fraction(1)), 2).contains((0, 0))
+    # the simplex r.t <= radius at m = 3, r = 1, p = 2: the radius rounded
+    # up is c*2*(1 + log2(2/ln 2)), a little above 8, so t = 8 is inside and
+    # t = 9 is not
+    radius = near_one_radius(3, 1, (Fraction(1),), 2).upper().as_fraction()
+    assert 8 < radius < 9
+    # the shift of a Laurent polynomial has nonnegative exponents, so no
+    # t < 0 is ever tested
+    f = poly({(-2, 1): 3, (1, -1): 1})
+    assert all(min(t) >= 0 for t in shift_polynomial(f).support)
+    # a monomial's simplex has radius 0: it holds only the origin, the one
+    # sloped support point of the monomial's shift
+    r = (Fraction(1), Fraction(1))
+    monomial = poly({(2, 1): 3})
+    assert _sloped_support(shift_polynomial(monomial), 2, r) == [(0, 0)]
+    assert containment_check(SparseSystem.of([monomial]), 2, r)
 
 
 def test_containment_univariate_binomial():
     # x^D - 1 at r = 1: every sloped support point stays inside the simplex,
-    # whose radius for two-term polynomials is a little above 4
-    simplex = ScaledSimplex.build(2, 1, (Fraction(1),), 2)
+    # whose radius for two-term polynomials is a little above 2.4
+    r = (Fraction(1),)
+    radius = near_one_radius(2, 1, r, 2).upper().as_fraction()
     for d_exp in (2, 3, 4):
-        s = SparseSystem.of([poly({(d_exp,): 1, (0,): -1})])
-        rep = containment_report(s, 2, (Fraction(1),))
-        assert rep.ok
-        assert simplex.contains((d_exp,)) == (d_exp <= simplex.radius_fraction())
+        f = poly({(d_exp,): 1, (0,): -1})
+        assert containment_check(SparseSystem.of([f]), 2, r)
+        assert all(dot(r, t) <= radius for t in _sloped_support(shift_polynomial(f), 2, r))
 
 
 def test_containment_monomial_vacuous():

@@ -12,7 +12,6 @@ from rootbounds.linalg import det
 from rootbounds.newton import SparsePolynomial, SparseSystem, laurent_normalize
 from rootbounds.oracle import (
     MAX_SCAN_PRIME,
-    IntegerMatrix,
     PrecisionCapError,
     RootCount,
     _lower_hull_slopes,
@@ -137,35 +136,33 @@ def test_snf_verified_random():
     for _ in range(40):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
-        a = IntegerMatrix.of(
-            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        )
+        a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         u, d, v = smith_normal_form(a)
         # divisibility chain on the diagonal
-        diag = [d.entries[i][i] for i in range(min(rows, cols))]
+        diag = [d[i][i] for i in range(min(rows, cols))]
         for x, y in zip(diag, diag[1:]):
             if x != 0:
                 assert y % x == 0
         for i in range(rows):
             for j in range(cols):
                 if i != j:
-                    assert d.entries[i][j] == 0
+                    assert d[i][j] == 0
 
 
 def test_binomial_examples():
-    rc, r = count_binomial_system(IntegerMatrix.of([[2, 0], [0, 2]]), [Fraction(4), Fraction(4)], 2)
+    rc, r = count_binomial_system([[2, 0], [0, 2]], [Fraction(4), Fraction(4)], 2)
     assert rc.count == 4 and r == (Fraction(1), Fraction(1))
-    rc, r = count_binomial_system(IntegerMatrix.of([[1, 0], [0, 1]]), [Fraction(5), Fraction(7)], 3)
+    rc, r = count_binomial_system([[1, 0], [0, 1]], [Fraction(5), Fraction(7)], 3)
     assert rc.count == 1
-    rc, r = count_binomial_system(IntegerMatrix.of([[1, 1], [1, -1]]), [Fraction(1), Fraction(1)], 3)
+    rc, r = count_binomial_system([[1, 1], [1, -1]], [Fraction(1), Fraction(1)], 3)
     assert rc.count == 2 and r == (Fraction(0), Fraction(0))
 
 
 def test_binomial_rejects_singular():
     with pytest.raises(ValueError):
-        count_binomial_system(IntegerMatrix.of([[1, 1], [2, 2]]), [Fraction(1), Fraction(1)], 2)
+        count_binomial_system([[1, 1], [2, 2]], [Fraction(1), Fraction(1)], 2)
     with pytest.raises(ValueError):
-        count_binomial_system(IntegerMatrix.of([[1, 0], [0, 1]]), [Fraction(0), Fraction(1)], 2)
+        count_binomial_system([[1, 0], [0, 1]], [Fraction(0), Fraction(1)], 2)
 
 
 def test_binomial_count_is_absolute_determinant():
@@ -178,7 +175,7 @@ def test_binomial_count_is_absolute_determinant():
         if d == 0:
             continue
         c = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
-        rc, r = count_binomial_system(IntegerMatrix.of(rows), c, 5)
+        rc, r = count_binomial_system(rows, c, 5)
         assert rc.count == abs(d)
         assert r is not None
         done += 1
