@@ -11,14 +11,19 @@ coefficients +-{1, 2, 3, 4, 6, 8, 12, 16} at p = 2; ``face_bounds`` of the
 ``newton_data`` built untimed; ``facet_count`` of flat lifts, a 3x3 system
 with 7 terms and a 4x4 with 5 terms per equation, exponents 0..4 and the
 units +-{1, 3, 5, 7} at p = 2 as coefficients, where each lift is one cell
-and the sum has one lower facet; and the mixed volume of n = 3 and 4
-polytopes, each the hull of 7 random lattice points in [0, 4]^n.  The
-``natural_log`` rows time the interval-log kernel ``arith._ln_half_even``
-beside ``Decimal.ln`` at 40, 80 and 1000 digits (the precision cap), on 500
-seeded ratios of integers below 10^12 (20 at 1000 digits) rounded to the
-working precision; before timing, each row asserts that the two agree digit
-for digit, which also builds the kernel's table.  Each case draws its input
-from a fresh ``random.Random(seed)``.  The script prints one line per case:
+and the sum has one lower facet; the mixed volume of n = 3 and 4
+polytopes, each the hull of 7 random lattice points in [0, 4]^n; and the
+lower-facet kernel ``newton_data`` on 200 seeded 2x2 systems, each with 3
+or 4 terms per equation, exponents 0..8 and the same coefficients at p = 2,
+with the total facet count as its result.  At the default seed every
+polyhedral result is checked against its known value, and the script stops
+with an error at the first that differs.  The ``natural_log`` rows time
+the interval-log kernel ``arith._ln_half_even`` beside ``Decimal.ln`` at
+40, 80 and 1000 digits (the precision cap), on 500 seeded ratios of
+integers below 10^12 (20 at 1000 digits) rounded to the working precision;
+before timing, each row asserts that the two agree digit for digit, which
+also builds the kernel's table.  Each case draws its input from a fresh
+``random.Random(seed)``.  The script prints one line per case:
 its name, its result (for the logs, the number of arguments) and the best
 wall time over the repeats.
 """
@@ -53,6 +58,21 @@ FLAT_MAX_EXP = 4
 PRIME = 2
 MV_POINTS = 7
 MV_BOX = 4
+BATCH = 200
+BATCH_MAX_EXP = 8
+DEFAULT_SEED = 2024
+# the polyhedral results at DEFAULT_SEED
+KNOWN = {
+    "facet_count n=3": 30,
+    "facet_count n=4": 110,
+    "candidate_valuations n=3": 6,
+    "face_bounds n=5": 5868,
+    "facet_count flat 3x3 m=7": 1,
+    "facet_count flat 4x4 m=5": 1,
+    "mixed_volume n=3": 153,
+    "mixed_volume n=4": 754,
+    "newton_data facets 2x2": 1075,
+}
 
 
 def seeded_system(
@@ -67,6 +87,15 @@ def seeded_system(
             poly[exp] = Fraction(rng.choice((-1, 1)) * rng.choice(coeffs))
         polys.append(SparsePolynomial.from_dict(poly))
     return SparseSystem.of(polys)
+
+
+def seeded_batch(seed: int) -> list[SparseSystem]:
+    """BATCH 2x2 systems, each drawn by ``seeded_system`` from its own seed."""
+    rng = random.Random(seed)
+    return [
+        seeded_system(rng.getrandbits(32), 2, rng.randint(3, 4), BATCH_MAX_EXP)
+        for _ in range(BATCH)
+    ]
 
 
 def seeded_polytopes(seed: int, n: int) -> list:
@@ -101,6 +130,9 @@ def cases(seed: int):
     for n in (3, 4):
         polytopes = seeded_polytopes(seed, n)
         yield f"mixed_volume n={n}", lambda ps=polytopes: mixed_volume(ps)
+    systems = seeded_batch(seed)
+    yield "newton_data facets 2x2", lambda ss=systems: sum(
+        len(newton_data(s, PRIME).facets) for s in ss)
     for digits, count in ((40, 500), (80, 500), (MAX_DIGITS, 20)):
         ctx, xs = seeded_log_arguments(seed, digits, count)
         want = [x.ln(ctx).as_tuple() for x in xs]
@@ -113,7 +145,7 @@ def cases(seed: int):
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seed", type=int, default=2024)
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ap.add_argument("--repeats", type=int, default=1, choices=range(1, 11), metavar="1..10")
     args = ap.parse_args(argv)
     for name, thunk in cases(args.seed):
@@ -122,6 +154,8 @@ def main(argv: list[str] | None = None) -> int:
             start = time.perf_counter()
             result = thunk()
             best = min(best, time.perf_counter() - start)
+            if args.seed == DEFAULT_SEED and name in KNOWN and result != KNOWN[name]:
+                sys.exit(f"{name}: result {result}, known {KNOWN[name]} at seed {DEFAULT_SEED}")
         print(f"{name:<31} result {result!s:<8} {best:8.3f} s", flush=True)
     return 0
 

@@ -151,7 +151,10 @@ def ord_p_value(x: RationalLike, p: int) -> Fraction:
 
 
 def format_rational(q: RationalLike) -> str:
-    q = Fraction(q)
+    if type(q) is int:
+        return str(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .arith import is_prime
-from .linalg import solve_square
+from .linalg import InternalError, solve_square
 
 # The interpreter's default limit on the decimal digits of a printed int; an
 # lcm profile above it is refused.  lcm(1, ..., 9859) already has more, so no
@@ -98,17 +97,6 @@ def lcm_profile(m: int, t: int) -> int:
     return value
 
 
-def lcm_profile_bruteforce(m: int, t: int) -> int:
-    """Reference implementation: lcm over all distinct-factor products."""
-    if m == 0 or t == 0:
-        return 1
-    out = 1
-    for size in range(1, min(m, t) + 1):
-        for combo in combinations(range(1, t + 1), size):
-            out = math.lcm(out, math.prod(combo))
-    return out
-
-
 def gen_binomial(a: int, t: int) -> Fraction:
     """(a choose t) = prod_{i<t} (a-i)/(t-i), an integer for integer a: the
     usual binomial for a >= 0, and (-1)^t (t - a - 1 choose t) below."""
@@ -145,7 +133,7 @@ def expansion_coeffs(support: Sequence[int], t: int) -> BinomialExpansion:
     rhs = [gen_binomial(a, t) for a in a_sorted]
     coeffs = solve_square(rows, rhs)
     if coeffs is None:
-        raise ArithmeticError("binomial basis system unexpectedly singular")
+        raise InternalError("binomial basis system unexpectedly singular")
     expansion = BinomialExpansion(a_sorted, t, tuple(coeffs))
     _check_reconstruction(expansion)
     return expansion
@@ -159,4 +147,4 @@ def _check_reconstruction(e: BinomialExpansion) -> None:
             Fraction(0),
         )
         if lhs != rhs:
-            raise ArithmeticError(f"expansion reconstruction failed at a={a}")
+            raise InternalError(f"expansion reconstruction failed at a={a}")

@@ -3,7 +3,8 @@
 Systems are read from a file path or standard input, either as the JSON
 schema {"n": ..., "polynomials": [[{"exp": [...], "coeff": "..."}], ...]}
 or as the terse text format (one polynomial per line).  Exit codes: 0
-success, 1 verification failure, 2 parse error, 3 invalid parameters.
+success, 1 verification failure, 2 parse error, 3 invalid parameters, 4 a
+failed internal self-check (``linalg.InternalError``), which is a bug.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .bounds import (
     local_bound,
     local_facet_bound,
 )
+from .linalg import InternalError
 from .newton import SparsePolynomial, SparseSystem, newton_data
 from .oracle import (
     count_binomial_system,
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_BAD_PARAMS = 3
+EXIT_INTERNAL = 4
 
 # Caps on verify --random N: on N, and on its work, N times the at most 2H^2
 # candidates the rational search of each trial tries at height cap H plus
@@ -364,6 +367,9 @@ def main(argv: list[str] | None = None) -> int:
             if "prime" in args and not arith.is_prime(args.prime):
                 raise ValueError(f"--prime {args.prime} is not prime")
             return commands[args.command](args)
+        except InternalError as exc:
+            print(f"internal: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
         except (ValueError, ArithmeticError) as exc:
             raise CliError(str(exc), EXIT_BAD_PARAMS)
     except CliError as exc:

@@ -3,7 +3,9 @@
 Everything here works on tuples/lists of Fractions or ints and performs no
 rounding.  One Bareiss fraction-free elimination (Math. Comp. 22, 1968),
 ``_bareiss``, is behind the determinant, the rank, the pivot rows and
-columns behind the rank, integer null vectors and the square solver.  A row
+columns behind the rank, integer null vectors and the square solver; only
+the null vectors of 1 x 2 and 2 x 3 matrices, the normals of lines and of
+planes in 3-space, are written out as their cofactors instead.  A row
 holding Fractions is first scaled to integers by the lcm of its
 denominators, so the elimination itself runs on Python ints, and an all-int
 input gives an int result.  A tiny phase-one simplex decides the exact
@@ -18,6 +20,11 @@ from fractions import Fraction
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
+
+
+class InternalError(ArithmeticError):
+    """A self-check of an exact computation failed: a bug in this package,
+    never a property of the input."""
 
 
 def to_vec(xs: Sequence) -> Vector:
@@ -113,13 +120,31 @@ def det(rows: Sequence[Sequence[Fraction]]) -> int | Fraction:
 
 def null_vector(rows: Sequence[Sequence[Fraction]]) -> tuple[int, ...] | None:
     """An integer c != 0 with A c = 0 for the k x (k + 1) matrix A of the
-    rows, None when A has rank < k: the I part of the one row left once the
-    k columns of A^T are eliminated in [A^T | I_(k+1)].  Its entries are
-    minors of [A^T | I], the cofactors of A up to one common sign."""
+    rows, None when A has rank < k: the cofactors of A, up to one common
+    sign.  For k = 1 and k = 2 (the cross product) they are written out;
+    above, they are the I part of the one row left once the k columns of
+    A^T are eliminated in [A^T | I_(k+1)], minors of [A^T | I].  The sign
+    is no part of the contract: the two forms can differ by it, and every
+    caller fixes its own (a hull facet by its interior point, a lower
+    facet normal by its height component, a solution by a ratio)."""
     m, _ = _integer_rows(rows)
     k = len(m)
     if any(len(r) != k + 1 for r in m):
         raise ValueError("null vector of a matrix that is not k x (k + 1)")
+    if k == 1:
+        (a, b), = m
+        c: tuple[int, ...] = (-b, a)
+    elif k == 2:
+        (a0, a1, a2), (b0, b1, b2) = m
+        c = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    else:
+        return _bareiss_null_vector(m)
+    return c if any(c) else None
+
+
+def _bareiss_null_vector(m: list[Sequence[int]]) -> tuple[int, ...] | None:
+    """``null_vector`` of the k x (k + 1) int rows m by elimination."""
+    k = len(m)
     t = [[r[j] for r in m] + [0] * j + [1] + [0] * (k - j) for j in range(k + 1)]
     _, col_ids, _, left = _bareiss(t, k)
     if len(col_ids) < k:
@@ -185,7 +210,7 @@ def _phase_one_feasible(eq_rows: list[list[Fraction]], rhs: list[Fraction]) -> b
             if tab[r][enter] > 0
         ]
         if not ratios:
-            raise ArithmeticError("phase-one objective unbounded; malformed tableau")
+            raise InternalError("phase-one objective unbounded; malformed tableau")
         _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
         pv = tab[leave][enter]
         tab[leave] = [x / pv for x in tab[leave]]
@@ -197,7 +222,7 @@ def _phase_one_feasible(eq_rows: list[list[Fraction]], rhs: list[Fraction]) -> b
         z = [x - f * y for x, y in zip(z, tab[leave])]
         basis[leave] = enter
     else:
-        raise ArithmeticError("simplex failed to terminate")
+        raise InternalError("simplex failed to terminate")
     return z[total] == 0
 
 

@@ -10,10 +10,11 @@ coefficient-wise sum, k > n) or the Minkowski sum of the lifts (k = n); its
 lower facets and their face tuples, for every k, are read off the lifts' own
 points by one lower hull per lift (``polyhedra.lower_facets_of_sum``),
 forming neither the lifts' hulls nor their sum, which only
-:func:`newton_polytope` and :func:`system_polytope` build.  The shift f(1+x),
-the near-one radius and the containment check at the bottom of the file
-exercise the slow-valuation-decay phenomenon that drives the near-one root
-bounds.
+:func:`newton_polytope` and :func:`system_polytope` build.  Lifted points
+are lattice points, int tuples from :func:`_lift` to the facets and faces
+of :class:`NewtonData`.  The shift f(1+x), the near-one radius and the
+containment check at the bottom of the file exercise the
+slow-valuation-decay phenomenon that drives the near-one root bounds.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .arith import (
     Interval,
+    _int_ord,
     euler_ratio,
     format_rational,
     ln_prime,
@@ -34,9 +36,9 @@ from .arith import (
     ord_p_value,
     require_prime,
 )
-from .linalg import det, dot, nonneg_solution_exists, to_vec, vec_sub
+from .linalg import InternalError, det, dot, nonneg_solution_exists, to_vec, vec_sub
 from .polyhedra import (
-    Point,
+    LatticePoint,
     Polytope,
     convex_hull,
     lower_facets_of_sum,
@@ -226,10 +228,13 @@ def _json_int(x: object) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _lift(f: SparsePolynomial, p: int) -> list[Point]:
-    """The (exponent, coefficient valuation) points of f in Q^(n+1)."""
+def _lift(f: SparsePolynomial, p: int) -> list[LatticePoint]:
+    """The (exponent, coefficient valuation) points of f, lattice points of
+    Z^(n+1) as int tuples."""
     require_prime(p)
-    return [to_vec(exp) + (ord_p_value(coeff, p),) for exp, coeff in f.terms]
+    return [
+        exp + (_int_ord(c.numerator, p) - _int_ord(c.denominator, p),) for exp, c in f.terms
+    ]
 
 
 def newton_polytope(f: SparsePolynomial, p: int) -> Polytope:
@@ -252,7 +257,7 @@ def _face_bound(faces: Sequence[Polytope], fine: bool) -> int:
     else:
         mv = mixed_volume(faces)
     if mv.denominator != 1:
-        raise ArithmeticError(
+        raise InternalError(
             f"face mixed volume {mv} is not an integer; normalization broken"
         )
     return int(mv)
@@ -266,7 +271,9 @@ class NewtonData:
     whose hull or Minkowski sum is the aggregate, which sum to the facet:
     (F_1(r), ..., F_n(r)) for k = n, and (facet,) for k > n, where no face
     bound is defined.  ``fine`` tells per facet whether the dimensions of
-    its faces add up to its own, so that the sum is direct."""
+    its faces add up to its own, so that the sum is direct.  The lifts live
+    in Z^(n+1), so facet and face vertices are int tuples; only the normals
+    (r, 1) hold Fractions."""
 
     system: SparseSystem
     facets: tuple[tuple[tuple[Fraction, ...], Polytope], ...]
@@ -322,6 +329,8 @@ def newton_data(F: SparseSystem, p: int) -> NewtonData:
     faces = tuple(fs for _normal, _facet, fs, _fine in quads)
     fine = tuple(fine for *_rest, fine in quads)
     cap = valuation_vector_cap(F.m, F.n) if F.m >= 2 else 1
+    # a refusal, not an InternalError: a system whose supports span less
+    # than n dimensions can have more lower facets than the cap
     if len(facets) > cap:
         raise ArithmeticError(
             f"lower facet count {len(facets)} exceeds the combinatorial cap {cap}"

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .arith import _int_ord, ord_p_value, require_prime
 from .newton import SparsePolynomial, SparseSystem, laurent_normalize
-from .linalg import det, solve_square
+from .linalg import InternalError, det, solve_square
 
 DEFAULT_PRECISION_CAP = 60
 
@@ -127,7 +127,7 @@ def _squarefree_part(cs: list[int]) -> list[int]:
         for i in range(dg):
             a[shift + i] -= q[shift] * g[i]
     if any(a):
-        raise ArithmeticError("squarefree division left a remainder")
+        raise InternalError("squarefree division left a remainder")
     return q
 
 
@@ -351,9 +351,9 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
     # verification: U a V = D and unimodularity
     ud = _mat_mul(_mat_mul(u, [list(r) for r in a]), v)
     if ud != m:
-        raise ArithmeticError("smith normal form transformation check failed")
+        raise InternalError("smith normal form transformation check failed")
     if abs(det(u)) != 1 or abs(det(v)) != 1:
-        raise ArithmeticError("smith normal form transforms are not unimodular")
+        raise InternalError("smith normal form transforms are not unimodular")
     return u, m, v
 
 
@@ -381,7 +381,7 @@ def count_binomial_system(
     for x in invariants:
         count *= abs(x)
     if count != abs(detv):
-        raise ArithmeticError("smith invariant product disagrees with the determinant")
+        raise InternalError("smith invariant product disagrees with the determinant")
     ords = [ord_p_value(Fraction(x), p) for x in c]
     r = solve_square([[Fraction(x) for x in row] for row in a], ords)
     rc = RootCount(

@@ -10,10 +10,13 @@ simplicial facet complex, with coplanar pieces merged afterwards through
 canonical primitive facet hyperplanes; each candidate facet normal is the
 integer null vector of its d - 1 difference vectors (``linalg.null_vector``).
 Both run on Python ints: rational input is scaled once by the lcm L of its
-denominators (L = 1 for lattice points such as the lifts of a system), and
-volumes are divided back at the end.  In dimension d >= 3
-volume accumulates during construction as the sum of the initial simplex
-and the pyramids swept out by each insertion.  A :class:`Polytope` stores
+denominators, and volumes are divided back at the end.  Lattice points,
+such as the lifts of a system, are int tuples throughout: they pass the
+scaling unchanged with L = 1, and hulls, faces, sums and lower facets of
+them hold int tuples again.  Fractions appear only where a value can be
+non-integral: in the lower facet normals (r, 1) and in rational input.  In
+dimension d >= 3 volume accumulates during construction as the sum of the
+initial simplex and the pyramids swept out by each insertion.  A :class:`Polytope` stores
 its sorted vertices and nothing else: the ambient dimension is their
 length, and the affine dimension is computed only when asked for.
 
@@ -43,11 +46,24 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .arith import format_rational
-from .linalg import Vector, det, dot, gram_solve, mat_rank, null_vector, pivots, to_vec, vec_sub
+from .linalg import (
+    InternalError,
+    Vector,
+    det,
+    dot,
+    gram_solve,
+    mat_rank,
+    null_vector,
+    pivots,
+    to_vec,
+    vec_sub,
+)
 
 MAX_DIM = 6
 
+# a point of Q^n; a lattice point keeps int coordinates
 Point = Vector
+LatticePoint = tuple[int, ...]
 
 
 class DimensionError(ValueError):
@@ -81,9 +97,11 @@ class Polytope:
 # ---------------------------------------------------------------------------
 
 
-def _lattice(points: Sequence[Point]) -> tuple[list[tuple[int, ...]], int]:
+def _lattice(points: Sequence[Point]) -> tuple[Sequence[LatticePoint], int]:
     """The points times the lcm L of all their coordinate denominators, as
-    int tuples, and L (1 for lattice points)."""
+    int tuples, and L; int tuples are returned as they are, with L = 1."""
+    if all(type(x) is int for p in points for x in p):
+        return points, 1
     lcm = math.lcm(*(x.denominator for p in points for x in p))
     return [tuple(x.numerator * (lcm // x.denominator) for x in p) for p in points], lcm
 
@@ -113,7 +131,7 @@ def _affine_dim(points: Sequence[Point]) -> int:
 def _primitive(normal: Sequence[int], offset: int) -> tuple[tuple[int, ...], int]:
     g = math.gcd(*normal)
     if g == 0:
-        raise ArithmeticError("zero facet normal")
+        raise InternalError("zero facet normal")
     # offset = normal . x for an integer point x, so g divides it exactly
     return tuple(v // g for v in normal), offset // g
 
@@ -214,7 +232,7 @@ class _Hull:
         # multiplied by d + 1 so that it stays integer
         side = dot(normal, self._interior) - (self.dim + 1) * offset
         if side == 0:
-            raise ArithmeticError("interior reference point on a facet hyperplane")
+            raise InternalError("interior reference point on a facet hyperplane")
         if side < 0:
             normal = tuple(-x for x in normal)
             offset = -offset
@@ -231,7 +249,7 @@ class _Hull:
             verts = tuple(v for k, v in enumerate(simplex) if k != drop)
             f = self._oriented(verts)
             if f is None:
-                raise ArithmeticError("degenerate initial simplex facet")
+                raise InternalError("degenerate initial simplex facet")
             facets.append(f)
 
         in_simplex = set(simplex)
@@ -254,7 +272,7 @@ class _Hull:
             for ridge in horizon:
                 nf = self._oriented(ridge + (i,))
                 if nf is None:
-                    raise ArithmeticError("degenerate facet from horizon ridge")
+                    raise InternalError("degenerate facet from horizon ridge")
                 facets.append(nf)
 
         self.volume = Fraction(det_sum, math.factorial(d) * self.scale**d)
@@ -295,8 +313,14 @@ def _ambient_dim(pts: Sequence[Sequence]) -> int:
     return ambient
 
 
+def _point(p: Sequence) -> Point:
+    """p as a tuple of its int coordinates and Fractions of the others."""
+    return tuple(x if type(x) is int else Fraction(x) for x in p)
+
+
 def convex_hull(points: Iterable[Sequence]) -> Polytope:
-    pts = sorted({to_vec(p) for p in points})
+    """The vertices of the hull of the points, lattice points as int tuples."""
+    pts = sorted({_point(p) for p in points})
     _ambient_dim(pts)
     hull = _structure(pts)
     if hull is None:
@@ -381,7 +405,7 @@ def mixed_volume(polytopes: Sequence[Polytope]) -> Fraction:
                 continue
             total += sign * _Hull(pts_list, 1, simplex).volume
     if total < 0:
-        raise ArithmeticError(f"negative mixed volume {total}; hull computation broken")
+        raise InternalError(f"negative mixed volume {total}; hull computation broken")
     return total / lcm**n
 
 
@@ -436,10 +460,13 @@ def lower_facets(points: Sequence[Point]) -> list[tuple[Vector, Polytope]]:
 
     if len(lifted_axes) == len(axes):
         # single linearity region: the lifted points span a hyperplane of
-        # the chart, whose normal puts every one of them on one facet
+        # the chart, whose normal puts every one of them on one facet.  That
+        # facet projects bijectively onto the chart axes, so its vertices
+        # are those of the hull of the projection.
         c = null_vector([vec_sub(lifted[i], lifted[0]) for i in simplex[1:]])
         c = c if c[-1] > 0 else tuple(-x for x in c)
-        return [(_scaled_normal(c, axes, basis, n), convex_hull(kept))]
+        ids = _Hull(_on_axes(ipts, axes), lcm, simplex_u).vertex_ids if axes else [0]
+        return [(_scaled_normal(c, axes, basis, n), Polytope(tuple(kept[i] for i in ids)))]
 
     hull = _Hull(lifted, lcm, simplex)
     results = []
@@ -453,12 +480,14 @@ def lower_facets(points: Sequence[Point]) -> list[tuple[Vector, Polytope]]:
 
 
 def lower_facets_of_sum(
-    point_sets: Sequence[Sequence[Point]],
+    point_sets: Sequence[Sequence[LatticePoint]],
 ) -> list[tuple[Vector, Polytope, tuple[Polytope, ...], bool]]:
-    """The lower facets of the Minkowski sum of the hulls of point sets in
-    Q^(n+1), read from the summands without forming the sum: each as
-    (normal (r, 1), facet, face tuple, fine), sorted by normal, with the
-    normals and facets of ``lower_facets`` of the sum.
+    """The lower facets of the Minkowski sum of the hulls of lattice point
+    sets in Z^(n+1), given as int tuples, read from the summands without
+    forming the sum: each as (normal (r, 1), facet, face tuple, fine),
+    sorted by normal, with the normals and facets of ``lower_facets`` of the
+    sum.  Facet and face vertices are int tuples; only the normals hold
+    Fractions.
 
     The facet with normal c is the sum of the faces F_i(c) of the summands
     minimizing c, and these are lower faces, each inside a lower cell of its
@@ -475,7 +504,9 @@ def lower_facets_of_sum(
     (r, 1) as in ``lower_facets``.  The facet is fine when the dimensions
     of its faces, taken on the chart, add up to d: the sum is then direct,
     so every sum of one vertex per face is a vertex and no two coincide,
-    and the facet is not hulled.  A single summand's facets are fine.
+    and the facet is not hulled.  A face of one or two vertices has
+    dimension 0 or 1 without elimination, as the chart keeps distinct lower
+    vertices distinct.  A single summand's facets are fine.
     """
     cells = [lower_facets(pts) for pts in point_sets]
     if len(cells) == 1:
@@ -485,14 +516,11 @@ def lower_facets_of_sum(
     n = len(verts[0][0]) - 1
     if any(len(vs[0]) != n + 1 for vs in verts):
         raise DimensionError("Minkowski sum of point sets in different dimensions")
-    flat, lcm = _lattice([v for vs in verts for v in vs])
-    it = iter(flat)
-    ipts = [[next(it) for _ in vs] for vs in verts]
     # the projected sum spans the projected differences inside each summand
-    diffs = [vec_sub(x[:-1], ps[0][:-1]) for ps in ipts for x in ps[1:]]
+    diffs = [vec_sub(x[:-1], vs[0][:-1]) for vs in verts for x in vs[1:]]
     basis_ids, axes = pivots(diffs)
     basis = [diffs[i] for i in basis_ids]
-    chart = [_on_axes(ps, axes + [n]) for ps in ipts]
+    chart = [_on_axes(vs, axes + [n]) for vs in verts]
     d = len(axes)
     # per summand and k, its sets of k + 1 vertices on a common lower cell,
     # as (first vertex, the k differences from it); k = 0 asks nothing
@@ -512,10 +540,10 @@ def lower_facets_of_sum(
         flats.append(by_k)
 
     results = []
-    # min c.x over each summand by primitive normal c, None once c is a
-    # facet; one normal can come from sets on its faces and from sets off
-    # them
-    minima: dict[tuple[int, ...], list[int] | None] = {}
+    # the values c.x over each summand and their minima by primitive normal
+    # c, None once c is a facet; one normal can come from sets on its faces
+    # and from sets off them
+    seen: dict[tuple[int, ...], tuple[list[list[int]], list[int]] | None] = {}
     # one set of k_i + 1 vertices per summand, the k_i adding up to d
     choices = itertools.chain.from_iterable(
         itertools.product(*(by_k.get(k, []) for by_k, k in zip(flats, ks)))
@@ -527,25 +555,29 @@ def lower_facets_of_sum(
         if c is None or not c[-1]:
             continue
         c, _ = _primitive(c if c[-1] > 0 else tuple(-x for x in c), 0)
-        if c not in minima:
-            minima[c] = [min(dot(c, x) for x in ps) for ps in chart]
-        lows = minima[c]
-        if lows is None or any(
-            first is not None and dot(c, chart[i][first]) != lows[i]
+        if c not in seen:
+            values = [[dot(c, x) for x in ps] for ps in chart]
+            seen[c] = values, [min(vs) for vs in values]
+        if seen[c] is None:
+            continue
+        values, lows = seen[c]
+        if any(
+            first is not None and values[i][first] != lows[i]
             for i, (first, _rows) in enumerate(choice)
         ):
             continue
-        minima[c] = None
-        on = [[j for j, x in enumerate(ps) if dot(c, x) == low] for ps, low in zip(chart, lows)]
+        seen[c] = None
+        on = [[j for j, v in enumerate(vs) if v == low] for vs, low in zip(values, lows)]
         faces = tuple(Polytope(tuple(vs[j] for j in ids)) for vs, ids in zip(verts, on))
-        fine = sum(len(_chart([ps[j] for j in ids])[1]) for ps, ids in zip(chart, on)) == d
-        sums = {
-            tuple(map(sum, zip(*xs)))
-            for xs in itertools.product(*([ps[j] for j in ids] for ps, ids in zip(ipts, on)))
-        }
-        pts = tuple(tuple(Fraction(x, lcm) for x in v) for v in sorted(sums))
+        fine = sum(
+            len(ids) - 1 if len(ids) <= 2 else len(_chart([ps[j] for j in ids])[1])
+            for ps, ids in zip(chart, on)
+        ) == d
+        sums = sorted(
+            {tuple(map(sum, zip(*xs))) for xs in itertools.product(*(f.vertices for f in faces))}
+        )
         # a direct sum has every sum of one vertex per face as a vertex
-        facet = Polytope(pts) if fine else convex_hull(pts)
+        facet = Polytope(tuple(sums)) if fine else convex_hull(sums)
         results.append((_scaled_normal(c, axes, basis, n), facet, faces, fine))
     results.sort(key=lambda quad: quad[0])
     return results

@@ -13,7 +13,6 @@ from rootbounds.binomials import (
     expansion_coeffs,
     gen_binomial,
     lcm_profile,
-    lcm_profile_bruteforce,
 )
 from rootbounds.bounds import (
     FieldSpec,
@@ -37,6 +36,7 @@ from rootbounds.oracle import (
     rational_root_search,
 )
 from rootbounds.polyhedra import convex_hull, mixed_volume
+from test_binomials import lcm_profile_bruteforce
 
 Q2 = FieldSpec.local(2, 1, 1)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -16,10 +17,21 @@ from rootbounds.binomials import (
     expansion_coeffs,
     gen_binomial,
     lcm_profile,
-    lcm_profile_bruteforce,
 )
 
 SEED = 0x1C3
+
+
+def lcm_profile_bruteforce(m: int, t: int) -> int:
+    """Reference for ``lcm_profile``: the lcm over all products of at most
+    m distinct factors from 1..t."""
+    if m == 0 or t == 0:
+        return 1
+    out = 1
+    for size in range(1, min(m, t) + 1):
+        for combo in itertools.combinations(range(1, t + 1), size):
+            out = math.lcm(out, math.prod(combo))
+    return out
 
 
 def test_lcm_profile_examples():

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from rootbounds.binomials import MAX_SUPPORT, MAX_SUPPORT_ELEMENT, MAX_T
 from rootbounds.cli import (
     EXIT_BAD_PARAMS,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE_ERROR,
     EXIT_VERIFY_FAILED,
@@ -25,6 +26,7 @@ from rootbounds.cli import (
     _build_parser,
     main,
 )
+from rootbounds.linalg import InternalError
 from rootbounds.oracle import MAX_UNIVARIATE_DEGREE, rational_root_search
 from rootbounds.parsing import (
     MAX_VARS,
@@ -431,6 +433,23 @@ def test_arithmetic_error_is_bad_params(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["bound", "-"], stdin_text=TRINOMIAL + "\n", monkeypatch=monkeypatch)
     assert (code, out) == (EXIT_BAD_PARAMS, "")
     assert err.startswith("error: ") and "combinatorial cap" in err
+
+
+def test_failed_self_check_is_internal_not_bad_params(capsys, monkeypatch):
+    # a kernel bug must not read as bad parameters (exit 3), nor as a failed
+    # verification (exit 1).  Unit coefficients at p = 2 make each lift one
+    # flat cell, so the one lower facet is no direct sum of its faces and
+    # its face bound runs mixed_volume.
+    def broken(polytopes):
+        raise InternalError("negative mixed volume -1; hull computation broken")
+
+    monkeypatch.setattr("rootbounds.newton.mixed_volume", broken)
+    code, out, err = run_cli(
+        capsys, ["facets", "-"], stdin_text="1 + x1 + x2 + x1*x2\n1 + 3*x1 + 5*x2\n",
+        monkeypatch=monkeypatch,
+    )
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.startswith("internal: ") and "hull computation broken" in err
 
 
 def test_precision_above_cap_is_bad_params(capsys, monkeypatch):

@@ -23,6 +23,7 @@ from rootbounds.newton import (
     near_one_radius,
     newton_data,
     newton_polytope,
+    poly_sum,
     shift_polynomial,
     system_polytope,
     valuation_face_bound,
@@ -300,11 +301,20 @@ def test_facets_request_builds_each_newton_object_once(capsys, monkeypatch):
     assert calls.get("newton.mixed_volume", 0) <= not_fine
 
 
+def _fraction_lift(f, p):
+    """The (exponent, valuation) points of f as Fraction tuples."""
+    return [to_vec(exp) + (ord_p_value(coeff, p),) for exp, coeff in f.terms]
+
+
+def _is_lattice(polytope):
+    return all(type(x) is int for v in polytope.vertices for x in v)
+
+
 def _chain_reference(s, p):
-    """The lower facets of the hulled Minkowski chain of the lifts, as
-    (normal, vertices), and the positive face bounds from ``face`` and
+    """The lower facets of the hulled Minkowski chain of the Fraction lifts,
+    as (normal, vertices), and the positive face bounds from ``face`` and
     ``project_pi`` per facet: the path that ``newton_data`` replaced."""
-    lifts = [newton_polytope(f, p) for f in s.polynomials]
+    lifts = [convex_hull(_fraction_lift(f, p)) for f in s.polynomials]
     facets = lower_facets(functools.reduce(minkowski_sum, lifts).vertices)
     bounds = []
     for normal, _facet in facets:
@@ -404,8 +414,9 @@ def _differential_systems(kind):
 )
 def test_lower_facets_from_the_lifts_match_the_minkowski_chain(kind):
     # newton_data reads the lower facets and face tuples off the lifts'
-    # own lower cells; the hull of their Minkowski sum must give the same
-    # normals, vertex tuples and order, and the same face bounds
+    # own lower cells, on int lattice points; the hull of the Minkowski sum
+    # of the Fraction lifts must give the same normals, vertex tuples and
+    # order, and the same face bounds
     dims = set()
     hulled = 0
     for s, p in _differential_systems(kind):
@@ -413,7 +424,9 @@ def test_lower_facets_from_the_lifts_match_the_minkowski_chain(kind):
         facets, bounds = _chain_reference(s, p)
         assert [(normal, facet.vertices) for normal, facet in data.facets] == facets
         assert data.face_bounds() == bounds
-        for (normal, _facet), faces in zip(data.facets, data.faces):
+        for (normal, facet), faces in zip(data.facets, data.faces):
+            assert all(type(x) is Fraction for x in normal)
+            assert _is_lattice(facet) and all(_is_lattice(f) for f in faces)
             assert faces == tuple(face(newton_polytope(f, p), normal) for f in s.polynomials)
         dims.add((s.n, project_pi(system_polytope(s, p)).affine_dim))
         hulled += sum(
@@ -426,6 +439,47 @@ def test_lower_facets_from_the_lifts_match_the_minkowski_chain(kind):
     if kind in ("flat", "near-flat"):
         # facets that still hull their face sum and run mixed_volume
         assert hulled
+
+
+def _overdetermined_systems(kind):
+    """Seeded (system, p) pairs with k > n equations of one kind."""
+    rng = random.Random(f"{SEED}-sum-lift-{kind}")
+    out = []
+    for trial in range(8):
+        p = (2, 3, 5)[trial % 3]
+        n = (1, 2, 2, 3)[trial % 4]
+        k = n + 1 + trial % 2
+        if kind == "generic":
+            polys = [_sparse(rng, _distinct_exponents(rng, n, rng.randint(2, 4), -1, 3), p)
+                     for _ in range(k)]
+        else:  # "flat": unit coefficients, so the summed lift is one cell
+            polys = [SparsePolynomial.from_dict({
+                e: _unit(rng, p) for e in _distinct_exponents(rng, n, rng.randint(2, 4), 0, 3)
+            }) for _ in range(k)]
+        out.append((SparseSystem.of(polys), p))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["generic", "flat"])
+def test_overdetermined_lower_facets_match_the_hulled_sum_lift(kind):
+    # for k > n newton_data reads the lower facets off the raw lift of the
+    # coefficient-wise sum, on int lattice points; the lower facets of the
+    # hull of its Fraction lift must be the same, each its own face tuple
+    single = 0
+    for s, p in _overdetermined_systems(kind):
+        data = newton_data(s, p)
+        ref = lower_facets(convex_hull(_fraction_lift(poly_sum(s.polynomials), p)).vertices)
+        assert [(normal, facet.vertices) for normal, facet in data.facets] == [
+            (normal, facet.vertices) for normal, facet in ref
+        ]
+        assert data.faces == tuple((facet,) for _normal, facet in data.facets)
+        assert all(data.fine)
+        for normal, facet in data.facets:
+            assert all(type(x) is Fraction for x in normal) and _is_lattice(facet)
+        single += len(data.facets) == 1
+    if kind == "flat":
+        # the single-linearity-region branch of lower_facets
+        assert single
 
 
 def _direct_face_bound(s, p, r):

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootbounds.linalg import (
+    _bareiss_null_vector,
+    _integer_rows,
     _phase_one_feasible,
     det,
     dot,
@@ -604,6 +606,31 @@ def test_null_vector_spans_the_kernel():
         null_vector([[1, 2, 3]])
 
 
+def test_closed_form_null_vectors_match_the_elimination():
+    # null_vector writes out the cofactors of 1 x 2 and 2 x 3 matrices; on
+    # int and Fraction rows they must span the line of the Bareiss null
+    # vector, and be None exactly when it is
+    rng = random.Random(SEED + 23)
+    deficient = 0
+    for trial in range(600):
+        k = 1 + trial % 2
+        rational = trial % 4 >= 2
+        rows = _rand_matrix(rng, k, k + 1, rational)
+        if trial % 3 == 0:  # rank below k: a zero row, or two parallel ones
+            s = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rational else rng.randint(-3, 3)
+            rows[-1] = [s * x for x in rows[0]] if k == 2 else [0 * x for x in rows[0]]
+        c = null_vector(rows)
+        ref = _bareiss_null_vector(_integer_rows(rows)[0])
+        if ref is None:
+            assert c is None and _fraction_rank(rows) < k
+            deficient += 1
+            continue
+        assert c is not None and all(type(x) is int for x in c) and any(c)
+        assert all(a * y == b * x for (a, x), (b, y) in itertools.combinations(zip(c, ref), 2))
+        assert all(dot(row, c) == 0 for row in rows)
+    assert deficient >= 150
+
+
 def _check_pivots(rows):
     row_ids, col_ids = pivots(rows)
     rank = _fraction_rank(rows)
@@ -1020,12 +1047,12 @@ def test_face_bound_rule_matches_inclusion_exclusion(n):
 
 
 def _lifted_point_sets(rng, n, flat):
-    """n seeded point sets in Z^(n+1): lattice points of [0, 3]^n with
-    heights in 0..3, or all at height 0 when ``flat``."""
+    """n seeded point sets in Z^(n+1), as int tuples: lattice points of
+    [0, 3]^n with heights in 0..3, or all at height 0 when ``flat``."""
     sets = []
     for _ in range(n):
         exps = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 5))}
-        sets.append([to_vec(e + (0 if flat else rng.randint(0, 3),)) for e in sorted(exps)])
+        sets.append([e + (0 if flat else rng.randint(0, 3),) for e in sorted(exps)])
     return sets
 
 
