@@ -22,7 +22,11 @@ the interval-log kernel ``arith._ln_half_even`` beside ``Decimal.ln`` at
 40, 80 and 1000 digits (the precision cap), on 500 seeded ratios of
 integers below 10^12 (20 at 1000 digits) rounded to the working precision;
 before timing, each row asserts that the two agree digit for digit, which
-also builds the kernel's table.  Each case draws its input from a fresh
+also builds the kernel's table.  The ``bound formulas`` rows evaluate, at
+1000 digits, the reports of ``rootbounds bound`` for a trinomial over p = 2,
+3, 5, 7 (local headline, facet bound and affine variant) and over two
+global fields (headline and level sum), once with every per-precision memo
+emptied first and once served from it.  Each case draws its input from a fresh
 ``random.Random(seed)``.  The script prints one line per case:
 its name, its result (for the logs, the number of arguments) and the best
 wall time over the repeats.
@@ -40,7 +44,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from rootbounds.arith import _GUARD_DIGITS, MAX_DIGITS, _ln_half_even  # noqa: E402
+from rootbounds import bounds  # noqa: E402
+from rootbounds.arith import (  # noqa: E402
+    _GUARD_DIGITS,
+    MAX_DIGITS,
+    _ln_half_even,
+    euler_ratio,
+    ln_prime,
+    set_precision,
+)
 from rootbounds.newton import (  # noqa: E402
     SparsePolynomial,
     SparseSystem,
@@ -115,6 +127,32 @@ def seeded_log_arguments(seed: int, digits: int, count: int) -> tuple[Context, l
     ]
 
 
+def bound_formulas(clear: bool) -> int:
+    """The bound reports of a trinomial (m = 3, n = 1) over Q_p for p = 2, 3,
+    5, 7 and over global fields of degree 2 and 3, at MAX_DIGITS digits; with
+    clear, after emptying every per-precision memo.  Returns their count."""
+    set_precision(MAX_DIGITS)
+    if clear:
+        for fn in (ln_prime, euler_ratio, bounds._local_interval, bounds._global_interval,
+                   bounds._facet_cp_interval, bounds._level_sum_interval):
+            fn.cache_clear()
+    reports = []
+    for p in (2, 3, 5, 7):
+        fs = bounds.FieldSpec.local(p)
+        reports += [
+            bounds.local_bound(fs, 3, 1, 1),
+            bounds.local_facet_bound_from_counts(2, 1, fs, m=3, m_list=(3,)),
+            bounds.affine_bound(fs, 3, 1, 1),
+        ]
+    for d in (2, 3):
+        fs = bounds.FieldSpec.global_field(d, 1)
+        reports += [
+            bounds.global_bound(fs, 3, 1, 1),
+            bounds.global_facet_sum_bound_from_counts(2, 3, 1, d, 1),
+        ]
+    return len(reports)
+
+
 def cases(seed: int):
     """(name, thunk) per case; each thunk returns the printed result."""
     for n in (3, 4):
@@ -141,6 +179,8 @@ def cases(seed: int):
         yield f"natural_log d={digits} kernel", lambda c=ctx, xs=xs: len(
             [_ln_half_even(x, c.prec) for x in xs])
         yield f"natural_log d={digits} Decimal.ln", lambda c=ctx, xs=xs: len([x.ln(c) for x in xs])
+    yield f"bound formulas d={MAX_DIGITS} first call", lambda: bound_formulas(clear=True)
+    yield f"bound formulas d={MAX_DIGITS} cached", lambda: bound_formulas(clear=False)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -156,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
             best = min(best, time.perf_counter() - start)
             if args.seed == DEFAULT_SEED and name in KNOWN and result != KNOWN[name]:
                 sys.exit(f"{name}: result {result}, known {KNOWN[name]} at seed {DEFAULT_SEED}")
-        print(f"{name:<31} result {result!s:<8} {best:8.3f} s", flush=True)
+        print(f"{name:<32} result {result!s:<8} {best:8.3f} s", flush=True)
     return 0
 
 

@@ -11,10 +11,14 @@ that is still a valid upper bound.  Working precision defaults to 40
 significant digits and can be raised at startup via :func:`set_precision`.
 
 Everything that depends only on the precision is built once per precision:
-the floor/ceiling ``Context`` pair, the enclosure of c returned by
+the floor/ceiling ``Context`` pair and the log kernel's table.  So is every
+interval that depends only on the precision and a few small integers: one
+memo, :func:`_per_precision`, keyed on a function's arguments and the
+working digits at call time, holds the enclosure of c returned by
 :func:`euler_ratio`, (per prime) the enclosure of ln p returned by
-:func:`ln_prime`, and the log kernel's table.  Interval logs run on that
-kernel, :func:`_ln_half_even`: fixed-point arithmetic on ints (a table of
+:func:`ln_prime`, and in :mod:`rootbounds.bounds` the closed-form bound
+intervals, each keyed on the integers of its formula.  Interval logs run on
+the kernel :func:`_ln_half_even`: fixed-point arithmetic on ints (a table of
 ln(1 + j/256), an atanh series and a proven error bound E) followed by a
 rounding test, which returns exactly what ``Decimal.ln`` returns, the result
 correctly rounded half-even, at a fifth of its cost.  An argument whose log
@@ -458,18 +462,38 @@ def natural_log(x: IntervalLike) -> Interval:
     return Interval._coerce(x).ln()
 
 
-# _ln_prime_at and _euler_ratio_at are only called with digits == _digits:
-# the key names the working precision at which their body runs.
-@functools.lru_cache(maxsize=64)
-def _ln_prime_at(p: int, digits: int) -> Interval:
-    require_prime(p)
-    return natural_log(Fraction(p))
+# Entries per memoised function: a few hundred keys hold the working set of
+# the bound formulas (the bound-mix benchmark pool evaluates them 12,292
+# times over 181 distinct keys).
+_PER_PRECISION_ENTRIES = 256
 
 
+def _per_precision(fn):
+    """Memoise fn on its arguments and the working digits at call time.
+
+    The body runs only on a miss, at the precision named by the key, so a
+    cached value is what a fresh call would return.  Only for functions of
+    small hashable arguments that return an :class:`Interval` (frozen, of
+    Decimals): a cached value is shared by every caller.  At most
+    _PER_PRECISION_ENTRIES values per function; ``__wrapped__`` is fn.
+    """
+    at = functools.lru_cache(maxsize=_PER_PRECISION_ENTRIES)(lambda digits, *args: fn(*args))
+
+    @functools.wraps(fn)
+    def cached(*args):
+        return at(_digits, *args)
+
+    cached.cache_clear = at.cache_clear
+    cached.cache_info = at.cache_info
+    return cached
+
+
+@_per_precision
 def ln_prime(p: int) -> Interval:
     """Enclosure of ln p at the working precision, computed once per
     (p, precision) pair."""
-    return _ln_prime_at(p, _digits)
+    require_prime(p)
+    return natural_log(Fraction(p))
 
 
 def _pure_power_exponent(n: int, p: int) -> int | None:
@@ -495,20 +519,16 @@ def log_base(x: IntervalLike, p: int) -> Interval:
     return natural_log(x) / ln_prime(p)
 
 
-@functools.cache
-def _euler_ratio_at(digits: int) -> Interval:
+@_per_precision
+def euler_ratio() -> Interval:
+    """The constant c = e/(e-1) (about 1.58198) from the bound formulas,
+    computed once per precision."""
     # exp, like ln, rounds half-even in every context: widen by one ulp
     cf, cc = _ctx_floor(), _ctx_ceil()
     e = Decimal(1).exp(cf)
     ulp = _ulp(e, cf.prec)
     e = Interval(cf.subtract(e, ulp), cc.add(e, ulp))
     return e / (e - 1)
-
-
-def euler_ratio() -> Interval:
-    """The constant c = e/(e-1) (about 1.58198) from the bound formulas,
-    computed once per precision."""
-    return _euler_ratio_at(_digits)
 
 
 # ---------------------------------------------------------------------------

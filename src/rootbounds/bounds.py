@@ -10,6 +10,7 @@ integer floor is still a valid bound for an integer root count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,6 +19,7 @@ from typing import Sequence
 from .arith import (
     Interval,
     UpperReal,
+    _per_precision,
     euler_ratio,
     format_rational,
     ln_prime,
@@ -201,8 +203,15 @@ def cp_bound_per_equation(
 # ---------------------------------------------------------------------------
 
 
-def _local_interval(fs: FieldSpec, m: int, n: int) -> Interval:
-    p, d = fs.p, fs.d
+# The closed-form intervals below depend only on a few small integers and the
+# working precision, so each is memoised on them (arith._per_precision); a
+# request multiplies a cached interval by its facet count, if any.  The
+# near-one bounds at a caller's radii (cp_bound, cp_bound_per_equation,
+# log_inequality_check) rarely repeat and stay unmemoised.
+
+
+@_per_precision
+def _local_interval(p: int, d: int, m: int, n: int) -> Interval:
     arg = Interval.from_fraction(Fraction(d * (m - 1))) / ln_prime(p)
     inner = (
         euler_ratio()
@@ -221,11 +230,11 @@ def local_bound(fs: FieldSpec, m: int, n: int, k: int) -> BoundReport:
     inputs = {"m": m, "n": n, "k": k, "p": fs.p, "d": fs.d, "e": fs.e, "q": fs.q}
     if m <= n or k < n:
         return _zero_report(FORMULA_THM1_LOCAL, inputs, "m <= n or k < n")
-    return _report(FORMULA_THM1_LOCAL, _local_interval(fs, m, n), inputs)
+    return _report(FORMULA_THM1_LOCAL, _local_interval(fs.p, fs.d, m, n), inputs)
 
 
-def _global_interval(fs: FieldSpec, m: int, n: int) -> Interval:
-    d, delta = fs.d, fs.delta
+@_per_precision
+def _global_interval(d: int, delta: int, m: int, n: int) -> Interval:
     dd = d * delta
     arg = Interval.from_fraction(Fraction(d * d * delta * delta * (m - 1))) / ln_prime(2)
     inner = (
@@ -246,7 +255,19 @@ def global_bound(fs: FieldSpec, m: int, n: int, k: int) -> BoundReport:
     notes = ("zero condition applied as k < n, matching the local statement",)
     if m <= n or k < n:
         return _zero_report(FORMULA_THM1_GLOBAL, inputs, "m <= n or k < n")
-    return _report(FORMULA_THM1_GLOBAL, _global_interval(fs, m, n), inputs, notes)
+    return _report(FORMULA_THM1_GLOBAL, _global_interval(fs.d, fs.delta, m, n), inputs, notes)
+
+
+@_per_precision
+def _facet_cp_interval(
+    m: int | None, m_list: tuple[int, ...] | None, n: int, e: int, p: int
+) -> Interval:
+    """The near-one bound of Cor 2.1 at the uniform radius 1/e: the
+    per-equation form when m_list is given, else the general form in m."""
+    r = tuple(Fraction(1, e) for _ in range(n))
+    if m_list is not None:
+        return _cp_per_equation_interval(m_list, n, r, p)
+    return _cp_general_interval(m, n, r, p)
 
 
 def local_facet_bound_from_counts(
@@ -264,7 +285,6 @@ def local_facet_bound_from_counts(
     """
     if fs.kind != "local":
         raise ValueError("the facet refinement applies to local fields")
-    r = tuple(Fraction(1, fs.e) for _ in range(n))
     inputs = {"facets": facets, "n": n, "p": fs.p, "e": fs.e, "q": fs.q}
     if m is not None:
         inputs["m"] = m
@@ -274,12 +294,12 @@ def local_facet_bound_from_counts(
         inputs["m_list"] = tuple(m_list)
         if any(m_i <= 1 for m_i in m_list):
             return _zero_report(FORMULA_COR2_1, inputs, "some m_i <= 1")
-        cp = _cp_per_equation_interval(tuple(m_list), n, r, fs.p)
+        cp = _facet_cp_interval(None, tuple(m_list), n, fs.e, fs.p)
         note = "per-equation near-one form"
     else:
         if m is None:
             raise ValueError("need m or m_list")
-        cp = _cp_general_interval(m, n, r, fs.p)
+        cp = _facet_cp_interval(m, None, n, fs.e, fs.p)
         note = "general near-one form"
     iv = facets * ((fs.q - 1) ** n) * cp
     return _report(FORMULA_COR2_1, iv, inputs, (note,))
@@ -296,6 +316,22 @@ def local_facet_bound(F: SparseSystem, fs: FieldSpec) -> BoundReport:
     return local_facet_bound_from_counts(facets, F.n, fs, m=F.m)
 
 
+def _level_denominator(dd: int, j: int) -> int:
+    """1/radius of subgroup level j in the Cor 3.1 sum: ceil(dd/j) * dd."""
+    return -(-dd // j) * dd
+
+
+@_per_precision
+def _level_sum_interval(m: int, n: int, dd: int) -> Interval:
+    """The Cor 3.1 sum over levels j = 1..dd of (2^j - 1)^n times the
+    2-adic near-one bound at radius 1/(ceil(dd/j) * dd), dd = d*delta."""
+    total = Interval.exact(0)
+    for j in range(1, dd + 1):
+        r = tuple(Fraction(1, _level_denominator(dd, j)) for _ in range(n))
+        total = total + ((2**j - 1) ** n) * _cp_general_interval(m, n, r, 2)
+    return total
+
+
 def global_facet_sum_bound_from_counts(
     facets: int, m: int, n: int, d: int, delta: int
 ) -> BoundReport:
@@ -306,17 +342,12 @@ def global_facet_sum_bound_from_counts(
     inputs = {"facets": facets, "m": m, "n": n, "d": d, "delta": delta}
     if m <= n:
         return _zero_report(FORMULA_COR3_1, inputs, "m <= n")
-    total = Interval.exact(0)
-    radii = []
-    for j in range(1, dd + 1):
-        denom = -(-dd // j) * dd
-        r = tuple(Fraction(1, denom) for _ in range(n))
-        radii.append(format_rational(Fraction(1, denom)))
-        total = total + ((2**j - 1) ** n) * _cp_general_interval(m, n, r, 2)
-    iv = facets * total
+    iv = facets * _level_sum_interval(m, n, dd)
     notes = (
         "2-adic embedding fixes p = 2 for every summand",
-        "per-level radii: " + ", ".join(radii),
+        "per-level radii: " + ", ".join(
+            format_rational(Fraction(1, _level_denominator(dd, j))) for j in range(1, dd + 1)
+        ),
     )
     return _report(FORMULA_COR3_1, iv, inputs, notes)
 
@@ -333,10 +364,10 @@ def affine_bound(fs: FieldSpec, m: int, n: int, k: int) -> BoundReport:
     torus bound over all variable subsets, with the 2^n relaxation reported
     alongside."""
     if fs.kind == "local":
-        base, interval = FORMULA_THM1_LOCAL, _local_interval
+        base, interval = FORMULA_THM1_LOCAL, functools.partial(_local_interval, fs.p, fs.d)
     else:
-        base, interval = FORMULA_THM1_GLOBAL, _global_interval
-    interval_at = lambda j: interval(fs, m, j) if (m > j and k >= j) else Interval.exact(0)
+        base, interval = FORMULA_THM1_GLOBAL, functools.partial(_global_interval, fs.d, fs.delta)
+    interval_at = lambda j: interval(m, j) if (m > j and k >= j) else Interval.exact(0)
     exact = Interval.exact(1)
     for j in range(1, n + 1):
         exact = exact + math.comb(n, j) * interval_at(j)

@@ -36,7 +36,7 @@ from .arith import (
     ord_p_value,
     require_prime,
 )
-from .linalg import InternalError, det, dot, nonneg_solution_exists, to_vec, vec_sub
+from .linalg import InternalError, det, dot, mat_rank, nonneg_solution_exists, to_vec, vec_sub
 from .polyhedra import (
     LatticePoint,
     Polytope,
@@ -315,6 +315,12 @@ def valuation_vector_cap(m: int, n: int) -> int:
     return (m * (m - 1) // 2) ** n
 
 
+def _support_rank(F: SparseSystem) -> int:
+    """Dimension of the affine span of the system's exponents."""
+    exps = [e for f in F.polynomials for e in f.support]
+    return mat_rank([vec_sub(e, exps[0]) for e in exps[1:]])
+
+
 def newton_data(F: SparseSystem, p: int) -> NewtonData:
     """Build the lower facets of the aggregated lift and their face tuples
     from the lifts' own points (the lift of the coefficient-wise sum for
@@ -329,9 +335,10 @@ def newton_data(F: SparseSystem, p: int) -> NewtonData:
     faces = tuple(fs for _normal, _facet, fs, _fine in quads)
     fine = tuple(fine for *_rest, fine in quads)
     cap = valuation_vector_cap(F.m, F.n) if F.m >= 2 else 1
-    # a refusal, not an InternalError: a system whose supports span less
-    # than n dimensions can have more lower facets than the cap
-    if len(facets) > cap:
+    # the cap bounds the valuation vectors of isolated roots; a system whose
+    # supports span fewer than n dimensions has none, and can have more
+    # lower facets than the cap, so the rank is checked only past it
+    if len(facets) > cap and _support_rank(F) == F.n:
         raise ArithmeticError(
             f"lower facet count {len(facets)} exceeds the combinatorial cap {cap}"
         )

@@ -283,6 +283,11 @@ class _Hull:
             (normal, frozenset(i for i, p in enumerate(self.pts) if dot(normal, p) == offset))
             for normal, offset in sorted({(f.normal, f.offset) for f in facets})
         ]
+        if len(self.pts) == self.dim + 1:
+            # d + 1 affinely independent points: a simplex, all of them vertices
+            self.vertex_ids = list(range(len(self.pts)))
+            self.facets = geo
+            return
         # a point is extreme iff its incident facet normals span the space
         incident: dict[int, list[tuple[int, ...]]] = {}
         for normal, on in geo:

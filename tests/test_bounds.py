@@ -1,10 +1,15 @@
+import functools
+import io
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from rootbounds import bounds
+from rootbounds.arith import euler_ratio, get_precision, ln_prime, set_precision
 from rootbounds.bounds import (
     FORMULA_COR2_1,
     FORMULA_COR3_1,
@@ -27,6 +32,7 @@ from rootbounds.bounds import (
     log_inequality_check,
     valuation_vector_cap,
 )
+from rootbounds.cli import main
 from rootbounds.newton import SparsePolynomial, SparseSystem, facet_count
 
 SEED = 0xB0B
@@ -346,3 +352,138 @@ def test_formula_ids_and_json():
         global_bound(FieldSpec.global_field(1, 1), 3, 1, 1).formula_id
         == FORMULA_THM1_GLOBAL
     )
+
+
+# ---------------------------------------------------------------------------
+# the per-precision memo of the closed-form intervals
+# ---------------------------------------------------------------------------
+
+# the memoised bound intervals, by name: looked up at call time, so that a
+# test can replace them
+BOUND_MEMOS = ("_local_interval", "_global_interval", "_facet_cp_interval", "_level_sum_interval")
+
+
+def _clear_memos():
+    for fn in (ln_prime, euler_ratio, *(getattr(bounds, name) for name in BOUND_MEMOS)):
+        fn.cache_clear()
+
+
+def _at_precision(digits, fn):
+    saved = get_precision()
+    try:
+        set_precision(digits)
+        return fn()
+    finally:
+        set_precision(saved)
+
+
+def _memo_keys(rng, per_function):
+    """(memoised function, argument tuple) over a grid of (p, d, e, f, m, n,
+    delta), a seeded sample of per_function keys each when given."""
+    grids = {
+        ln_prime: [(p,) for p in (2, 3, 5, 7, 101)],
+        euler_ratio: [()],
+        bounds._local_interval: [
+            (p, e * f, m, n) for p in (2, 3, 7) for e, f in ((1, 1), (2, 1), (1, 3))
+            for m in (3, 6) for n in (1, 2, 3) if m > n
+        ],
+        bounds._global_interval: [
+            (d, delta, m, n) for d in (1, 2, 3) for delta in (1, 2) for m in (3, 6)
+            for n in (1, 2) if m > n
+        ],
+        bounds._facet_cp_interval: [
+            (m, m_list, n, e, p) for p in (2, 5) for e in (1, 2) for n in (1, 2)
+            for m, m_list in ((n + 2, None), (None, (3,) * n), (None, (2, 5)[:n]))
+        ],
+        bounds._level_sum_interval: [
+            (m, n, d * delta) for d in (1, 2) for delta in (1, 3) for m, n in ((3, 1), (5, 2))
+        ],
+    }
+    for fn, keys in grids.items():
+        if per_function is not None and len(keys) > per_function:
+            keys = rng.sample(keys, per_function)
+        for args in keys:
+            yield fn, args
+
+
+@pytest.mark.parametrize("digits", (30, 40, 80, 1000))
+def test_memoised_intervals_match_fresh_evaluation(digits):
+    # every memoised interval is digit for digit what its unwrapped function
+    # returns at the same precision, on a miss and on the hit after it
+    rng = random.Random(SEED + digits)
+
+    def check():
+        for fn, args in _memo_keys(rng, 8 if digits == 1000 else None):
+            hits = fn.cache_info().hits
+            first, again = fn(*args), fn(*args)
+            assert fn.cache_info().hits > hits and again is first
+            fresh = fn.__wrapped__(*args)
+            assert first.lo.as_tuple() == fresh.lo.as_tuple(), (fn, args)
+            assert first.hi.as_tuple() == fresh.hi.as_tuple(), (fn, args)
+
+    _at_precision(digits, check)
+
+
+# bound requests reaching every memoised formula: the local headline and
+# per-equation facet bound of a 2x2 system, the general facet bound of a
+# univariate, and the global headline and level sum, each with --affine
+SWITCH_REQUESTS = (
+    (["bound", "-", "--prime", "3", "--affine"], "1 + x1*x2 + x1^2*x2^3\n1 + x1*x2^2 + x1^4*x2\n"),
+    (["bound", "-", "--prime", "5", "--e", "2"], "3*x1^10 + x1^2 - 4\n"),
+    (["bound", "-", "--global", "--d", "2", "--delta", "2", "--affine"], "x1^7 - 2*x1^3 + 8\n"),
+)
+
+
+def _switch_run(capsys, monkeypatch, digits):
+    """The stdout of each SWITCH_REQUESTS run at digits, and the raw upper
+    value of library reports at full working precision: the 30-digit JSON
+    of these requests reads the same at 40 and at 80 digits."""
+    q9 = FieldSpec.local(3, 1, 2)
+    gfs = FieldSpec.global_field(2, 3)
+
+    def run():
+        outs = []
+        for argv, text in SWITCH_REQUESTS:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert main(argv + ["--precision", str(digits)]) == 0
+            outs.append(capsys.readouterr().out)
+        reports = [
+            local_bound(q9, 5, 2, 2),
+            local_facet_bound_from_counts(7, 2, q9, m=5, m_list=(3, 4)),
+            local_facet_bound_from_counts(2, 1, q9, m=4),
+            global_bound(gfs, 4, 1, 1),
+            global_facet_sum_bound_from_counts(3, 4, 1, 2, 3),
+            affine_bound(q9, 5, 2, 2),
+            affine_bound(gfs, 4, 2, 2),
+        ]
+        return outs, [r.raw.value.as_tuple() for r in reports]
+
+    return _at_precision(digits, run)
+
+
+def _switch_mismatches(capsys, monkeypatch):
+    """Which of the precision-switch checks fail: at 40, 80 and then 40
+    digits, the second 40-digit run repeats the first byte for byte, and the
+    80-digit run matches one made with every memo emptied."""
+    _clear_memos()
+    at_40, at_80, again_40 = (_switch_run(capsys, monkeypatch, d) for d in (40, 80, 40))
+    _clear_memos()
+    fresh_80 = _switch_run(capsys, monkeypatch, 80)
+    assert at_40[1] != fresh_80[1]
+    return [name for name, ok in (
+        ("40 after 80", again_40 == at_40),
+        ("80 after 40", at_80 == fresh_80),
+    ) if not ok]
+
+
+def test_bound_request_follows_a_precision_switch(capsys, monkeypatch):
+    assert _switch_mismatches(capsys, monkeypatch) == []
+
+
+def test_precision_switch_check_catches_a_memo_without_the_digits(capsys, monkeypatch):
+    # memoising the bound intervals on their arguments alone serves 40-digit
+    # intervals to the 80-digit run, which the switch check must see
+    for name in BOUND_MEMOS:
+        digits_free = functools.lru_cache(maxsize=None)(getattr(bounds, name).__wrapped__)
+        monkeypatch.setattr(bounds, name, digits_free)
+    assert _switch_mismatches(capsys, monkeypatch) == ["80 after 40"]

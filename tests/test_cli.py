@@ -935,3 +935,41 @@ def test_verify_binomial_count_above_a_bound_is_inconclusive(capsys, monkeypatch
     under = snf["thm1_local"]
     assert under["count"] <= under["bound"] and "inconclusive" not in under
     assert all("inconclusive" not in row for row in payload["rows"] if row["oracle"] != "snf_binomial")
+
+
+@pytest.mark.parametrize(
+    "stdin_text, height_cap, count",
+    [("2*x2 + 2\n", 1, 2), ("1 - x1*x3\n", 3, 196)],
+    ids=["x2-line", "x1x3-surface"],
+)
+def test_verify_underdetermined_count_above_a_bound_is_inconclusive(
+    capsys, monkeypatch, stdin_text, height_cap, count
+):
+    # with k < n every root lies on a positive-dimensional component, so the
+    # bound of 0 on isolated roots holds and the rational search's count
+    # refutes nothing: the row passes, marked, with no failure dump
+    code, out, _ = run_cli(capsys, ["verify", "-", "--prime", "5", "--height-cap", str(height_cap)],
+                           stdin_text=stdin_text, monkeypatch=monkeypatch)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["all_ok"] is True
+    [row] = payload["rows"]
+    assert (row["oracle"], row["count"], row["bound"]) == ("rational_search", count, 0)
+    assert row["ok"] is True and "k = 1 < n" in row["inconclusive"]
+    assert "system" not in row and "bound_report" not in row
+
+
+@pytest.mark.parametrize(
+    "stdin_text",
+    ["1 + x3*x3; 1 + 3*x3*x3; 1 + 9*x3*x3\n", "1; 1 + x3*x3; 1 + 3*x3*x3\n"],
+    ids=["three-binomials", "with-a-constant"],
+)
+def test_bound_on_supports_below_full_dimension_is_not_refused(capsys, monkeypatch, stdin_text):
+    # the lower facets of a lift whose support spans fewer than n dimensions
+    # can outnumber the cap on valuation vectors of isolated roots, which
+    # such a system has none of
+    code, out, err = run_cli(capsys, ["bound", "-", "--prime", "3"], stdin_text=stdin_text,
+                             monkeypatch=monkeypatch)
+    assert (code, err) == (EXIT_OK, "")
+    bounds = {b["formula_id"]: b["integer_bound"] for b in json.loads(out)["bounds"]}
+    assert bounds == {"thm1_local": 0, "cor2_1": 0}
