@@ -12,10 +12,14 @@ coefficients +-{1, 2, 3, 4, 6, 8, 12, 16} at p = 2; ``face_bounds`` of the
 with 7 terms and a 4x4 with 5 terms per equation, exponents 0..4 and the
 units +-{1, 3, 5, 7} at p = 2 as coefficients, where each lift is one cell
 and the sum has one lower facet; the mixed volume of n = 3 and 4
-polytopes, each the hull of 7 random lattice points in [0, 4]^n; and the
+polytopes, each the hull of 7 random lattice points in [0, 4]^n; the
 lower-facet kernel ``newton_data`` on 200 seeded 2x2 systems, each with 3
 or 4 terms per equation, exponents 0..8 and the same coefficients at p = 2,
-with the total facet count as its result.  At the default seed every
+with the total facet count as its result; and ``convex_hull`` of 40 sets
+per ambient dimension 2..6 of 12 lattice points base + t * step on a line
+(t in -6..6, so with interior and repeated points), the hulls of the
+1-dimensional general build, with the total lattice length of the hulls as
+its result.  At the default seed every
 polyhedral result is checked against its known value, and the script stops
 with an error at the first that differs.  The ``natural_log`` rows time
 the interval-log kernel ``arith._ln_half_even`` beside ``Decimal.ln`` at
@@ -35,6 +39,7 @@ wall time over the repeats.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 import time
@@ -84,7 +89,10 @@ KNOWN = {
     "mixed_volume n=3": 153,
     "mixed_volume n=4": 754,
     "newton_data facets 2x2": 1075,
+    "convex_hull 1-D": 2629,
 }
+COLLINEAR_SETS = 40
+COLLINEAR_POINTS = 12
 
 
 def seeded_system(
@@ -116,6 +124,32 @@ def seeded_polytopes(seed: int, n: int) -> list:
         convex_hull([tuple(rng.randint(0, MV_BOX) for _ in range(n)) for _ in range(MV_POINTS)])
         for _ in range(n)
     ]
+
+
+def seeded_collinear_sets(seed: int) -> list[list[tuple[int, ...]]]:
+    """COLLINEAR_SETS sets per ambient dimension 2..6, each of COLLINEAR_POINTS
+    lattice points base + t * step with t in -6..6."""
+    rng = random.Random(seed)
+    sets = []
+    for dim in range(2, 7):
+        for _ in range(COLLINEAR_SETS):
+            base = [rng.randint(-9, 9) for _ in range(dim)]
+            step = [0] * dim
+            while not any(step):
+                step = [rng.randint(-4, 4) for _ in range(dim)]
+            ts = [rng.randint(-6, 6) for _ in range(COLLINEAR_POINTS)]
+            sets.append([tuple(b + t * s for b, s in zip(base, step)) for t in ts])
+    return sets
+
+
+def lattice_length(sets: list[list[tuple[int, ...]]]) -> int:
+    """The total number of lattice steps between the two hull vertices of
+    each set (0 for a single point)."""
+    total = 0
+    for points in sets:
+        vs = convex_hull(points).vertices
+        total += math.gcd(*(b - a for a, b in zip(vs[0], vs[-1])))
+    return total
 
 
 def seeded_log_arguments(seed: int, digits: int, count: int) -> tuple[Context, list[Decimal]]:
@@ -171,6 +205,8 @@ def cases(seed: int):
     systems = seeded_batch(seed)
     yield "newton_data facets 2x2", lambda ss=systems: sum(
         len(newton_data(s, PRIME).facets) for s in ss)
+    collinear = seeded_collinear_sets(seed)
+    yield "convex_hull 1-D", lambda sets=collinear: lattice_length(sets)
     for digits, count in ((40, 500), (80, 500), (MAX_DIGITS, 20)):
         ctx, xs = seeded_log_arguments(seed, digits, count)
         want = [x.ln(ctx).as_tuple() for x in xs]

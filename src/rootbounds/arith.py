@@ -8,7 +8,8 @@ constant c = e/(e-1)) are evaluated with directed-rounding interval
 arithmetic over :mod:`decimal`.  Every interval encloses the exact real it
 stands for, so taking the upper endpoint of a bound expression yields a value
 that is still a valid upper bound.  Working precision defaults to 40
-significant digits and can be raised at startup via :func:`set_precision`.
+significant digits and is set by :func:`set_precision` per context: a thread
+or a ``contextvars.copy_context().run`` that sets its own leaves the caller's.
 
 Everything that depends only on the precision is built once per precision:
 the floor/ceiling ``Context`` pair and the log kernel's table.  So is every
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
@@ -50,7 +52,7 @@ MAX_DIGITS = 1000
 # slack added around decimal's half-even ln/exp results.
 _GUARD_DIGITS = 8
 
-_digits = DEFAULT_DIGITS
+_digits: ContextVar[int] = ContextVar("rootbounds_digits", default=DEFAULT_DIGITS)
 
 
 def set_precision(digits: int) -> None:
@@ -60,16 +62,15 @@ def set_precision(digits: int) -> None:
     significant digits before the final directed round-up.  Values above
     MAX_DIGITS are rejected too.
     """
-    global _digits
     if digits < 30:
         raise ValueError(f"precision must be at least 30 digits, got {digits}")
     if digits > MAX_DIGITS:
         raise ValueError(f"precision must be at most {MAX_DIGITS} digits, got {digits}")
-    _digits = digits
+    _digits.set(digits)
 
 
 def get_precision() -> int:
-    return _digits
+    return _digits.get()
 
 
 @functools.cache
@@ -81,11 +82,11 @@ def _contexts(digits: int) -> tuple[Context, Context]:
 
 
 def _ctx_floor() -> Context:
-    return _contexts(_digits)[0]
+    return _contexts(_digits.get())[0]
 
 
 def _ctx_ceil() -> Context:
-    return _contexts(_digits)[1]
+    return _contexts(_digits.get())[1]
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +482,7 @@ def _per_precision(fn):
 
     @functools.wraps(fn)
     def cached(*args):
-        return at(_digits, *args)
+        return at(_digits.get(), *args)
 
     cached.cache_clear = at.cache_clear
     cached.cache_info = at.cache_info

@@ -10,6 +10,7 @@ failed internal self-check (``linalg.InternalError``), which is a bug.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import functools
 import json
 import os
@@ -29,7 +30,7 @@ from .bounds import (
     local_bound,
     local_facet_bound,
 )
-from .linalg import InternalError
+from .linalg import InternalError, det
 from .newton import SparsePolynomial, SparseSystem, newton_data
 from .oracle import (
     count_binomial_system,
@@ -47,14 +48,13 @@ EXIT_BAD_PARAMS = 3
 EXIT_INTERNAL = 4
 
 # Caps on verify --random N: on N, and on its work, N times the at most 2H^2
-# candidates the rational search of each trial tries at height cap H plus
-# P^2/4000 for the bound formulas at P digits (one unit is about 2.5 us of
-# search).  Every trial is a trinomial with the same bound formulas, whose
-# intervals are memoised per precision (arith._per_precision), so only the
-# first trial at a precision evaluates them: 0.12 s at 1000 digits, log table
-# included.  A trial then takes about 0.5 ms at the defaults (cap 10, 40
-# digits), 0.9 ms at cap 12, 30 ms at the cap 100 and 0.6 ms at 1000 digits:
-# 666 trials at 1000 digits take about 0.5 s and the 1000 trials at cap 12
+# candidates the rational search of each trial tries at height cap H (one
+# unit is about 2.5 us of search).  The precision is no per-trial cost: every
+# trial is a trinomial with the same bound formulas, whose intervals are
+# memoised per precision (arith._per_precision), so only the first trial
+# evaluates them, 0.12 s at 1000 digits, log table included.  A trial then
+# takes about 0.5 ms at the defaults (cap 10, 40 digits), 0.9 ms at cap 12
+# and 30 ms at the cap 100, at any precision: the 1000 trials at cap 12 take
 # about 0.9 s (Python 3.11 on a shared 2-vCPU machine).
 MAX_RANDOM_TRIALS = 1000
 MAX_RANDOM_WORK = MAX_RANDOM_TRIALS * 300
@@ -215,12 +215,9 @@ def _verify_rows(system: SparseSystem, args: argparse.Namespace, fs: FieldSpec) 
             (e1, c1), (e2, c2) = sorted(f.terms)
             exponents.append(tuple(b - a for a, b in zip(e1, e2)))
             constants.append(-c1 / c2)
-        if all(any(e) for e in exponents):
-            try:
-                rc, _r = count_binomial_system(exponents, constants, args.prime)
-                counts.append(rc)
-            except ValueError:
-                pass
+        # a singular exponent matrix has no isolated roots to count
+        if det(exponents):
+            counts.append(count_binomial_system(exponents, constants, args.prime)[0])
     if system.n <= 3:
         counts.append(rational_root_search(system, args.height_cap))
 
@@ -273,14 +270,14 @@ def _random_trinomial(rng, n_terms: int = 3):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     trials = args.random_trials
-    work = trials * (2 * args.height_cap**2 + args.precision**2 // 4000)
+    work = trials * 2 * args.height_cap**2
     if not 0 <= trials <= MAX_RANDOM_TRIALS:
         raise ValueError(f"--random takes 0 to {MAX_RANDOM_TRIALS} trials, got {trials}")
     if work > MAX_RANDOM_WORK:
         raise ValueError(
-            f"--random {trials} at --height-cap {args.height_cap} and --precision "
-            f"{args.precision} weighs {work} (candidate roots plus precision^2/4000 per "
-            f"trial), above the cap {MAX_RANDOM_WORK} (MAX_RANDOM_WORK)"
+            f"--random {trials} at --height-cap {args.height_cap} weighs {work} "
+            f"(2 * height-cap^2 candidate roots per trial), above the cap "
+            f"{MAX_RANDOM_WORK} (MAX_RANDOM_WORK)"
         )
     fs = _field_spec(args)
     rows = []
@@ -370,6 +367,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # in a copy of the caller's context: the precision a command sets ends with it
+    return contextvars.copy_context().run(_run, args)
+
+
+def _run(args: argparse.Namespace) -> int:
     # looked up per call, so that a rebound cmd_* (a tracer's) is the one run
     commands = {"bound": cmd_bound, "facets": cmd_facets, "verify": cmd_verify, "binom": cmd_binom}
     try:

@@ -4,21 +4,22 @@ Hulls, faces, Minkowski sums, Euclidean volumes, and normalized mixed
 volumes, all decided by exact integer determinants; no tolerances anywhere.
 A planar hull is Andrew's monotone chain, with collinear points dropped and
 the area taken by the shoelace formula; this covers the lift of every
-univariate polynomial and every mixed volume in the plane.  A hull of
-dimension d >= 3 is an incremental beneath-beyond construction over a
-simplicial facet complex, with coplanar pieces merged afterwards through
+univariate polynomial and every mixed volume in the plane.  Every other
+hull, a 1-D one included, is an incremental beneath-beyond construction over
+a simplicial facet complex, with coplanar pieces merged afterwards through
 canonical primitive facet hyperplanes; each candidate facet normal is the
 integer null vector of its d - 1 difference vectors (``linalg.null_vector``).
-Both run on Python ints: rational input is scaled once by the lcm L of its
-denominators, and volumes are divided back at the end.  Lattice points,
-such as the lifts of a system, are int tuples throughout: they pass the
-scaling unchanged with L = 1, and hulls, faces, sums and lower facets of
-them hold int tuples again.  Fractions appear only where a value can be
-non-integral: in the lower facet normals (r, 1) and in rational input.  In
-dimension d >= 3 volume accumulates during construction as the sum of the
-initial simplex and the pyramids swept out by each insertion.  A :class:`Polytope` stores
-its sorted vertices and nothing else: the ambient dimension is their
-length, and the affine dimension is computed only when asked for.
+Both run on Python ints and report volume in lattice units: rational input
+is scaled once by the lcm L of its denominators, and ``volume`` and
+``mixed_volume`` divide by L^d.  Lattice points, such as the lifts of a
+system, are int tuples throughout: they pass the scaling unchanged with
+L = 1, and hulls, faces, sums and lower facets of them hold int tuples
+again.  Fractions appear only where a value can be non-integral: in the
+lower facet normals (r, 1) and in rational input.  Beneath-beyond
+accumulates the volume as the initial simplex plus the pyramids swept out
+by each insertion.  A :class:`Polytope` stores its sorted vertices and
+nothing else: the ambient dimension is their length, and the affine
+dimension is computed only when asked for.
 
 The module runs no elimination of its own: determinants, pivots and null
 vectors come from the one Bareiss elimination in ``linalg``.  Every
@@ -28,12 +29,14 @@ dimension d and d + 1 affinely independent points that seed the hull, and
 its pivot columns d coordinate axes onto which the affine hull projects
 bijectively.  That projection keeps vertices and faces, so a
 lower-dimensional set is hulled on those axes, and a lower-facet functional
-found there is pulled back into the span of the point set.  The lower facets
-of a Minkowski sum are found the same way from its summands' lower cells,
-without hulling the sum (``lower_facets_of_sum``).  A lower facet whose
-faces have dimensions adding up to its own is a direct sum of them, a fine
-facet: its vertices are the sums of one vertex per face, with no hull, and
-the mixed volume of its faces is 0 or the |det| of n edges, with no
+found there is pulled back into the span of the point set.  The lower cells
+of a point set come from one lower-hull pass (``_lower_cells``) as chart
+normals and vertex ids: ``lower_facets`` is a view of them, and the lower
+facets of a Minkowski sum are read from one pass per summand without
+hulling the sum (``lower_facets_of_sum``).  A lower facet whose faces have
+dimensions adding up to its own is a direct sum of them, a fine facet: its
+vertices are the sums of one vertex per face, with no hull, and the mixed
+volume of its faces is 0 or the |det| of n edges, with no
 inclusion-exclusion.
 """
 
@@ -171,35 +174,24 @@ class _Facet:
 
 
 class _Hull:
-    """Exact hull of the points x = y / L for integer points y spanning Z^d.
+    """Exact hull of integer points spanning Z^d, in lattice units.
 
     ``simplex`` holds the indices of d + 1 affinely independent points, the
-    first simplex of the beneath-beyond construction for d >= 3 (lines and
-    planar sets are hulled directly), and L (``scale``) is the lcm of the
-    input's coordinate denominators, 1 for lattice input.  Exposes
-    ``vertex_ids`` and the Euclidean ``volume``, and for d >= 2 the
-    canonical ``facets`` as (inner primitive normal, vertex-id frozenset)
-    pairs sorted by normal.  A uniform scale leaves the facet normals
-    unchanged; the volume is divided by L^d once at the end.
+    first simplex of the beneath-beyond construction; a planar set is hulled
+    by the monotone chain instead, and a set on a line takes the general
+    build like any d != 2.  Exposes ``vertex_ids``, the canonical ``facets``
+    as (inner primitive normal, vertex-id frozenset) pairs sorted by normal,
+    and the ``volume`` of the integer points: a caller that scaled rational
+    input by L divides it by L^d.
     """
 
-    def __init__(self, pts: list[tuple[int, ...]], scale: int, simplex: Sequence[int]):
+    def __init__(self, pts: list[tuple[int, ...]], simplex: Sequence[int]):
         self.dim = len(simplex) - 1
         self.pts = pts
-        self.scale = scale
-        if self.dim == 1:
-            self._build_1d()
-        elif self.dim == 2:
+        if self.dim == 2:
             self._build_2d()
         else:
             self._build(simplex)
-
-    def _build_1d(self) -> None:
-        xs = [(p[0], i) for i, p in enumerate(self.pts)]
-        lo = min(xs)
-        hi = max(xs)
-        self.vertex_ids = [lo[1]] if lo[0] == hi[0] else sorted({lo[1], hi[1]})
-        self.volume = Fraction(hi[0] - lo[0], self.scale)
 
     def _build_2d(self) -> None:
         # Andrew's monotone chain over the distinct points; a duplicate point
@@ -221,7 +213,7 @@ class _Hull:
             facets.append(((-dy // g, dx // g), frozenset(ids[a] + ids[b])))
         self.vertex_ids = sorted(i for v in ring for i in ids[v])
         self.facets = sorted(facets, key=lambda f: f[0])
-        self.volume = Fraction(twice_area, 2 * self.scale**2)
+        self.volume = Fraction(twice_area, 2)
 
     def _oriented(self, verts: tuple[int, ...]) -> _Facet | None:
         hp = _hyperplane([self.pts[v] for v in verts])
@@ -275,7 +267,7 @@ class _Hull:
                     raise InternalError("degenerate facet from horizon ridge")
                 facets.append(nf)
 
-        self.volume = Fraction(det_sum, math.factorial(d) * self.scale**d)
+        self.volume = Fraction(det_sum, math.factorial(d))
         self._finalize(facets)
 
     def _finalize(self, facets: list[_Facet]) -> None:
@@ -327,19 +319,12 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
     """The vertices of the hull of the points, lattice points as int tuples."""
     pts = sorted({_point(p) for p in points})
     _ambient_dim(pts)
-    hull = _structure(pts)
-    if hull is None:
-        return Polytope((pts[0],))
-    return Polytope(tuple(pts[i] for i in hull.vertex_ids))
-
-
-def _structure(pts: Sequence[Point]) -> _Hull | None:
-    """Hull of a point set on its chart axes; None for a single point."""
-    ipts, lcm = _lattice(pts)
+    ipts, _ = _lattice(pts)
     simplex, axes = _chart(ipts)
     if not axes:
-        return None
-    return _Hull(_on_axes(ipts, axes), lcm, simplex)
+        return Polytope((pts[0],))
+    hull = _Hull(_on_axes(ipts, axes), simplex)
+    return Polytope(tuple(pts[i] for i in hull.vertex_ids))
 
 
 def face(p: Polytope, w: Sequence) -> Polytope:
@@ -369,10 +354,12 @@ def project_pi(p: Polytope) -> Polytope:
 
 def volume(p: Polytope) -> Fraction:
     """Exact Euclidean volume in the ambient dimension; 0 when degenerate."""
-    hull = _structure(p.vertices)
-    if hull is None or hull.dim < p.ambient_dim:
+    ipts, lcm = _lattice(p.vertices)
+    simplex, axes = _chart(ipts)
+    if len(axes) < p.ambient_dim:
         return Fraction(0)
-    return hull.volume
+    # a full chart takes every axis: the hull is of the points L*v themselves
+    return _Hull(ipts, simplex).volume / lcm ** len(axes)
 
 
 def mixed_volume(polytopes: Sequence[Polytope]) -> Fraction:
@@ -408,7 +395,7 @@ def mixed_volume(polytopes: Sequence[Polytope]) -> Fraction:
             simplex, axes = _chart(pts_list)
             if len(axes) < n:
                 continue
-            total += sign * _Hull(pts_list, 1, simplex).volume
+            total += sign * _Hull(pts_list, simplex).volume
     if total < 0:
         raise InternalError(f"negative mixed volume {total}; hull computation broken")
     return total / lcm**n
@@ -436,17 +423,12 @@ def _scaled_normal(c: Sequence[int], axes: Sequence[int], basis: list[Vector], n
     return r + (Fraction(1),)
 
 
-def lower_facets(points: Sequence[Point]) -> list[tuple[Vector, Polytope]]:
-    """Maximal faces of the lower hull of a point set in Q^(n+1), each with
-    its inner normal scaled to (r, 1), sorted by normal.
-
-    The points are rational tuples, a polytope's vertices or any finite set
-    such as the raw lift of a polynomial; each facet holds the hull vertices
-    on it, as given.  The lower hull is the graph of the largest convex
-    function under the points; its maximal linearity regions are the
-    returned facets.  For a degenerate set the normal component r is the
-    unique representative inside the span of the projected directions.
-    """
+def _lower_cells(points: Sequence[Point]) -> tuple[list[Point], list[int], list[Vector], list]:
+    """One lower-hull pass over a point set in Q^(n+1): the lowest points over
+    the projections, sorted; the chart of their projections, as its axes and
+    the d differences p_i - p_0 at its basis points; and the lower cells as
+    (primitive normal (c_r, c_h) on the chart axes plus the height, c_h > 0,
+    sorted ids of the cell's vertices among the lowest points)."""
     n = _ambient_dim(points) - 1
     if n < 1:
         raise DimensionError("lower facets require ambient dimension >= 2")
@@ -456,32 +438,42 @@ def lower_facets(points: Sequence[Point]) -> list[tuple[Vector, Polytope]]:
         if u not in lowest or v[-1] < lowest[u][-1]:
             lowest[u] = v
     kept = sorted(lowest.values())
-    ipts, lcm = _lattice(kept)
+    ipts, _ = _lattice(kept)
     simplex_u, axes = _chart([q[:-1] for q in ipts])
-    # the differences p_i - p_0 at the basis points of the projections
     basis = [vec_sub(ipts[i][:-1], ipts[0][:-1]) for i in simplex_u[1:]]
     lifted = _on_axes(ipts, axes + [n])
     simplex, lifted_axes = _chart(lifted)
-
     if len(lifted_axes) == len(axes):
         # single linearity region: the lifted points span a hyperplane of
-        # the chart, whose normal puts every one of them on one facet.  That
-        # facet projects bijectively onto the chart axes, so its vertices
+        # the chart, whose normal puts every one of them on one cell.  That
+        # cell projects bijectively onto the chart axes, so its vertices
         # are those of the hull of the projection.
         c = null_vector([vec_sub(lifted[i], lifted[0]) for i in simplex[1:]])
-        c = c if c[-1] > 0 else tuple(-x for x in c)
-        ids = _Hull(_on_axes(ipts, axes), lcm, simplex_u).vertex_ids if axes else [0]
-        return [(_scaled_normal(c, axes, basis, n), Polytope(tuple(kept[i] for i in ids)))]
+        c, _ = _primitive(c if c[-1] > 0 else tuple(-x for x in c), 0)
+        ids = _Hull(_on_axes(ipts, axes), simplex_u).vertex_ids if axes else [0]
+        return kept, axes, basis, [(c, ids)]
 
-    hull = _Hull(lifted, lcm, simplex)
-    results = []
-    for normal, on_ids in hull.facets:
-        if normal[-1] <= 0:
-            continue
-        facet = Polytope(tuple(sorted(kept[i] for i in on_ids)))
-        results.append((_scaled_normal(normal, axes, basis, n), facet))
-    results.sort(key=lambda pair: pair[0])
-    return results
+    hull = _Hull(lifted, simplex)
+    cells = [(normal, sorted(on)) for normal, on in hull.facets if normal[-1] > 0]
+    return kept, axes, basis, cells
+
+
+def lower_facets(points: Sequence[Point]) -> list[tuple[Vector, Polytope]]:
+    """Maximal faces of the lower hull of a point set in Q^(n+1), each with
+    its inner normal scaled to (r, 1), sorted by normal.
+
+    The points are rational tuples, a polytope's vertices or any finite set
+    such as the raw lift of a polynomial; each facet holds the hull vertices
+    on it, as given.  The lower hull is the graph of the largest convex
+    function under the points; its maximal linearity regions, the cells of
+    ``_lower_cells``, are the returned facets.  For a degenerate set the
+    normal component r is the unique representative in the projected span.
+    """
+    kept, axes, basis, cells = _lower_cells(points)
+    n = len(kept[0]) - 1
+    facets = [(_scaled_normal(c, axes, basis, n), Polytope(tuple(kept[i] for i in ids)))
+              for c, ids in cells]
+    return sorted(facets, key=lambda pair: pair[0])
 
 
 def lower_facets_of_sum(
@@ -496,10 +488,11 @@ def lower_facets_of_sum(
 
     The facet with normal c is the sum of the faces F_i(c) of the summands
     minimizing c, and these are lower faces, each inside a lower cell of its
-    summand.  So after one ``lower_facets`` per summand only its lower
-    vertices, the vertices of its lower cells, are read: the minima c.x and
-    the faces F_i(c), which hold vertices only.  Work on the coordinate
-    axes of a chart of the projected sum, of dimension d, plus the height.
+    summand.  So after one lower-hull pass per summand (``_lower_cells``),
+    which gives its cells as vertex ids and scales no normal, only its lower
+    vertices, those of its lower cells, are read: the minima c.x and the
+    faces F_i(c), which hold vertices only.  Work on the coordinate axes of
+    a chart of the projected sum, of dimension d, plus the height.
     Pick from each summand k_i + 1 vertices on a common lower cell, the k_i
     adding up to d, and take the null vector c of the d differences to each
     set's first vertex.  With a positive height component c_h, c is a lower
@@ -513,11 +506,16 @@ def lower_facets_of_sum(
     dimension 0 or 1 without elimination, as the chart keeps distinct lower
     vertices distinct.  A single summand's facets are fine.
     """
-    cells = [lower_facets(pts) for pts in point_sets]
-    if len(cells) == 1:
-        return [(normal, facet, (facet,), True) for normal, facet in cells[0]]
-    # the lower vertices of each summand, sorted
-    verts = [sorted({v for _normal, cell in cs for v in cell.vertices}) for cs in cells]
+    if len(point_sets) == 1:
+        return [(normal, facet, (facet,), True) for normal, facet in lower_facets(point_sets[0])]
+    # each summand's lower vertices, sorted, and its cells as positions among them
+    verts, cells = [], []
+    for pts in point_sets:
+        kept, _axes, _basis, summand_cells = _lower_cells(pts)
+        lower = sorted({i for _c, ids in summand_cells for i in ids})
+        at = {i: j for j, i in enumerate(lower)}
+        verts.append([kept[i] for i in lower])
+        cells.append([[at[i] for i in ids] for _c, ids in summand_cells])
     n = len(verts[0][0]) - 1
     if any(len(vs[0]) != n + 1 for vs in verts):
         raise DimensionError("Minkowski sum of point sets in different dimensions")
@@ -530,11 +528,9 @@ def lower_facets_of_sum(
     # per summand and k, its sets of k + 1 vertices on a common lower cell,
     # as (first vertex, the k differences from it); k = 0 asks nothing
     flats = []
-    for vs, cs, ps in zip(verts, cells, chart):
-        index = {v: j for j, v in enumerate(vs)}
+    for cs, ps in zip(cells, chart):
         on_cell = set()
-        for _normal, cell in cs:
-            ids = sorted(index[v] for v in cell.vertices)
+        for ids in cs:
             for size in range(2, min(len(ids), d + 1) + 1):
                 on_cell.update(itertools.combinations(ids, size))
         by_k: dict[int, list] = {0: [(None, [])]}

@@ -1,4 +1,6 @@
+import contextvars
 import random
+import threading
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 
@@ -107,6 +109,31 @@ def test_precision_cap():
         assert get_precision() == 1000
     finally:
         set_precision(saved)
+
+
+def test_precision_set_in_another_context_or_thread_stays_there():
+    # the working digits are a ContextVar: a set_precision in a copied
+    # context or in a thread leaves the caller's digits, and the intervals
+    # memoised at them, as they are
+    caller = get_precision()
+    before = ln_prime(3), euler_ratio()
+
+    def at_80():
+        set_precision(80)
+        return get_precision(), ln_prime(3)
+
+    digits, wide = contextvars.copy_context().run(at_80)
+    assert digits == 80 and wide != before[0]
+    assert get_precision() == caller
+    assert (ln_prime(3), euler_ratio()) == before
+    assert before[0] == ln_prime.__wrapped__(3)
+    results = []
+    thread = threading.Thread(target=lambda: results.append(at_80()))
+    thread.start()
+    thread.join()
+    assert results == [(80, wide)]
+    assert get_precision() == caller
+    assert ln_prime(3) is before[0] and euler_ratio() is before[1]
 
 
 def test_integer_log_is_exact():

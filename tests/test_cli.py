@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from rootbounds.arith import get_precision, set_precision
 from rootbounds.binomials import MAX_SUPPORT, MAX_SUPPORT_ELEMENT, MAX_T
 from rootbounds.cli import (
     EXIT_BAD_PARAMS,
@@ -732,7 +733,8 @@ _EIGHT_VARS = "".join(f"x{i} + x{i + 1} + {i}\n" for i in range(1, 8))
         (["bound", "-", "--e", "2048", "--affine"], _EIGHT_VARS, "MAX_BOUND_DIGITS"),
         (["verify", "-", "--prime", "1000000007"], _UNI, "MAX_SCAN_PRIME"),
         (["verify", "--random", "1000", "--height-cap", "100"], None, "MAX_RANDOM_WORK"),
-        (["verify", "--random", "1000", "--precision", "1000"], None, "MAX_RANDOM_WORK"),
+        (["verify", "--random", "1000", "--height-cap", "13", "--precision", "1000"], None,
+         "MAX_RANDOM_WORK"),
         (["verify", "-", "--prime", "3"], "x1^3000000 + 3*x1 - 1\n", "MAX_UNIVARIATE_DEGREE"),
     ],
     ids=["e-1e7", "f-1e5", "p-1e6-e-3000", "global-d-1e5", "global-d-3000-delta-10",
@@ -870,14 +872,16 @@ def test_largest_accepted_univariate_degree_and_random_precision_run_in_budget(c
     assert code == EXIT_BAD_PARAMS and "MAX_UNIVARIATE_DEGREE" in err
     assert time.perf_counter() - t0 < 10.0
 
-    trials = MAX_RANDOM_WORK // (2 * 10**2 + 1000**2 // 4000)
+    # the work cap weighs the search alone: 1000 trials at 1000 digits pass
+    # up to the largest height cap H with 1000 * 2H^2 <= MAX_RANDOM_WORK
+    cap = math.isqrt(MAX_RANDOM_WORK // (2 * MAX_RANDOM_TRIALS))
+    assert cap == 12
+    argv = ["verify", "--random", str(MAX_RANDOM_TRIALS), "--precision", "1000", "--height-cap"]
     t0 = time.perf_counter()
-    code, out, _ = run_cli(capsys, ["verify", "--random", str(trials), "--precision", "1000"],
-                           monkeypatch=monkeypatch)
+    code, out, _ = run_cli(capsys, argv + [str(cap)], monkeypatch=monkeypatch)
     assert time.perf_counter() - t0 < 10.0
-    assert code == EXIT_OK and len(json.loads(out)["rows"]) >= trials
-    code, _, err = run_cli(capsys, ["verify", "--random", str(trials + 1), "--precision", "1000"],
-                           monkeypatch=monkeypatch)
+    assert code == EXIT_OK and len(json.loads(out)["rows"]) >= MAX_RANDOM_TRIALS
+    code, _, err = run_cli(capsys, argv + [str(cap + 1)], monkeypatch=monkeypatch)
     assert code == EXIT_BAD_PARAMS and "MAX_RANDOM_WORK" in err
 
 
@@ -935,6 +939,41 @@ def test_verify_binomial_count_above_a_bound_is_inconclusive(capsys, monkeypatch
     under = snf["thm1_local"]
     assert under["count"] <= under["bound"] and "inconclusive" not in under
     assert all("inconclusive" not in row for row in payload["rows"] if row["oracle"] != "snf_binomial")
+
+
+def test_verify_singular_binomial_system_has_no_smith_row(capsys, monkeypatch):
+    # x1*x2 = 2 and (x1*x2)^2 = 3 share no root: the exponent matrix is
+    # singular, so there are no isolated roots for the Smith count to count
+    code, out, _ = run_cli(capsys, ["verify", "-"], stdin_text="x1*x2 - 2; x1^2*x2^2 - 3\n",
+                           monkeypatch=monkeypatch)
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert rows and all(row["oracle"] != "snf_binomial" for row in rows)
+
+
+def test_verify_reports_an_error_of_the_smith_count(capsys, monkeypatch):
+    # an error of the Smith count on a nonsingular system is no missing row
+    # but a refused request
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("rootbounds.cli.count_binomial_system", boom)
+    code, out, err = run_cli(capsys, ["verify", "-"], stdin_text="x1^2 - 2\nx2^3 - x1\n",
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (EXIT_BAD_PARAMS, "")
+    assert err.startswith("error: ") and "boom" in err
+
+
+def test_main_leaves_the_callers_precision(capsys, monkeypatch):
+    saved = get_precision()
+    try:
+        set_precision(50)
+        code, _, _ = run_cli(capsys, ["bound", "-", "--precision", "80"], stdin_text=_UNI,
+                             monkeypatch=monkeypatch)
+        assert code == EXIT_OK
+        assert get_precision() == 50
+    finally:
+        set_precision(saved)
 
 
 @pytest.mark.parametrize(

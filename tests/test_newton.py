@@ -271,7 +271,7 @@ def test_facets_request_builds_each_newton_object_once(capsys, monkeypatch):
     calls = {}
     counted_names = {
         newton: ("newton_polytope", "minkowski_sum", "lower_facets_of_sum", "mixed_volume"),
-        polyhedra: ("minkowski_sum", "lower_facets", "convex_hull"),
+        polyhedra: ("minkowski_sum", "lower_facets", "_lower_cells", "convex_hull"),
     }
     for module, names in counted_names.items():
         for name in names:
@@ -291,8 +291,10 @@ def test_facets_request_builds_each_newton_object_once(capsys, monkeypatch):
     assert calls["newton.lower_facets_of_sum"] == 1
     assert calls.get("newton.minkowski_sum", 0) == 0
     assert calls.get("polyhedra.minkowski_sum", 0) == 0
-    # one lower hull per lift, none of the sum
-    assert calls["polyhedra.lower_facets"] == 2
+    # one lower-hull pass per lift, none of the sum, and no lift's cell
+    # normals scaled into lower facets
+    assert calls["polyhedra._lower_cells"] == 2
+    assert calls.get("polyhedra.lower_facets", 0) == 0
     # a fine facet, whose face dimensions add up to its own, is the direct
     # sum of its faces: neither its vertices nor its face bound need a hull
     # or an inclusion-exclusion, and no lift is hulled

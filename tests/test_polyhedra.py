@@ -897,9 +897,9 @@ def _planar_point_set(rng, kind):
     return pts
 
 
-def _general_build(pts, scale, simplex):
+def _general_build(pts, simplex):
     hull = _Hull.__new__(_Hull)
-    hull.dim, hull.pts, hull.scale = 2, pts, scale
+    hull.dim, hull.pts = 2, pts
     hull._build(simplex)
     return hull
 
@@ -913,8 +913,8 @@ def test_planar_hull_matches_general_build(kind):
         simplex, axes = _chart(ipts)
         if len(axes) < 2:
             continue
-        planar = _Hull(ipts, scale, simplex)
-        general = _general_build(ipts, scale, simplex)
+        planar = _Hull(ipts, simplex)
+        general = _general_build(ipts, simplex)
         assert planar.vertex_ids == general.vertex_ids
         assert planar.facets == general.facets
         assert planar.volume == general.volume
@@ -1074,3 +1074,71 @@ def test_fine_facet_vertices_are_the_sums_of_face_vertices(n):
             else:
                 extra_sums += len(set(sums)) > len(facet.vertices)
     assert fine_seen and extra_sums
+
+
+def _collinear_points(rng, dim, rational):
+    """Points base + t * step of a line in Z^dim (or Q^dim), for parameters t
+    from lo to hi with interior and repeated ones, shuffled; and the two
+    extremes, at lo and hi."""
+    den = (lambda: rng.randint(1, 6)) if rational else (lambda: 1)
+    base = tuple(Fraction(rng.randint(-9, 9), den()) for _ in range(dim))
+    step = (0,) * dim
+    while not any(step):
+        step = tuple(Fraction(rng.randint(-4, 4), den()) for _ in range(dim))
+    lo = rng.randint(-6, 0)
+    hi = lo + rng.randint(1, 8)
+    ts = [lo, hi] + [rng.randint(lo, hi) for _ in range(rng.randint(0, 5))]
+    ts += rng.choices(ts, k=rng.randint(0, 3))
+    rng.shuffle(ts)
+
+    def at(t):
+        p = tuple(b + t * s for b, s in zip(base, step))
+        return p if rational else tuple(int(x) for x in p)
+
+    return [at(t) for t in ts], (at(lo), at(hi))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("rational", [False, True], ids=["lattice", "rational"])
+def test_collinear_sets_take_the_general_build(dim, rational):
+    # a set on a line is hulled by beneath-beyond like any d != 2: its two
+    # endpoint facets, vertices and length match a min/max reference
+    assert "_build_1d" not in vars(_Hull)
+    rng = random.Random(f"{SEED}-collinear-{dim}-{rational}")
+    for _ in range(40):
+        points, (lo, hi) = _collinear_points(rng, dim, rational)
+        hull_points = convex_hull(points)
+        assert hull_points.vertices == tuple(sorted([lo, hi]))
+        assert volume(hull_points) == (abs(hi[0] - lo[0]) if dim == 1 else 0)
+
+        ipts, _ = _lattice(points)
+        simplex, axes = _chart(ipts)
+        assert len(axes) == 1
+        hull = _Hull([(p[axes[0]],) for p in ipts], simplex)
+        xs = [p[axes[0]] for p in ipts]
+        at_min = frozenset(i for i, x in enumerate(xs) if x == min(xs))
+        at_max = frozenset(i for i, x in enumerate(xs) if x == max(xs))
+        assert hull.facets == [((-1,), at_max), ((1,), at_min)]
+        assert hull.vertex_ids == sorted(at_min | at_max)
+        assert hull.volume == max(xs) - min(xs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sum_facets_scale_one_normal_each(n, monkeypatch):
+    # the summands' lower cells reach the sum as vertex ids: the only
+    # normals scaled to (r, 1) are those of the returned facets
+    from rootbounds import polyhedra
+
+    calls = 0
+
+    def counted(*args, _original=polyhedra._scaled_normal):
+        nonlocal calls
+        calls += 1
+        return _original(*args)
+
+    monkeypatch.setattr(polyhedra, "_scaled_normal", counted)
+    rng = random.Random(f"{SEED}-scaled-normals-{n}")
+    for trial in range(12):
+        calls = 0
+        facets = lower_facets_of_sum(_lifted_point_sets(rng, n, trial % 3 == 0))
+        assert facets and calls == len(facets)
