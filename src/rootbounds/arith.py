@@ -38,6 +38,8 @@ from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
 from typing import Union
 
+from .errors import ParamError
+
 RationalLike = Union[Fraction, int]
 
 DEFAULT_DIGITS = 40
@@ -63,9 +65,9 @@ def set_precision(digits: int) -> None:
     MAX_DIGITS are rejected too.
     """
     if digits < 30:
-        raise ValueError(f"precision must be at least 30 digits, got {digits}")
+        raise ParamError(f"precision must be at least 30 digits, got {digits}")
     if digits > MAX_DIGITS:
-        raise ValueError(f"precision must be at most {MAX_DIGITS} digits, got {digits}")
+        raise ParamError(f"precision must be at most {MAX_DIGITS} digits, got {digits}")
     _digits.set(digits)
 
 
@@ -123,7 +125,7 @@ def is_prime(n: int) -> bool:
 
 def require_prime(p: int) -> int:
     if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"expected a prime >= 2, got {p!r}")
+        raise ParamError(f"expected a prime >= 2, got {p!r}")
     return p
 
 
@@ -146,7 +148,7 @@ def ord_p_value(x: RationalLike, p: int) -> Fraction:
     require_prime(p)
     x = Fraction(x)
     if x == 0:
-        raise ValueError("valuation of zero is infinite")
+        raise ParamError("valuation of zero is infinite")
     return Fraction(_int_ord(x.numerator, p) - _int_ord(x.denominator, p))
 
 
@@ -343,7 +345,7 @@ class Interval:
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+            raise ParamError(f"inverted interval [{self.lo}, {self.hi}]")
 
     # -- constructors ------------------------------------------------------
 
@@ -409,7 +411,7 @@ class Interval:
 
     def __pow__(self, n: int) -> "Interval":
         if not isinstance(n, int) or n < 0:
-            raise ValueError("interval powers take a nonnegative integer exponent")
+            raise ParamError("interval powers take a nonnegative integer exponent")
         result = Interval.exact(1)
         base = self
         while n:
@@ -430,7 +432,7 @@ class Interval:
         (lo == hi) takes one kernel call.
         """
         if self.lo <= 0:
-            raise ValueError(f"log of nonpositive value (interval [{self.lo}, {self.hi}])")
+            raise ParamError(f"log of nonpositive value (interval [{self.lo}, {self.hi}])")
         if self.lo == 1 and self.hi == 1:
             return Interval.exact(0)
         cf, cc = _ctx_floor(), _ctx_ceil()
@@ -512,7 +514,7 @@ def log_base(x: IntervalLike, p: int) -> Interval:
     if isinstance(x, (int, Fraction)):
         q = Fraction(x)
         if q <= 0:
-            raise ValueError(f"log of nonpositive value {q}")
+            raise ParamError(f"log of nonpositive value {q}")
         a = _pure_power_exponent(q.numerator, p)
         b = _pure_power_exponent(q.denominator, p)
         if a is not None and b is not None:

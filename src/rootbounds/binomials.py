@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arith import is_prime
-from .linalg import InternalError, solve_square
+from .errors import InternalError, ParamError
+from .linalg import solve_square
 
 # The interpreter's default limit on the decimal digits of a printed int; an
 # lcm profile above it is refused.  lcm(1, ..., 9859) already has more, so no
@@ -36,7 +37,7 @@ MAX_SUPPORT_ELEMENT = 10**6
 
 def _check_t(t: int) -> None:
     if t > MAX_T:
-        raise ValueError(f"t = {t} exceeds the cap {MAX_T}")
+        raise ParamError(f"t = {t} exceeds the cap {MAX_T}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ def lcm_profile(m: int, t: int) -> int:
     more than ``MAX_PRINT_DIGITS`` digits is refused before it is built.
     """
     if m < 0 or t < 0:
-        raise ValueError("lcm profile arguments must be nonnegative")
+        raise ParamError("lcm profile arguments must be nonnegative")
     _check_t(t)
     if m == 0 or t == 0:
         return 1
@@ -88,12 +89,12 @@ def lcm_profile(m: int, t: int) -> int:
     # within the margin of the limit is compared exactly once built
     digits = sum(e * math.log10(p) for p, e in exponents)
     if digits > MAX_PRINT_DIGITS + 1e-6:
-        raise ValueError(
+        raise ParamError(
             f"lcm profile of about {math.ceil(digits)} digits exceeds the cap {MAX_PRINT_DIGITS}"
         )
     value = math.prod(p**e for p, e in exponents)
     if value >= 10**MAX_PRINT_DIGITS:
-        raise ValueError(f"lcm profile of more than {MAX_PRINT_DIGITS} digits exceeds the cap")
+        raise ParamError(f"lcm profile of more than {MAX_PRINT_DIGITS} digits exceeds the cap")
     return value
 
 
@@ -101,7 +102,7 @@ def gen_binomial(a: int, t: int) -> Fraction:
     """(a choose t) = prod_{i<t} (a-i)/(t-i), an integer for integer a: the
     usual binomial for a >= 0, and (-1)^t (t - a - 1 choose t) below."""
     if t < 0:
-        raise ValueError("lower index must be nonnegative")
+        raise ParamError("lower index must be nonnegative")
     return Fraction(math.comb(a, t) if a >= 0 else (-1) ** t * math.comb(t - a - 1, t))
 
 
@@ -116,15 +117,15 @@ def expansion_coeffs(support: Sequence[int], t: int) -> BinomialExpansion:
     a_sorted = tuple(sorted(support))
     m = len(a_sorted)
     if m == 0:
-        raise ValueError("expansion needs a nonempty support")
+        raise ParamError("expansion needs a nonempty support")
     if m > MAX_SUPPORT:
-        raise ValueError(f"a support of {m} elements exceeds the cap {MAX_SUPPORT}")
+        raise ParamError(f"a support of {m} elements exceeds the cap {MAX_SUPPORT}")
     if max(-a_sorted[0], a_sorted[-1]) > MAX_SUPPORT_ELEMENT:
-        raise ValueError(f"support elements are capped at magnitude {MAX_SUPPORT_ELEMENT}")
+        raise ParamError(f"support elements are capped at magnitude {MAX_SUPPORT_ELEMENT}")
     if len(set(a_sorted)) != m:
-        raise ValueError("support elements must be distinct")
+        raise ParamError("support elements must be distinct")
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise ParamError("t must be nonnegative")
     _check_t(t)
     if t < m:
         coeffs = tuple(Fraction(1 if j == t else 0) for j in range(m))

@@ -26,6 +26,7 @@ from .arith import (
     log_base,
     require_prime,
 )
+from .errors import ParamError
 from .linalg import to_vec
 from .newton import SparseSystem, facet_count, near_one_radius, valuation_vector_cap
 
@@ -60,24 +61,24 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in ("local", "global"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
+            raise ParamError(f"unknown field kind {self.kind!r}")
         require_prime(self.p)
         if self.kind == "local":
             if not self.e or not self.f or self.e < 1 or self.f < 1:
-                raise ValueError("local fields need ramification e >= 1 and residue degree f >= 1")
+                raise ParamError("local fields need ramification e >= 1 and residue degree f >= 1")
             if self.d is not None and self.d != self.e * self.f:
-                raise ValueError("local degree must equal e*f; no factorization is guessed")
+                raise ParamError("local degree must equal e*f; no factorization is guessed")
             object.__setattr__(self, "d", self.e * self.f)
             if self.d * math.log2(self.p) > MAX_FIELD_BITS:
-                raise ValueError(f"p^d = {self.p}^{self.d} exceeds the cap 2^{MAX_FIELD_BITS} "
+                raise ParamError(f"p^d = {self.p}^{self.d} exceeds the cap 2^{MAX_FIELD_BITS} "
                                  "(MAX_FIELD_BITS)")
         else:
             if not self.d or self.d < 1:
-                raise ValueError("global fields need a degree d >= 1")
+                raise ParamError("global fields need a degree d >= 1")
             if not self.delta or self.delta < 1:
-                raise ValueError("global bounds need a root degree delta >= 1")
+                raise ParamError("global bounds need a root degree delta >= 1")
             if self.d * self.delta > MAX_GLOBAL_DEGREE:
-                raise ValueError(f"d*delta = {self.d * self.delta} exceeds the cap "
+                raise ParamError(f"d*delta = {self.d * self.delta} exceeds the cap "
                                  f"{MAX_GLOBAL_DEGREE} (MAX_GLOBAL_DEGREE)")
 
     @classmethod
@@ -91,7 +92,7 @@ class FieldSpec:
     @property
     def q(self) -> int:
         if self.kind != "local":
-            raise ValueError("residue cardinality only exists for local fields")
+            raise ParamError("residue cardinality only exists for local fields")
         return self.p ** self.f
 
 
@@ -118,7 +119,7 @@ def _report(
 ) -> BoundReport:
     raw = iv.upper()
     if raw.value.adjusted() >= MAX_BOUND_DIGITS:
-        raise ValueError(f"the {formula_id} bound has more than {MAX_BOUND_DIGITS} digits, "
+        raise ParamError(f"the {formula_id} bound has more than {MAX_BOUND_DIGITS} digits, "
                          "the cap MAX_BOUND_DIGITS")
     floor = raw.floor_int()
     if floor < 0:
@@ -141,9 +142,9 @@ def _zero_report(formula_id: str, inputs: dict, reason: str) -> BoundReport:
 def _validate_r(r: Sequence, n: int) -> tuple[Fraction, ...]:
     rv = to_vec(r)
     if len(rv) != n:
-        raise ValueError(f"r must have length {n}")
+        raise ParamError(f"r must have length {n}")
     if any(x <= 0 for x in rv):
-        raise ValueError("r components must be positive")
+        raise ParamError("r components must be positive")
     return rv
 
 
@@ -184,7 +185,7 @@ def cp_bound_per_equation(
     rv = _validate_r(r, n)
     m_list = tuple(int(m) for m in m_list)
     if len(m_list) != n:
-        raise ValueError("need one term count per equation")
+        raise ParamError("need one term count per equation")
     inputs = {
         "m_list": m_list,
         "n": n,
@@ -226,7 +227,7 @@ def _local_interval(p: int, d: int, m: int, n: int) -> Interval:
 def local_bound(fs: FieldSpec, m: int, n: int, k: int) -> BoundReport:
     """Isolated torus roots in a degree-d extension of the p-adics."""
     if fs.kind != "local":
-        raise ValueError("local bound requires a local field spec")
+        raise ParamError("local bound requires a local field spec")
     inputs = {"m": m, "n": n, "k": k, "p": fs.p, "d": fs.d, "e": fs.e, "q": fs.q}
     if m <= n or k < n:
         return _zero_report(FORMULA_THM1_LOCAL, inputs, "m <= n or k < n")
@@ -250,7 +251,7 @@ def _global_interval(d: int, delta: int, m: int, n: int) -> Interval:
 def global_bound(fs: FieldSpec, m: int, n: int, k: int) -> BoundReport:
     """Isolated roots of degree <= delta over a degree-d number field."""
     if fs.kind != "global":
-        raise ValueError("global bound requires a global field spec")
+        raise ParamError("global bound requires a global field spec")
     inputs = {"m": m, "n": n, "k": k, "d": fs.d, "delta": fs.delta}
     notes = ("zero condition applied as k < n, matching the local statement",)
     if m <= n or k < n:
@@ -284,7 +285,7 @@ def local_facet_bound_from_counts(
     total count m; the notes record which form was used.
     """
     if fs.kind != "local":
-        raise ValueError("the facet refinement applies to local fields")
+        raise ParamError("the facet refinement applies to local fields")
     inputs = {"facets": facets, "n": n, "p": fs.p, "e": fs.e, "q": fs.q}
     if m is not None:
         inputs["m"] = m
@@ -298,7 +299,7 @@ def local_facet_bound_from_counts(
         note = "per-equation near-one form"
     else:
         if m is None:
-            raise ValueError("need m or m_list")
+            raise ParamError("need m or m_list")
         cp = _facet_cp_interval(m, None, n, fs.e, fs.p)
         note = "general near-one form"
     iv = facets * ((fs.q - 1) ** n) * cp
@@ -306,14 +307,8 @@ def local_facet_bound_from_counts(
 
 
 def local_facet_bound(F: SparseSystem, fs: FieldSpec) -> BoundReport:
-    if F.k < F.n:
-        raise ValueError("facet bound needs k >= n")
-    facets = facet_count(F, fs.p)
-    if F.k == F.n:
-        return local_facet_bound_from_counts(
-            facets, F.n, fs, m=F.m, m_list=F.m_counts
-        )
-    return local_facet_bound_from_counts(facets, F.n, fs, m=F.m)
+    m_list = F.m_counts if F.k == F.n else None
+    return local_facet_bound_from_counts(facet_count(F, fs.p), F.n, fs, m=F.m, m_list=m_list)
 
 
 def _level_denominator(dd: int, j: int) -> int:
@@ -353,10 +348,7 @@ def global_facet_sum_bound_from_counts(
 
 
 def global_facet_sum_bound(F: SparseSystem, d: int, delta: int) -> BoundReport:
-    if F.k < F.n:
-        raise ValueError("facet bound needs k >= n")
-    facets = facet_count(F, 2)
-    return global_facet_sum_bound_from_counts(facets, F.m, F.n, d, delta)
+    return global_facet_sum_bound_from_counts(facet_count(F, 2), F.m, F.n, d, delta)
 
 
 def affine_bound(fs: FieldSpec, m: int, n: int, k: int) -> BoundReport:
@@ -399,11 +391,11 @@ def log_inequality_check(
     rv = to_vec(r)
     tv = to_vec(t)
     if len(rv) != len(tv):
-        raise ValueError("r and t must have equal length")
+        raise ParamError("r and t must have equal length")
     if any(x <= 0 for x in rv) or any(x <= 0 for x in tv):
-        raise ValueError("r and t must be positive")
+        raise ParamError("r and t must be positive")
     if m < 2:
-        raise ValueError("m must be at least 2")
+        raise ParamError("m must be at least 2")
     n = len(rv)
     s_rt = sum((a * b for a, b in zip(rv, tv)), Fraction(0))
     s_r = sum(rv, Fraction(0))

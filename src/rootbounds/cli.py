@@ -3,8 +3,9 @@
 Systems are read from a file path or standard input, either as the JSON
 schema {"n": ..., "polynomials": [[{"exp": [...], "coeff": "..."}], ...]}
 or as the terse text format (one polynomial per line).  Exit codes: 0
-success, 1 verification failure, 2 parse error, 3 invalid parameters, 4 a
-failed internal self-check (``linalg.InternalError``), which is a bug.
+success, 1 verification failure, else the ``exit_code`` of the ``errors``
+class raised (2 input, 3 parameters, 4 self-check); any other exception is
+a bug, and exits 4 with ``internal: <type>: <message>`` and no traceback.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .bounds import (
     local_bound,
     local_facet_bound,
 )
-from .linalg import InternalError, det
+from .errors import InputError, InternalError, ParamError, RootboundsError
+from .linalg import det
 from .newton import SparsePolynomial, SparseSystem, newton_data
 from .oracle import (
     count_binomial_system,
@@ -38,14 +40,14 @@ from .oracle import (
     rational_root_search,
     reduce_to_square,
 )
-from .parsing import ParseError, parse_system_text
+from .parsing import parse_system_text
 from .polyhedra import lower_facets  # noqa: F401  (unused; bench/spans.py traces this binding)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-EXIT_PARSE_ERROR = 2
-EXIT_BAD_PARAMS = 3
-EXIT_INTERNAL = 4
+EXIT_PARSE_ERROR = InputError.exit_code
+EXIT_BAD_PARAMS = ParamError.exit_code
+EXIT_INTERNAL = InternalError.exit_code
 
 # Caps on verify --random N: on N, and on its work, N times the at most 2H^2
 # candidates the rational search of each trial tries at height cap H (one
@@ -60,31 +62,26 @@ MAX_RANDOM_TRIALS = 1000
 MAX_RANDOM_WORK = MAX_RANDOM_TRIALS * 300
 
 
-class CliError(Exception):
-    def __init__(self, message: str, exit_code: int):
-        super().__init__(message)
-        self.exit_code = exit_code
-
-
 def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
     try:
+        if path is None or path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read input: {exc}", EXIT_PARSE_ERROR)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read input: {exc}") from None
 
 
 def _load_system(args: argparse.Namespace) -> SparseSystem:
     text = _read_input(args.input)
-    stripped = text.lstrip()
     try:
-        if stripped.startswith("{"):
+        if text.lstrip().startswith("{"):
             return SparseSystem.from_json_obj(json.loads(text))
         return parse_system_text(text)
-    except (ParseError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-        raise CliError(f"could not parse the input system: {exc}", EXIT_PARSE_ERROR)
+    except (ValueError, LookupError, TypeError, ZeroDivisionError, RecursionError) as exc:
+        # what json.loads (a nesting too deep included), int(), Fraction and a
+        # document of the wrong shape raise
+        raise InputError(f"could not parse the input system: {exc}") from None
 
 
 def _field_spec(args: argparse.Namespace) -> FieldSpec:
@@ -171,9 +168,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_facets(args: argparse.Namespace) -> int:
     system = _load_system(args)
     if any(f.m == 1 for f in system.polynomials):
-        raise ValueError("a one-term equation has no torus roots; the lift is a single point")
-    if system.k < system.n:
-        raise ValueError("facet data needs k >= n")
+        raise ParamError("a one-term equation has no torus roots; the lift is a single point")
     p = args.prime
     notes = []
     data = square = newton_data(system, p)
@@ -272,9 +267,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     trials = args.random_trials
     work = trials * 2 * args.height_cap**2
     if not 0 <= trials <= MAX_RANDOM_TRIALS:
-        raise ValueError(f"--random takes 0 to {MAX_RANDOM_TRIALS} trials, got {trials}")
+        raise ParamError(f"--random takes 0 to {MAX_RANDOM_TRIALS} trials, got {trials}")
     if work > MAX_RANDOM_WORK:
-        raise ValueError(
+        raise ParamError(
             f"--random {trials} at --height-cap {args.height_cap} weighs {work} "
             f"(2 * height-cap^2 candidate roots per trial), above the cap "
             f"{MAX_RANDOM_WORK} (MAX_RANDOM_WORK)"
@@ -288,7 +283,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for _ in range(trials):
             rows.extend(_verify_rows(SparseSystem.of([_random_trinomial(rng)]), args, fs))
     if not rows:
-        raise ValueError("nothing to verify: give an input system or --random N")
+        raise ParamError("nothing to verify: give an input system or --random N")
     ok = all(row["ok"] for row in rows)
     payload = {"rows": rows, "all_ok": ok}
     _emit(payload, args)
@@ -301,7 +296,11 @@ def cmd_binom(args: argparse.Namespace) -> int:
     # lcm profile is computed
     expansion = None
     if args.support:
-        expansion = expansion_coeffs(tuple(int(x) for x in args.support.split(",")), t)
+        try:
+            support = tuple(int(x) for x in args.support.split(","))
+        except ValueError:
+            raise ParamError("--support takes comma-separated integers") from None
+        expansion = expansion_coeffs(support, t)
     payload: dict = {"m": m, "t": t, "lcm_profile": str(lcm_profile(m, t))}
     if expansion is not None:
         payload["expansion"] = {
@@ -375,20 +374,17 @@ def _run(args: argparse.Namespace) -> int:
     # looked up per call, so that a rebound cmd_* (a tracer's) is the one run
     commands = {"bound": cmd_bound, "facets": cmd_facets, "verify": cmd_verify, "binom": cmd_binom}
     try:
-        try:
-            if "precision" in args:
-                arith.set_precision(args.precision)
-            if "prime" in args and not arith.is_prime(args.prime):
-                raise ValueError(f"--prime {args.prime} is not prime")
-            return commands[args.command](args)
-        except InternalError as exc:
-            print(f"internal: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
-        except (ValueError, ArithmeticError) as exc:
-            raise CliError(str(exc), EXIT_BAD_PARAMS)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if "precision" in args:
+            arith.set_precision(args.precision)
+        if "prime" in args and not arith.is_prime(args.prime):
+            raise ParamError(f"--prime {args.prime} is not prime")
+        return commands[args.command](args)
+    except RootboundsError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except Exception as exc:  # a bug, which no other exit code may hide
+        print(f"internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -19,12 +19,9 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InternalError, ParamError
+
 Vector = tuple[Fraction, ...]
-
-
-class InternalError(ArithmeticError):
-    """A self-check of an exact computation failed: a bug in this package,
-    never a property of the input."""
 
 
 def to_vec(xs: Sequence) -> Vector:
@@ -109,7 +106,7 @@ def det(rows: Sequence[Sequence[Fraction]]) -> int | Fraction:
     m, scale = _integer_rows(rows)
     n = len(m)
     if any(len(r) != n for r in m):
-        raise ValueError("determinant of a non-square matrix")
+        raise ParamError("determinant of a non-square matrix")
     order, _, d, _ = _bareiss(m, n)
     if len(order) < n:
         d = 0
@@ -130,7 +127,7 @@ def null_vector(rows: Sequence[Sequence[Fraction]]) -> tuple[int, ...] | None:
     m, _ = _integer_rows(rows)
     k = len(m)
     if any(len(r) != k + 1 for r in m):
-        raise ValueError("null vector of a matrix that is not k x (k + 1)")
+        raise ParamError("null vector of a matrix that is not k x (k + 1)")
     if k == 1:
         (a, b), = m
         c: tuple[int, ...] = (-b, a)
@@ -168,7 +165,7 @@ def gram_solve(basis: Sequence[Vector], target: Sequence[Fraction]) -> Vector:
     g = [[dot(bi, bj) for bj in basis] for bi in basis]
     y = solve_square(g, list(target))
     if y is None:
-        raise ValueError("gram matrix singular: basis not independent")
+        raise ParamError("gram matrix singular: basis not independent")
     return y
 
 

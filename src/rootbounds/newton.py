@@ -36,7 +36,8 @@ from .arith import (
     ord_p_value,
     require_prime,
 )
-from .linalg import InternalError, det, dot, mat_rank, nonneg_solution_exists, to_vec, vec_sub
+from .errors import CancellationError, CapExceededError, InputError, InternalError, ParamError
+from .linalg import det, dot, mat_rank, nonneg_solution_exists, to_vec, vec_sub
 from .polyhedra import (
     LatticePoint,
     Polytope,
@@ -52,14 +53,6 @@ MAX_SHIFT_VARS = 3
 Exponent = tuple[int, ...]
 
 
-class CancellationError(ArithmeticError):
-    """Summing the system's polynomials cancelled every coefficient."""
-
-
-class CapExceededError(ValueError):
-    """A desk-scale expansion cap was exceeded."""
-
-
 @dataclass(frozen=True)
 class SparsePolynomial:
     """Nonzero Laurent polynomial as a sorted (exponent, coefficient) tuple."""
@@ -68,13 +61,13 @@ class SparsePolynomial:
 
     def __post_init__(self) -> None:
         if not self.terms:
-            raise ValueError("polynomials must have at least one term")
+            raise ParamError("polynomials must have at least one term")
         n = len(self.terms[0][0])
         for exp, coeff in self.terms:
             if len(exp) != n:
-                raise ValueError("mixed exponent lengths in one polynomial")
+                raise ParamError("mixed exponent lengths in one polynomial")
             if coeff == 0:
-                raise ValueError("zero coefficients must not be stored")
+                raise ParamError("zero coefficients must not be stored")
 
     @classmethod
     def from_dict(cls, terms: Mapping[Sequence[int], Fraction | int]) -> "SparsePolynomial":
@@ -102,7 +95,7 @@ class SparsePolynomial:
 
     def evaluate(self, xs: Sequence[Fraction]) -> Fraction:
         if len(xs) != self.n:
-            raise ValueError("evaluation point has wrong dimension")
+            raise ParamError("evaluation point has wrong dimension")
         total = Fraction(0)
         for exp, coeff in self.terms:
             term = coeff
@@ -133,29 +126,22 @@ def laurent_normalize(f: SparsePolynomial) -> SparsePolynomial:
     Torus roots and lower Newton structure are preserved up to a lattice
     translation of the lift.
     """
-    mins = [min(exp[i] for exp, _ in f.terms) for i in range(f.n)]
-    if all(v == 0 for v in mins):
-        return f
-    return SparsePolynomial(
-        tuple(
-            (tuple(e - m for e, m in zip(exp, mins)), coeff)
-            for exp, coeff in f.terms
-        )
-    )
+    return _divide_out_minimum(f, negative_only=False)
 
 
 def clear_negative_exponents(f: SparsePolynomial) -> SparsePolynomial:
     """Multiply by the smallest monomial making every exponent nonnegative;
     nonnegative exponents are left untouched."""
-    mins = [min(0, min(exp[i] for exp, _ in f.terms)) for i in range(f.n)]
-    if all(v == 0 for v in mins):
+    return _divide_out_minimum(f, negative_only=True)
+
+
+def _divide_out_minimum(f: SparsePolynomial, negative_only: bool) -> SparsePolynomial:
+    mins = [min(exp[i] for exp, _ in f.terms) for i in range(f.n)]
+    if negative_only:
+        mins = [min(0, v) for v in mins]
+    if not any(mins):
         return f
-    return SparsePolynomial(
-        tuple(
-            (tuple(e - m for e, m in zip(exp, mins)), coeff)
-            for exp, coeff in f.terms
-        )
-    )
+    return SparsePolynomial(tuple((tuple(e - m for e, m in zip(exp, mins)), c) for exp, c in f.terms))
 
 
 @dataclass(frozen=True)
@@ -165,10 +151,10 @@ class SparseSystem:
 
     def __post_init__(self) -> None:
         if not self.polynomials:
-            raise ValueError("systems must contain at least one polynomial")
+            raise ParamError("systems must contain at least one polynomial")
         for f in self.polynomials:
             if f.n != self.n:
-                raise ValueError("polynomial variable count does not match system")
+                raise ParamError("polynomial variable count does not match system")
 
     @classmethod
     def of(cls, polys: Sequence[SparsePolynomial]) -> "SparseSystem":
@@ -204,13 +190,13 @@ class SparseSystem:
     def from_json_obj(cls, obj: Mapping) -> "SparseSystem":
         n = _json_int(obj["n"])
         if n < 1:
-            raise ValueError(f"a system needs n >= 1 variables, got n = {n}")
+            raise InputError(f"a system needs n >= 1 variables, got n = {n}")
         polys = []
         for terms in obj["polynomials"]:
             d = {tuple(map(_json_int, t["exp"])): Fraction(str(t["coeff"])) for t in terms}
             f = SparsePolynomial.from_dict(d)
             if f.n != n:
-                raise ValueError("exponent length disagrees with declared n")
+                raise InputError("exponent length disagrees with declared n")
             polys.append(f)
         return cls(tuple(polys), n)
 
@@ -219,7 +205,7 @@ def _json_int(x: object) -> int:
     """x if it is a JSON integer; a float such as 1.5 or 1e999, a bool or a
     string is refused rather than truncated or converted."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"expected a JSON integer, got {x!r}")
+        raise InputError(f"expected a JSON integer, got {x!r}")
     return x
 
 
@@ -288,7 +274,7 @@ class NewtonData:
         |det| of its edges (Huber-Sturmfels), and only the rest run the
         inclusion-exclusion of ``mixed_volume``."""
         if self.system.k != self.system.n:
-            raise ValueError("candidate valuations require k = n (reduce the system first)")
+            raise ParamError("candidate valuations require k = n (reduce the system first)")
         out = []
         for (normal, _facet), faces, fine in zip(self.facets, self.faces, self.fine):
             # pi is injective on a non-vertical face, so the projected
@@ -305,9 +291,9 @@ def valuation_vector_cap(m: int, n: int) -> int:
     """Combinatorial cap on the number of valuation vectors of torus roots:
     m-1, 4(m-1)^2, or (m(m-1)/2)^n according to n = 1, n = 2, n >= 3."""
     if m < 2:
-        raise ValueError("the cap needs m >= 2")
+        raise ParamError("the cap needs m >= 2")
     if n < 1:
-        raise ValueError("the cap needs n >= 1")
+        raise ParamError("the cap needs n >= 1")
     if n == 1:
         return m - 1
     if n == 2:
@@ -328,7 +314,7 @@ def newton_data(F: SparseSystem, p: int) -> NewtonData:
     formed), checking the facet count against the cap on valuation
     vectors."""
     if F.k < F.n:
-        raise ValueError("aggregated polytope needs k >= n")
+        raise ParamError("aggregated polytope needs k >= n")
     polys = [poly_sum(F.polynomials)] if F.k > F.n else F.polynomials
     quads = lower_facets_of_sum([_lift(g, p) for g in polys])
     facets = tuple((normal, facet) for normal, facet, _faces, _fine in quads)
@@ -339,7 +325,7 @@ def newton_data(F: SparseSystem, p: int) -> NewtonData:
     # supports span fewer than n dimensions has none, and can have more
     # lower facets than the cap, so the rank is checked only past it
     if len(facets) > cap and _support_rank(F) == F.n:
-        raise ArithmeticError(
+        raise ParamError(
             f"lower facet count {len(facets)} exceeds the combinatorial cap {cap}"
         )
     return NewtonData(F, facets, faces, fine)
@@ -349,7 +335,7 @@ def system_polytope(F: SparseSystem, p: int) -> Polytope:
     """Aggregated lift: Newton polytope of the sum for k > n, else the
     Minkowski sum of the individual Newton polytopes."""
     if F.k < F.n:
-        raise ValueError("aggregated polytope needs k >= n")
+        raise ParamError("aggregated polytope needs k >= n")
     if F.k > F.n:
         return newton_polytope(poly_sum(F.polynomials), p)
     return functools.reduce(minkowski_sum, [newton_polytope(f, p) for f in F.polynomials])
@@ -375,11 +361,9 @@ def valuation_face_bound(F: SparseSystem, p: int, r: Sequence[Fraction]) -> int:
     call runs the whole analysis of :func:`newton_data`; for many r, read
     ``newton_data(F, p).face_bounds()`` once.
     """
-    if F.k != F.n:
-        raise ValueError("face bound requires k = n")
     rv = to_vec(r)
     if len(rv) != F.n:
-        raise ValueError("valuation vector has wrong dimension")
+        raise ParamError("valuation vector has wrong dimension")
     return dict(newton_data(F, p).face_bounds()).get(rv, 0)
 
 
@@ -494,7 +478,7 @@ def containment_check(F: SparseSystem, p: int, r: Sequence[Fraction]) -> bool:
     require_prime(p)
     rv = to_vec(r)
     if len(rv) != F.n or any(x <= 0 for x in rv):
-        raise ValueError("r must be a positive vector of length n")
+        raise ParamError("r must be a positive vector of length n")
     outside = 0
     for f in F.polynomials:
         g = shift_polynomial(f)

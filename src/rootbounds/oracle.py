@@ -19,7 +19,8 @@ from typing import Sequence
 
 from .arith import _int_ord, ord_p_value, require_prime
 from .newton import SparsePolynomial, SparseSystem, laurent_normalize
-from .linalg import InternalError, det, solve_square
+from .errors import InternalError, ParamError, PrecisionCapError
+from .linalg import det, solve_square
 
 DEFAULT_PRECISION_CAP = 60
 
@@ -42,10 +43,6 @@ MAX_UNIVARIATE_DEGREE = 2000
 # degree-1000 one and x^d + 7x^(d-1) - 5x^(d/2) + 3x - 1 at d = 2000 are
 # refused, and a dense degree-300 input with coefficients 1..9 passes.
 MAX_GCD_WORK = 10**10
-
-
-class PrecisionCapError(ArithmeticError):
-    """Residue refinement hit the recursion cap before deciding."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
             la = a.pop()
             work += 64 * len(a) + (len(a) - a.count(0)) * bits * words_b
             if work > MAX_GCD_WORK:
-                raise ValueError(f"the univariate counter's gcd weighs more than the cap "
+                raise ParamError(f"the univariate counter's gcd weighs more than the cap "
                                  f"{MAX_GCD_WORK} (MAX_GCD_WORK), in coefficients touched "
                                  "times their bits")
             g = math.gcd(la, lb)
@@ -218,14 +215,14 @@ def count_univariate_padic(
     """
     require_prime(p)
     if p > MAX_SCAN_PRIME:
-        raise ValueError(f"the univariate counter scans every residue mod p; p = {p} "
+        raise ParamError(f"the univariate counter scans every residue mod p; p = {p} "
                          f"exceeds the cap {MAX_SCAN_PRIME} (MAX_SCAN_PRIME)")
     if f.n != 1:
-        raise ValueError("the univariate counter takes one-variable polynomials")
+        raise ParamError("the univariate counter takes one-variable polynomials")
     g = laurent_normalize(f)
     degree = g.total_degree()
     if degree > MAX_UNIVARIATE_DEGREE:
-        raise ValueError(f"the univariate counter makes the polynomial dense; its degree "
+        raise ParamError(f"the univariate counter makes the polynomial dense; its degree "
                          f"{degree} exceeds the cap {MAX_UNIVARIATE_DEGREE} (MAX_UNIVARIATE_DEGREE)")
     scale = math.lcm(*(c.denominator for _, c in g.terms))
     dense = [0] * (degree + 1)
@@ -275,7 +272,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
     """U, D, V with U a V = D diagonal, U and V unimodular, as lists of int
     rows, for a nonempty rectangular int matrix a; verified."""
     if not a or any(len(r) != len(a[0]) for r in a):
-        raise ValueError("smith normal form takes a nonempty rectangular matrix")
+        raise ParamError("smith normal form takes a nonempty rectangular matrix")
     rows, cols = len(a), len(a[0])
     m = [list(r) for r in a]
     u = _identity(rows)
@@ -369,12 +366,12 @@ def count_binomial_system(
     require_prime(p)
     rows = len(a)
     if not rows or any(len(row) != rows for row in a):
-        raise ValueError("binomial counting takes a square exponent matrix")
+        raise ParamError("binomial counting takes a square exponent matrix")
     if len(c) != rows or any(Fraction(x) == 0 for x in c):
-        raise ValueError("need one nonzero constant per equation")
+        raise ParamError("need one nonzero constant per equation")
     detv = det(a)
     if detv == 0:
-        raise ValueError("singular exponent matrix")
+        raise ParamError("singular exponent matrix")
     _, d, _ = smith_normal_form(a)
     invariants = [d[i][i] for i in range(rows)]
     count = 1
@@ -452,11 +449,11 @@ def rational_root_search(F: SparseSystem, height_cap: int) -> RootCount:
     A search weighing more than MAX_SEARCH_WORK is refused before it starts.
     """
     if F.n > 3:
-        raise ValueError("rational search capped at 3 variables")
+        raise ParamError("rational search capped at 3 variables")
     if height_cap > 100:
-        raise ValueError("rational search capped at height 100")
+        raise ParamError("rational search capped at height 100")
     if height_cap < 1:
-        raise ValueError(f"rational search needs a height cap >= 1, got {height_cap}")
+        raise ParamError(f"rational search needs a height cap >= 1, got {height_cap}")
     n = F.n
     region = f"(Q^*)^{n}, numerator and denominator magnitudes <= {height_cap}"
     by_depth: list[list] = [[] for _ in range(n)]
@@ -481,7 +478,7 @@ def rational_root_search(F: SparseSystem, height_cap: int) -> RootCount:
         work += points * level_cost[depth]
         points = (first_level_roots if depth == 0 else points) * candidates
     if work > MAX_SEARCH_WORK:
-        raise ValueError(f"the rational search at height cap {height_cap} weighs {work} "
+        raise ParamError(f"the rational search at height cap {height_cap} weighs {work} "
                          f"(points times exponent bits), above the cap {MAX_SEARCH_WORK} "
                          "(MAX_SEARCH_WORK)")
 
@@ -504,7 +501,7 @@ def rational_root_search(F: SparseSystem, height_cap: int) -> RootCount:
 def product_system_root_count(m: int, n: int) -> RootCount:
     """The construction-time count for the separable reference system."""
     if not (2 <= m <= 8) or not (1 <= n <= 3):
-        raise ValueError("reference count follows the product-system caps")
+        raise ParamError("reference count follows the product-system caps")
     return RootCount(
         (m - 1) ** n,
         "product_system",
@@ -517,9 +514,9 @@ def product_system(m: int, n: int) -> SparseSystem:
     """The separable reference system f_i = (x_i - 1)...(x_i - (m-1)); it has
     exactly (m-1)^n roots, all in the positive integer grid."""
     if not (2 <= m <= 8):
-        raise ValueError("product system supports 2 <= m <= 8")
+        raise ParamError("product system supports 2 <= m <= 8")
     if not (1 <= n <= 3):
-        raise ValueError("product system supports 1 <= n <= 3")
+        raise ParamError("product system supports 1 <= n <= 3")
     coeffs = [Fraction(1)]
     for j in range(1, m):
         coeffs = [Fraction(0)] + coeffs
@@ -545,7 +542,7 @@ def reduce_to_square(F: SparseSystem, seed: int) -> SparseSystem:
     the reduction, so callers should report whether it was applied.
     """
     if F.k < F.n:
-        raise ValueError("cannot reduce a system with k < n")
+        raise ParamError("cannot reduce a system with k < n")
     if F.k == F.n:
         return F
     total_terms = sum(f.m for f in F.polynomials)
@@ -569,4 +566,4 @@ def reduce_to_square(F: SparseSystem, seed: int) -> SparseSystem:
             combos.append(SparsePolynomial.from_dict(acc))
         if ok:
             return SparseSystem.of(combos)
-    raise ArithmeticError("could not draw a nondegenerate square reduction")
+    raise ParamError("could not draw a nondegenerate square reduction")

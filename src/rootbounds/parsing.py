@@ -7,7 +7,8 @@ giving Laurent terms.  A monomial base is raised to its power in one step;
 a power whose coefficient would exceed about MAX_POWER_BITS bits is refused.
 A base of several terms is multiplied out, and refused before any product
 when the estimated work exceeds MAX_POWER_WORK.  A variable index above
-MAX_VARS is refused before any exponent tuple is built.
+MAX_VARS is refused before any exponent tuple is built, and parentheses
+and unary minus signs nested past MAX_NESTING before they exhaust the stack.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import re
 from fractions import Fraction
 
+from .errors import ParseError
 from .newton import SparsePolynomial, SparseSystem
 
 _TOKEN = re.compile(
@@ -39,9 +41,9 @@ MAX_POWER_WORK = 10**5
 # otherwise allocate gigabytes.  Hulls stop at ambient dimension 6 anyway.
 MAX_VARS = 100
 
-
-class ParseError(ValueError):
-    pass
+# Cap on the open parentheses and unary minus signs around one atom: each
+# level costs the recursive descent two to four stack frames.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[str]:
@@ -111,6 +113,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.n = n
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -172,18 +175,18 @@ class _Parser:
         return out
 
     def parse_atom(self) -> Poly:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        if tok == "(":
-            self.take()
-            inner = self.parse_expr()
-            self.expect(")")
+        tok = self.take()
+        if tok in ("(", "-"):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nesting past the cap {MAX_NESTING} (MAX_NESTING)")
+            if tok == "(":
+                inner = self.parse_expr()
+                self.expect(")")
+            else:
+                inner = _pneg(self.parse_factor())
+            self.depth -= 1
             return inner
-        if tok == "-":
-            self.take()
-            return _pneg(self.parse_factor())
-        self.take()
         if tok.startswith("x"):
             idx = int(tok[1:])
             if not 1 <= idx <= self.n:

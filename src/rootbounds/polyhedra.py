@@ -49,8 +49,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .arith import format_rational
+from .errors import DimensionError, InternalError, ParamError
 from .linalg import (
-    InternalError,
     Vector,
     det,
     dot,
@@ -69,10 +69,6 @@ Point = Vector
 LatticePoint = tuple[int, ...]
 
 
-class DimensionError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Polytope:
     """Convex hull given by its extreme points, lexicographically sorted."""
@@ -81,7 +77,7 @@ class Polytope:
 
     def __post_init__(self) -> None:
         if not self.vertices:
-            raise ValueError("empty polytopes are not constructed")
+            raise ParamError("empty polytopes are not constructed")
 
     @property
     def ambient_dim(self) -> int:
@@ -301,7 +297,7 @@ class _Hull:
 def _ambient_dim(pts: Sequence[Sequence]) -> int:
     """The common length of a nonempty point list, refused above MAX_DIM."""
     if not pts:
-        raise ValueError("convex hull of an empty point list")
+        raise ParamError("convex hull of an empty point list")
     ambient = len(pts[0])
     if any(len(p) != ambient for p in pts):
         raise DimensionError("points of mixed ambient dimension")
@@ -372,7 +368,7 @@ def mixed_volume(polytopes: Sequence[Polytope]) -> Fraction:
     ps = list(polytopes)
     n = len(ps)
     if n == 0:
-        raise ValueError("mixed volume of an empty tuple")
+        raise ParamError("mixed volume of an empty tuple")
     if n > MAX_DIM:
         raise DimensionError(f"mixed volume capped at dimension {MAX_DIM}")
     if any(p.ambient_dim != n for p in ps):

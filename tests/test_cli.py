@@ -27,9 +27,10 @@ from rootbounds.cli import (
     _build_parser,
     main,
 )
-from rootbounds.linalg import InternalError
-from rootbounds.oracle import MAX_UNIVARIATE_DEGREE, rational_root_search
+from rootbounds.errors import InternalError, ParamError
+from rootbounds.oracle import MAX_UNIVARIATE_DEGREE, PrecisionCapError, rational_root_search
 from rootbounds.parsing import (
+    MAX_NESTING,
     MAX_VARS,
     ParseError,
     _Parser,
@@ -419,8 +420,12 @@ def test_cancelling_system_is_bad_params(capsys, monkeypatch, command):
 
 
 def test_arithmetic_error_is_bad_params(capsys, monkeypatch):
-    # the roots 1 and 1 + 2^70 agree in 70 2-adic digits, past the cap of
-    # the univariate oracle's residue refinement
+    # two refusals that library callers may catch as ArithmeticError exit 3
+    # by their type, ParamError, not by that second base.  The roots 1 and
+    # 1 + 2^70 agree in 70 2-adic digits, past the cap of the univariate
+    # oracle's residue refinement (PrecisionCapError)
+    assert issubclass(PrecisionCapError, ArithmeticError)
+    assert PrecisionCapError.exit_code == EXIT_BAD_PARAMS
     code, out, err = run_cli(
         capsys,
         ["verify", "-", "--prime", "2"],
@@ -429,7 +434,8 @@ def test_arithmetic_error_is_bad_params(capsys, monkeypatch):
     )
     assert (code, out) == (EXIT_BAD_PARAMS, "")
     assert err.startswith("error: ") and "refinement" in err
-    # the lower facet count check of the Newton analysis
+    # the lower facet count check of the Newton analysis, which valid input
+    # reaches, so a ParamError
     monkeypatch.setattr("rootbounds.newton.valuation_vector_cap", lambda m, n: 0)
     code, out, err = run_cli(capsys, ["bound", "-"], stdin_text=TRINOMIAL + "\n", monkeypatch=monkeypatch)
     assert (code, out) == (EXIT_BAD_PARAMS, "")
@@ -451,6 +457,81 @@ def test_failed_self_check_is_internal_not_bad_params(capsys, monkeypatch):
     )
     assert (code, out) == (EXIT_INTERNAL, "")
     assert err.startswith("internal: ") and "hull computation broken" in err
+
+
+SQUARE_2X2 = "x1^2 - 3*x2 + 1\nx2^2 - x1 - 2\n"
+
+
+def _key_error(*args):
+    raise KeyError("facets")
+
+
+def _unpacking_bug(lifts):
+    first, second = lifts[0][0]  # a lifted point has n + 1 = 3 coordinates
+    return first, second
+
+
+@pytest.mark.parametrize(
+    "target, broken, command, message",
+    [
+        ("rootbounds.bounds.facet_count", _key_error, "bound", "KeyError: 'facets'"),
+        ("rootbounds.bounds.facet_count", _key_error, "verify", "KeyError: 'facets'"),
+        ("rootbounds.newton.lower_facets_of_sum", _unpacking_bug, "facets",
+         "ValueError: too many values to unpack"),
+    ],
+    ids=["keyerror-bound", "keyerror-verify", "unpacking-facets"],
+)
+def test_a_programming_error_exits_internal_without_a_traceback(
+    capsys, monkeypatch, target, broken, command, message
+):
+    # a crash must not pass for a failed verification (exit 1) nor for a
+    # refused input (exit 2 or 3): the KeyError exited 1 with a traceback,
+    # the unpacking ValueError exited 3
+    monkeypatch.setattr(target, broken)
+    code, out, err = run_cli(capsys, [command, "-", "--prime", "5"], stdin_text=SQUARE_2X2,
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.startswith(f"internal: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["bound", "verify"])
+@pytest.mark.parametrize(
+    "stdin_text, code",
+    [
+        ("(" * MAX_NESTING + "x1 - 1" + ")" * MAX_NESTING, EXIT_OK),
+        ("-" * (MAX_NESTING + 1) + "x1 - 1", EXIT_OK),  # the first minus signs the expression
+        ("(" * (MAX_NESTING + 1) + "x1 - 1" + ")" * (MAX_NESTING + 1), EXIT_PARSE_ERROR),
+        ("(" * 300 + "x1 - 1" + ")" * 300, EXIT_PARSE_ERROR),
+        ("-" * 3000 + "x1", EXIT_PARSE_ERROR),
+        ('{"n": ' + "[" * 100000, EXIT_PARSE_ERROR),
+    ],
+    ids=["parens-at-cap", "minus-at-cap", "parens-past-cap", "parens-300", "minus-3000", "json-deep"],
+)
+def test_nesting_past_the_cap_is_parse_error(capsys, monkeypatch, command, stdin_text, code):
+    # the last four exhausted the stack: a RecursionError, exit 1 with a traceback
+    got, out, err = run_cli(capsys, [command, "-", "--prime", "3"], stdin_text=stdin_text,
+                            monkeypatch=monkeypatch)
+    assert got == code
+    if code == EXIT_PARSE_ERROR:
+        assert out == "" and err.startswith("error: could not parse the input system: ")
+        assert ("MAX_NESTING" in err) is not stdin_text.startswith("{")
+    else:
+        assert json.loads(out)
+
+
+def test_unreadable_input_file_is_parse_error(tmp_path, capsys):
+    # a file that is no UTF-8 exited 3, as if a parameter were refused
+    path = tmp_path / "system.txt"
+    path.write_bytes(b"x1 - \xff\n")
+    code, out, err = run_cli(capsys, ["verify", str(path)])
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err.startswith("error: cannot read input")
+
+
+def test_binom_support_that_is_no_integer_list_is_bad_params(capsys):
+    code, out, err = run_cli(capsys, ["binom", "--m", "3", "--t", "5", "--support", "1,a"])
+    assert (code, out) == (EXIT_BAD_PARAMS, "")
+    assert err.startswith("error: --support")
 
 
 def test_precision_above_cap_is_bad_params(capsys, monkeypatch):
@@ -952,10 +1033,10 @@ def test_verify_singular_binomial_system_has_no_smith_row(capsys, monkeypatch):
 
 
 def test_verify_reports_an_error_of_the_smith_count(capsys, monkeypatch):
-    # an error of the Smith count on a nonsingular system is no missing row
+    # a refusal of the Smith count on a nonsingular system is no missing row
     # but a refused request
     def boom(*args):
-        raise ValueError("boom")
+        raise ParamError("boom")
 
     monkeypatch.setattr("rootbounds.cli.count_binomial_system", boom)
     code, out, err = run_cli(capsys, ["verify", "-"], stdin_text="x1^2 - 2\nx2^3 - x1\n",

@@ -3,9 +3,11 @@ exit code.
 
 Hypothesis draws systems from the text grammar (rationals including 1/0,
 out-of-range variables such as x101, negative and huge exponents,
-parentheses, ``;``) and JSON documents (wrong types, non-integers, missing
-keys) and feeds each to ``bound``, ``facets`` and ``verify``.  ``main()``
-must return 0 to 3 without raising, and 1 only with ``"all_ok": false``.
+parentheses, ``;``), systems under up to MAX_NESTING + 1 levels of
+parentheses and unary minus signs, and JSON documents (wrong types,
+non-integers, missing keys) and feeds each to ``bound``, ``facets`` and
+``verify``.  ``main()`` must return 0 to 3 without raising, never 4 (a bug),
+and 1 only with ``"all_ok": false``.
 """
 
 import contextlib
@@ -15,7 +17,8 @@ import sys
 
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from rootbounds.cli import EXIT_BAD_PARAMS, EXIT_OK, EXIT_PARSE_ERROR, EXIT_VERIFY_FAILED, main
+from rootbounds.cli import EXIT_BAD_PARAMS, EXIT_INTERNAL, EXIT_OK, EXIT_PARSE_ERROR, EXIT_VERIFY_FAILED, main
+from rootbounds.parsing import MAX_NESTING
 
 # tokens of a well-formed system, and the same plus zero denominators,
 # variables out of range and exponents past the caps; a third of the systems
@@ -69,6 +72,17 @@ def _text_system(draw):
     return draw(st.sampled_from(["\n", "; ", ";"])).join(polys) + "\n"
 
 
+@st.composite
+def _nested_system(draw):
+    # levels of "(" and "-" around one polynomial, up to one past the cap; a
+    # "-" that opens an expression signs it and is no level of nesting
+    opens = draw(st.lists(st.sampled_from(["(", "(", "-"]), max_size=MAX_NESTING + 1))
+    if draw(st.booleans()):
+        opens = ["("] * draw(st.integers(MAX_NESTING - 2, MAX_NESTING + 1))
+    body = draw(_polynomial(_CLEAN, depth=0))
+    return "".join(opens) + body + ")" * opens.count("(") + "\n"
+
+
 _JSON_SCALARS = st.one_of(
     st.integers(-3, 4),
     st.sampled_from([1.5, 2.0, 1e999, -1e999, True, None, "1", "x", [], {}, 10**30]),
@@ -117,7 +131,7 @@ _ARGV = st.one_of(
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=1100,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
-@given(argv=_ARGV, stdin_text=st.one_of(_text_system(), _json_system()))
+@given(argv=_ARGV, stdin_text=st.one_of(_text_system(), _nested_system(), _json_system()))
 def test_any_system_text_or_json_ends_in_a_documented_exit_code(argv, stdin_text):
     out, err = io.StringIO(), io.StringIO()
     saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin_text)
@@ -127,6 +141,10 @@ def test_any_system_text_or_json_ends_in_a_documented_exit_code(argv, stdin_text
     finally:
         sys.stdin = saved_stdin
     event(f"{argv[0]} exit {code}")
+    assert code != EXIT_INTERNAL, err.getvalue()
+    if set(stdin_text.rstrip()[:MAX_NESTING + 1]) == {"("}:
+        event("parentheses past MAX_NESTING")
+        assert code == EXIT_PARSE_ERROR and "MAX_NESTING" in err.getvalue()
     assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_PARSE_ERROR, EXIT_BAD_PARAMS), (code, err.getvalue())
     if code in (EXIT_OK, EXIT_VERIFY_FAILED):
         payload = json.loads(out.getvalue())
