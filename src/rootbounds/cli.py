@@ -1,11 +1,13 @@
 """Command-line front end: bounds, facet data, and oracle verification.
 
 Systems are read from a file path or standard input, either as the JSON
-schema {"n": ..., "polynomials": [[{"exp": [...], "coeff": "..."}], ...]}
-or as the terse text format (one polynomial per line).  Exit codes: 0
-success, 1 verification failure, else the ``exit_code`` of the ``errors``
-class raised (2 input, 3 parameters, 4 self-check); any other exception is
-a bug, and exits 4 with ``internal: <type>: <message>`` and no traceback.
+schema {"n": ..., "polynomials": [[{"exp": [...], "coeff": "..."}], ...]} or
+as the terse text format (one polynomial per line).  ``verify`` rows pair
+the counts of ``oracle.verification_counts`` with the bounds, and
+``oracle.verdict`` decides each.  Exit codes: 0 success, 1 verification
+failure, else the ``exit_code`` of the ``errors`` class raised (2 input, 3
+parameters, 4 self-check); any other exception is a bug, and exits 4 with
+``internal: <type>: <message>`` and no traceback.
 """
 
 from __future__ import annotations
@@ -32,14 +34,8 @@ from .bounds import (
     local_facet_bound,
 )
 from .errors import InputError, InternalError, ParamError, RootboundsError
-from .linalg import det
 from .newton import SparsePolynomial, SparseSystem, newton_data
-from .oracle import (
-    count_binomial_system,
-    count_univariate_padic,
-    rational_root_search,
-    reduce_to_square,
-)
+from .oracle import reduce_to_square, verdict, verification_counts
 from .parsing import parse_system_text
 from .polyhedra import lower_facets  # noqa: F401  (unused; bench/spans.py traces this binding)
 
@@ -75,12 +71,14 @@ def _read_input(path: str | None) -> str:
 def _load_system(args: argparse.Namespace) -> SparseSystem:
     text = _read_input(args.input)
     try:
-        if text.lstrip().startswith("{"):
-            return SparseSystem.from_json_obj(json.loads(text))
-        return parse_system_text(text)
-    except (ValueError, LookupError, TypeError, ZeroDivisionError, RecursionError) as exc:
-        # what json.loads (a nesting too deep included), int(), Fraction and a
-        # document of the wrong shape raise
+        if not text.lstrip().startswith("{"):
+            return parse_system_text(text)
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # a nesting too deep included
+            raise InputError(str(exc)) from None
+        return SparseSystem.from_json_obj(obj)
+    except InputError as exc:
         raise InputError(f"could not parse the input system: {exc}") from None
 
 
@@ -200,48 +198,22 @@ def cmd_facets(args: argparse.Namespace) -> int:
 
 
 def _verify_rows(system: SparseSystem, args: argparse.Namespace, fs: FieldSpec) -> list[dict]:
-    rows = []
-    counts = []
-    if system.n == 1 and system.k == 1:
-        counts.append(count_univariate_padic(system.polynomials[0], args.prime))
-    if system.k == system.n <= 6 and all(f.m == 2 for f in system.polynomials):
-        exponents, constants = [], []
-        for f in system.polynomials:
-            (e1, c1), (e2, c2) = sorted(f.terms)
-            exponents.append(tuple(b - a for a, b in zip(e1, e2)))
-            constants.append(-c1 / c2)
-        # a singular exponent matrix has no isolated roots to count
-        if det(exponents):
-            counts.append(count_binomial_system(exponents, constants, args.prime)[0])
-    if system.n <= 3:
-        counts.append(rational_root_search(system, args.height_cap))
-
+    """A row per pair of an oracle count and a bound, decided by oracle.verdict."""
     bounds = _reports(system, fs)
-    for rc in counts:
+    rows = []
+    for rc in verification_counts(system, args.prime, args.height_cap):
         for rep in bounds:
+            inconclusive = verdict(rc, rep.integer_bound, system)
             row = {
                 "oracle": rc.method,
                 "region": rc.region,
                 "count": rc.count,
                 "bound_id": rep.formula_id,
                 "bound": rep.integer_bound,
-                "ok": rc.count <= rep.integer_bound,
+                "ok": rc.count <= rep.integer_bound or inconclusive is not None,
             }
-            if not row["ok"] and rc.method == "snf_binomial":
-                # the Smith count is over the p-adic complex torus, a larger
-                # region than the bounds': above a bound it refutes nothing
-                row["ok"] = True
-                row["inconclusive"] = (
-                    f"counted over {rc.region}, beyond the torus of the field the bound covers"
-                )
-            elif not row["ok"] and system.k < system.n:
-                # the bounds cover isolated roots, and with fewer equations
-                # than variables no root is isolated
-                row["ok"] = True
-                row["inconclusive"] = (
-                    f"k = {system.k} < n = {system.n}: every root lies on a positive-dimensional "
-                    "component, and the bound counts isolated roots only"
-                )
+            if inconclusive is not None:
+                row["inconclusive"] = inconclusive
             elif not row["ok"]:
                 # violations carry the full instance for the failure dump
                 row["system"] = system.to_json_obj()

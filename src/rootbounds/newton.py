@@ -188,17 +188,28 @@ class SparseSystem:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "SparseSystem":
-        n = _json_int(obj["n"])
+        n = _json_int(obj.get("n"))
         if n < 1:
             raise InputError(f"a system needs n >= 1 variables, got n = {n}")
-        polys = []
-        for terms in obj["polynomials"]:
-            d = {tuple(map(_json_int, t["exp"])): Fraction(str(t["coeff"])) for t in terms}
-            f = SparsePolynomial.from_dict(d)
-            if f.n != n:
-                raise InputError("exponent length disagrees with declared n")
-            polys.append(f)
-        return cls(tuple(polys), n)
+        polys = obj.get("polynomials")
+        if not isinstance(polys, list) or not all(isinstance(terms, list) for terms in polys):
+            raise InputError("expected polynomials as a JSON list of lists of terms")
+        dicts = [dict(_json_term(t, n) for t in terms) for terms in polys]
+        if not dicts or not all(any(d.values()) for d in dicts):
+            raise InputError("expected at least one polynomial, each with a nonzero coefficient")
+        return cls(tuple(map(SparsePolynomial.from_dict, dicts)), n)
+
+
+def _json_term(t: object, n: int) -> tuple[Exponent, Fraction]:
+    """The exponent and coefficient of {"exp": [n JSON integers], "coeff": a rational}."""
+    exp = t.get("exp") if isinstance(t, dict) else None
+    if not isinstance(exp, list) or len(exp) != n:
+        raise InputError(f"expected a term with a list of n = {n} exponents, got {t!r}")
+    exp = tuple(map(_json_int, exp))
+    try:
+        return exp, Fraction(str(t["coeff"]))
+    except (KeyError, ValueError, ZeroDivisionError):
+        raise InputError(f"expected a term with a rational coefficient, got {t!r}") from None
 
 
 def _json_int(x: object) -> int:

@@ -5,7 +5,8 @@ the package: the univariate p-adic counter builds its own Newton polygon and
 refines residues symbolically over the integers, the binomial counter goes
 through Smith normal form, and the rational search is plain exhaustive
 evaluation.  Nothing is approximated; a precision cap can make a run fail,
-never return a wrong count.
+never return a wrong count.  ``verification_counts`` picks the counters for a
+system, and ``verdict`` what each count can refute.
 """
 
 from __future__ import annotations
@@ -47,11 +48,53 @@ MAX_GCD_WORK = 10**10
 
 @dataclass(frozen=True)
 class RootCount:
+    """``count`` roots found by ``method`` in ``region``, the printed
+    description of where it looked.  ``over`` is the field whose torus holds
+    them, "Q", "Q_p" or "C_p"; ``isolated`` is True when each counted root
+    is isolated, False when none is, None when that is not known."""
     count: int
     method: str
     region: str
-    with_multiplicity: bool
+    over: str
+    isolated: bool | None
     notes: tuple[str, ...] = ()
+
+
+def verification_counts(F: SparseSystem, p: int, height_cap: int) -> list[RootCount]:
+    """The counts the bounds of F are checked against: the p-adic counter on
+    one univariate equation, the Smith count on a square binomial system of
+    at most 6 variables with a nonsingular exponent matrix, and the rational
+    search in at most 3 variables.  A system that none covers is refused."""
+    counts = []
+    if F.n == 1 and F.k == 1:
+        counts.append(count_univariate_padic(F.polynomials[0], p))
+    if F.k == F.n <= 6 and all(f.m == 2 for f in F.polynomials):
+        exponents = [tuple(b - a for a, b in zip(*f.support)) for f in F.polynomials]
+        # a singular exponent matrix has no isolated roots to count
+        if det(exponents):
+            constants = [-f.terms[0][1] / f.terms[1][1] for f in F.polynomials]
+            counts.append(count_binomial_system(exponents, constants, p)[0])
+    if F.n <= 3:
+        counts.append(rational_root_search(F, height_cap))
+    if not counts:
+        raise ParamError(f"no counter covers this system: n = {F.n} > 3, and it is no square "
+                         "binomial system of at most 6 variables with a nonsingular exponent matrix")
+    return counts
+
+
+def verdict(rc: RootCount, bound: int, F: SparseSystem) -> str | None:
+    """Why rc's count, above a local bound on F's isolated roots, refutes
+    nothing; None when the row stands as counted: the count is within the
+    bound, or its roots lie in the torus of Q or Q_p (C_p lies in no finite
+    extension of Q_p) and are not known to be non-isolated."""
+    if rc.count <= bound:
+        return None
+    if rc.over not in ("Q", "Q_p"):
+        return f"counted over {rc.region}, beyond the torus of the field the bound covers"
+    if rc.isolated is False:
+        return (f"k = {F.k} < n = {F.n}: every root lies on a positive-dimensional "
+                "component, and the bound counts isolated roots only")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +292,7 @@ def count_univariate_padic(
         total += _count_padic_integer_roots(
             substituted, p, range(1, p), 0, precision_cap
         )
-    return RootCount(total, "univariate_padic", f"Q_{p}^*", False, notes)
+    return RootCount(total, "univariate_padic", f"Q_{p}^*", "Q_p", True, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +424,7 @@ def count_binomial_system(
         raise InternalError("smith invariant product disagrees with the determinant")
     ords = [ord_p_value(Fraction(x), p) for x in c]
     r = solve_square([[Fraction(x) for x in row] for row in a], ords)
-    rc = RootCount(
-        count,
-        "snf_binomial",
-        f"(C_{p}^*)^{rows}",
-        with_multiplicity=True,
-    )
+    rc = RootCount(count, "snf_binomial", f"(C_{p}^*)^{rows}", "C_p", True)
     return rc, (tuple(r) if r is not None else None)
 
 
@@ -456,6 +494,8 @@ def rational_root_search(F: SparseSystem, height_cap: int) -> RootCount:
         raise ParamError(f"rational search needs a height cap >= 1, got {height_cap}")
     n = F.n
     region = f"(Q^*)^{n}, numerator and denominator magnitudes <= {height_cap}"
+    # with k < n every root lies on a positive-dimensional component
+    isolated = False if F.k < n else None
     by_depth: list[list] = [[] for _ in range(n)]
     candidates = 2 * height_cap**2  # per variable, at most
     level_cost = [64] * n  # per point tested at each level
@@ -464,7 +504,7 @@ def rational_root_search(F: SparseSystem, height_cap: int) -> RootCount:
         terms, ranges = _integer_form(f)
         if not ranges:
             # one monomial: no root in the torus
-            return RootCount(0, "rational_search", region, with_multiplicity=False)
+            return RootCount(0, "rational_search", region, "Q", isolated)
         depth = ranges[-1][0]
         by_depth[depth].append(terms)
         span = sum(hi - lo for _, lo, hi in ranges)
@@ -495,19 +535,15 @@ def rational_root_search(F: SparseSystem, height_cap: int) -> RootCount:
                 dfs(depth + 1)
 
     dfs(0)
-    return RootCount(count, "rational_search", region, with_multiplicity=False)
+    return RootCount(count, "rational_search", region, "Q", isolated)
 
 
 def product_system_root_count(m: int, n: int) -> RootCount:
     """The construction-time count for the separable reference system."""
     if not (2 <= m <= 8) or not (1 <= n <= 3):
         raise ParamError("reference count follows the product-system caps")
-    return RootCount(
-        (m - 1) ** n,
-        "product_system",
-        f"N^{n}, the grid {{1..{m - 1}}}^{n} by construction",
-        with_multiplicity=True,
-    )
+    return RootCount((m - 1) ** n, "product_system",
+                     f"N^{n}, the grid {{1..{m - 1}}}^{n} by construction", "Q", True)
 
 
 def product_system(m: int, n: int) -> SparseSystem:

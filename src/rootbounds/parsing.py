@@ -46,6 +46,13 @@ MAX_VARS = 100
 MAX_NESTING = 100
 
 
+def _integer(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise ParseError(f"an integer of {len(digits)} digits is too long to read") from None
+
+
 def _tokenize(text: str) -> list[str]:
     tokens = []
     pos = 0
@@ -161,7 +168,7 @@ class _Parser:
         tok = self.take()
         if not tok.isdigit():
             raise ParseError(f"expected an integer exponent, got {tok!r}")
-        k = sign * int(tok)
+        k = sign * _integer(tok)
         if len(base) == 1:
             return _monomial_power(base, k)
         if k < 0:
@@ -188,15 +195,18 @@ class _Parser:
             self.depth -= 1
             return inner
         if tok.startswith("x"):
-            idx = int(tok[1:])
+            idx = _integer(tok[1:])
             if not 1 <= idx <= self.n:
                 raise ParseError(f"variable {tok} out of range 1..{self.n}")
             e = tuple(1 if i == idx - 1 else 0 for i in range(self.n))
             return {e: Fraction(1)}
-        try:
-            return {tuple([0] * self.n): Fraction(tok)}
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {tok}") from None
+        if not tok[0].isdigit():  # an operator where an atom belongs
+            raise ParseError(f"expected a number, a variable or '(', got {tok!r}")
+        num, _, den = tok.partition("/")
+        denominator = _integer(den or "1")
+        if not denominator:
+            raise ParseError(f"zero denominator in {tok}")
+        return {tuple([0] * self.n): Fraction(_integer(num), denominator)}
 
 
 def parse_polynomial_text(text: str, n: int) -> SparsePolynomial:
@@ -218,6 +228,6 @@ def parse_system_text(text: str) -> SparseSystem:
     ]
     if not chunks:
         raise ParseError("no polynomials in input")
-    indices = [int(v[1:]) for v in re.findall(r"x\d+", text)]
+    indices = [_integer(v[1:]) for v in re.findall(r"x\d+", text)]
     n = max(indices) if indices else 1
     return SparseSystem.of([parse_polynomial_text(c, n) for c in chunks])

@@ -82,6 +82,13 @@ def test_parse_errors():
         parse_polynomial_text("x1 - x1", 1)  # cancels to zero
     with pytest.raises(ParseError):
         parse_polynomial_text("(x1+1)^-2", 1)
+    # an operator where an atom belongs, and integers of more digits than
+    # int() reads, raised a bare ValueError
+    for text in ["3**x1 + 1", "x1 + )", "+ x1", "x1^" + "9" * 5000, "1" * 5000 + "*x1", "1/" + "1" * 5000]:
+        with pytest.raises(ParseError):
+            parse_polynomial_text(text, 1)
+    with pytest.raises(ParseError):
+        parse_system_text("x" + "1" * 5000 + " + 1")
 
 
 def test_parse_powers_of_expressions():
@@ -494,6 +501,28 @@ def test_a_programming_error_exits_internal_without_a_traceback(
     assert err.startswith(f"internal: {message}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "target, stdin_text",
+    [
+        ("rootbounds.parsing._pmul", "(x1 + 1)*x2 - 3\n"),
+        ("rootbounds.newton.SparsePolynomial.from_dict",
+         json.dumps({"n": 1, "polynomials": [[{"exp": [1], "coeff": "1"}, {"exp": [0], "coeff": "-2"}]]})),
+    ],
+    ids=["text", "json"],
+)
+def test_a_bug_in_reading_the_input_exits_internal(capsys, monkeypatch, target, stdin_text):
+    # the input's handler caught every LookupError, TypeError and ValueError
+    # and read such a bug as a parse error, exit 2
+    def broken(*args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(target, broken)
+    code, out, err = run_cli(capsys, ["bound", "-", "--prime", "5"], stdin_text=stdin_text,
+                             monkeypatch=monkeypatch)
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.startswith("internal: KeyError: 'bug'")
+
+
 @pytest.mark.parametrize("command", ["bound", "verify"])
 @pytest.mark.parametrize(
     "stdin_text, code",
@@ -631,11 +660,21 @@ def test_a_reader_closing_the_pipe_keeps_the_exit_code(argv, long_input):
         {"n": 1, "polynomials": 5},
         {"n": 1, "polynomials": [["x"]]},
         {"n": [1], "polynomials": []},
+        {"n": 1},
+        {"n": 1, "polynomials": [[{"exp": [1], "coeff": "abc"}]]},
+        {"n": 1, "polynomials": [[{"exp": [1]}]]},
+        {"n": 1, "polynomials": []},
+        {"n": 1, "polynomials": [[]]},
+        {"n": 1, "polynomials": [[{"exp": [1], "coeff": "0"}]]},
+        {"n": 2, "polynomials": [[{"exp": [1, 0], "coeff": "1"}, {"exp": [0], "coeff": "1"}]]},
     ],
-    ids=["polynomials-int", "term-str", "n-list"],
+    ids=["polynomials-int", "term-str", "n-list", "no-polynomials", "coeff-abc", "no-coeff",
+         "no-polynomial", "empty-polynomial", "zero-polynomial", "mixed-lengths"],
 )
 def test_malformed_json_shape_is_parse_error(capsys, monkeypatch, command, obj):
-    # a wrong JSON type is a parse error, never a traceback read as exit 1
+    # a wrong JSON type is a parse error, never a traceback read as exit 1;
+    # each is refused where it is read, the last four before the
+    # constructors' ParamError (exit 3)
     code, out, err = run_cli(capsys, [command, "-"], stdin_text=json.dumps(obj), monkeypatch=monkeypatch)
     assert code == EXIT_PARSE_ERROR
     assert out == ""
@@ -1002,6 +1041,47 @@ def test_univariate_gcd_under_its_work_cap_is_accepted_in_budget(capsys, monkeyp
     assert code == EXIT_OK and json.loads(out)["rows"][0]["oracle"] == "univariate_padic"
 
 
+def test_verify_search_count_above_a_bound_is_a_hard_failure(capsys, monkeypatch):
+    # the search's roots at k = n are not known to be isolated, and its count
+    # still refutes a bound below it: the rows fail, with their dump
+    import rootbounds.cli as cli_mod
+    from rootbounds.arith import Interval
+    from rootbounds.bounds import BoundReport
+
+    monkeypatch.setattr(cli_mod, "local_bound",
+                        lambda fs, m, n, k: BoundReport("thm1_local", Interval.exact(0).upper(), 0, {}, ()))
+    code, out, _ = run_cli(capsys, ["verify", "-", "--height-cap", "2"],
+                           stdin_text="x1^2 - 3*x1 + 2\nx2 - x1\n", monkeypatch=monkeypatch)
+    assert code == EXIT_VERIFY_FAILED
+    payload = json.loads(out)
+    assert payload["all_ok"] is False
+    [bad] = [row for row in payload["rows"] if not row["ok"]]
+    assert (bad["oracle"], bad["count"], bad["bound_id"], bad["bound"]) == ("rational_search", 2, "thm1_local", 0)
+    assert "inconclusive" not in bad and bad["system"]["n"] == 2 and "bound_report" in bad
+
+
+_FOUR_VARIABLES = "x1 + x2 + x3 + x4 - 1; x1*x2 - x3 + 2; x3 - x4 + x1 + 5; x4*x1 - 3 + x2\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--random", "1"]], ids=["alone", "with-random"])
+def test_verify_refuses_an_input_that_no_counter_covers(capsys, monkeypatch, extra):
+    # this exited 3 as "nothing to verify", and, with --random, exited 0 on
+    # the trinomial's rows alone: the input was never checked
+    code, out, err = run_cli(capsys, ["verify", "-", "--prime", "3"] + extra,
+                             stdin_text=_FOUR_VARIABLES, monkeypatch=monkeypatch)
+    assert (code, out) == (EXIT_BAD_PARAMS, "")
+    assert err.startswith("error: no counter covers this system: n = 4 > 3")
+
+
+def test_verify_counts_a_square_binomial_system_in_four_variables(capsys, monkeypatch):
+    # the one kind of system past 3 variables that a counter covers
+    code, out, _ = run_cli(capsys, ["verify", "-", "--prime", "3"],
+                           stdin_text="x1^2 - 2; x2 - x1; x3 - 3*x2; x4^3 - x3\n", monkeypatch=monkeypatch)
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert rows and {(row["oracle"], row["count"]) for row in rows} == {("snf_binomial", 6)}
+
+
 @pytest.mark.parametrize("degree", [100, 1000])
 def test_verify_binomial_count_above_a_bound_is_inconclusive(capsys, monkeypatch, degree):
     # the Smith count is over (C_2^*)^2 and exceeds the cor2_1 bound, which
@@ -1038,7 +1118,7 @@ def test_verify_reports_an_error_of_the_smith_count(capsys, monkeypatch):
     def boom(*args):
         raise ParamError("boom")
 
-    monkeypatch.setattr("rootbounds.cli.count_binomial_system", boom)
+    monkeypatch.setattr("rootbounds.oracle.count_binomial_system", boom)
     code, out, err = run_cli(capsys, ["verify", "-"], stdin_text="x1^2 - 2\nx2^3 - x1\n",
                              monkeypatch=monkeypatch)
     assert (code, out) == (EXIT_BAD_PARAMS, "")

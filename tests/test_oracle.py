@@ -21,6 +21,7 @@ from rootbounds.oracle import (
     rational_root_search,
     reduce_to_square,
     smith_normal_form,
+    verdict,
 )
 
 SEED = 0x0AC1E
@@ -81,6 +82,8 @@ def test_univariate_laurent_and_multiplicity():
     rc = count_univariate_padic(sq, 5)
     assert rc.count == 1
     assert rc.notes  # squarefree reduction reported
+    # the roots of a nonzero univariate polynomial are isolated
+    assert (rc.over, rc.isolated) == ("Q_p", True)
 
 
 def test_univariate_unit_scaling_invariance():
@@ -156,6 +159,7 @@ def test_binomial_examples():
     assert rc.count == 1
     rc, r = count_binomial_system([[1, 1], [1, -1]], [Fraction(1), Fraction(1)], 3)
     assert rc.count == 2 and r == (Fraction(0), Fraction(0))
+    assert (rc.over, rc.isolated) == ("C_p", True)
 
 
 def test_binomial_rejects_singular():
@@ -191,6 +195,11 @@ def test_rational_search_examples():
     assert rational_root_search(pm2, 10).count == 4
     no_roots = SparseSystem.of([poly({(2, 0): 1, (0, 0): -2}), poly({(0, 1): 1, (0, 0): -1})])
     assert rational_root_search(no_roots, 50).count == 0
+    # isolation is not certified at k >= n; with k < n no root is isolated
+    rc = rational_root_search(pm2, 10)
+    assert (rc.over, rc.isolated) == ("Q", None)
+    rc = rational_root_search(SparseSystem.of([poly({(1, 0): 1, (0, 0): -1})]), 2)
+    assert (rc.count, rc.over, rc.isolated) == (6, "Q", False)  # x2 in {+-1, +-2, +-1/2}
 
 
 def test_rational_search_caps():
@@ -209,7 +218,9 @@ def test_product_system_counts():
         rc = rational_root_search(system, 5)
         assert rc.count == (m - 1) ** n
         # the by-construction count and the search agree
-        assert product_system_root_count(m, n).count == rc.count
+        reference = product_system_root_count(m, n)
+        assert reference.count == rc.count
+        assert (reference.over, reference.isolated) == ("Q", True)
 
 
 def test_product_system_caps():
@@ -273,9 +284,34 @@ def test_reduce_rejects_underdetermined():
 
 
 def test_root_count_is_frozen_data():
-    rc = RootCount(3, "rational_search", "box", False)
+    rc = RootCount(3, "rational_search", "box", "Q", None)
     with pytest.raises(AttributeError):
         rc.count = 4
+
+
+# what a count above the bound reads, by the field whose torus it counts in
+# and whether its roots are isolated: None refutes, a text is inconclusive
+_ABOVE = {
+    ("Q", True): None, ("Q", None): None, ("Q", False): "non-isolated",
+    ("Q_p", True): None, ("Q_p", None): None, ("Q_p", False): "non-isolated",
+    ("C_p", True): "beyond", ("C_p", None): "beyond", ("C_p", False): "beyond",
+}
+_INCONCLUSIVE = {
+    "beyond": "counted over the region, beyond the torus of the field the bound covers",
+    "non-isolated": "k = 1 < n = 2: every root lies on a positive-dimensional component, "
+    "and the bound counts isolated roots only",
+}
+
+
+@pytest.mark.parametrize("count", [2, 3, 4], ids=["below", "at", "above"])
+@pytest.mark.parametrize("isolated", [True, None, False])
+@pytest.mark.parametrize("over", ["Q", "Q_p", "C_p"])
+def test_verdict_table(over, isolated, count):
+    # the rule reads the two fields only: the system gives the text its k and n
+    system = SparseSystem.of([poly({(1, 0): 1, (0, 0): -1})])
+    note = verdict(RootCount(count, "method", "the region", over, isolated), 3, system)
+    expected = _ABOVE[over, isolated] if count > 3 else None
+    assert note == _INCONCLUSIVE.get(expected)
 
 
 # ---------------------------------------------------------------------------
