@@ -20,8 +20,8 @@ per ambient dimension 2..6 of 12 lattice points base + t * step on a line
 (t in -6..6, so with interior and repeated points), the hulls of the
 1-dimensional general build, with the total lattice length of the hulls as
 its result.  At the default seed every
-polyhedral result is checked against its known value, and the script stops
-with an error at the first that differs.  The ``natural_log`` rows time
+polyhedral result, and the near-one sweep's below, is checked against its
+known value, and the script stops with an error at the first that differs.  The ``natural_log`` rows time
 the interval-log kernel ``arith._ln_half_even`` beside ``Decimal.ln`` at
 40, 80 and 1000 digits (the precision cap), on 500 seeded ratios of
 integers below 10^12 (20 at 1000 digits) rounded to the working precision;
@@ -30,10 +30,17 @@ also builds the kernel's table.  The ``bound formulas`` rows evaluate, at
 1000 digits, the reports of ``rootbounds bound`` for a trinomial over p = 2,
 3, 5, 7 (local headline, facet bound and affine variant) and over two
 global fields (headline and level sum), once with every per-precision memo
-emptied first and once served from it.  Each case draws its input from a fresh
-``random.Random(seed)``.  The script prints one line per case:
-its name, its result (for the logs, the number of arguments) and the best
-wall time over the repeats.
+emptied first and once served from it.  The ``near-one sweep`` row runs
+200 seeded requests at 40 digits, each a system of one or two equations
+of 2 to 4 terms (exponents 0..8, the coefficients above) at p = 2, 3 or 5
+with a radius r and a point t of components k/(7j), through ``cp_bound``,
+``cp_bound_per_equation``, ``log_inequality_check`` and
+``containment_check``, with the near-one log memo emptied first; its
+result is the sum of the integer bounds plus the number of log-inequality
+conclusions and of containments that hold.  Each case draws its input from
+a fresh ``random.Random(seed)``.  The script prints one line per case: its
+name, its result (for the logs, the number of arguments) and the best wall
+time over the repeats.
 """
 
 from __future__ import annotations
@@ -62,7 +69,9 @@ from rootbounds.newton import (  # noqa: E402
     SparsePolynomial,
     SparseSystem,
     candidate_valuations,
+    containment_check,
     facet_count,
+    near_one_log,
     newton_data,
 )
 from rootbounds.polyhedra import convex_hull, mixed_volume  # noqa: E402
@@ -78,7 +87,7 @@ MV_BOX = 4
 BATCH = 200
 BATCH_MAX_EXP = 8
 DEFAULT_SEED = 2024
-# the polyhedral results at DEFAULT_SEED
+# the polyhedral and near-one results at DEFAULT_SEED
 KNOWN = {
     "facet_count n=3": 30,
     "facet_count n=4": 110,
@@ -90,9 +99,12 @@ KNOWN = {
     "mixed_volume n=4": 754,
     "newton_data facets 2x2": 1075,
     "convex_hull 1-D": 2629,
+    "near-one sweep d=40": 59240,
 }
 COLLINEAR_SETS = 40
 COLLINEAR_POINTS = 12
+NEARONE_REQUESTS = 200
+NEARONE_DIGITS = 40
 
 
 def seeded_system(
@@ -187,6 +199,37 @@ def bound_formulas(clear: bool) -> int:
     return len(reports)
 
 
+def seeded_nearone_requests(seed: int) -> list[tuple[SparseSystem, int, tuple, tuple]]:
+    """NEARONE_REQUESTS (system, p, r, t), each system drawn by
+    ``seeded_system`` from its own seed."""
+    rng = random.Random(seed)
+    requests = []
+    for _ in range(NEARONE_REQUESTS):
+        n = rng.randint(1, 2)
+        p = rng.choice((2, 3, 5))
+        system = seeded_system(rng.getrandbits(32), n, rng.randint(2, 4), BATCH_MAX_EXP)
+        r, t = (tuple(Fraction(rng.randint(1, 350), 7 * rng.randint(1, 7)) for _ in range(n))
+                for _ in range(2))
+        requests.append((system, p, r, t))
+    return requests
+
+
+def near_one_sweep(requests: list[tuple[SparseSystem, int, tuple, tuple]]) -> int:
+    """The near-one bounds, log-inequality conclusion and containment of each
+    request at NEARONE_DIGITS digits, the near-one log memo emptied first;
+    returns the sum of the integer bounds plus the conclusions and
+    containments that hold."""
+    set_precision(NEARONE_DIGITS)
+    near_one_log.cache_clear()
+    total = 0
+    for system, p, r, t in requests:
+        total += bounds.cp_bound(system.m, system.n, r, p).integer_bound
+        total += bounds.cp_bound_per_equation(system.m_counts, system.n, r, p).integer_bound
+        total += bounds.log_inequality_check(r, t, system.m, p)[1]
+        total += containment_check(system, p, r)
+    return total
+
+
 def cases(seed: int):
     """(name, thunk) per case; each thunk returns the printed result."""
     for n in (3, 4):
@@ -217,6 +260,8 @@ def cases(seed: int):
         yield f"natural_log d={digits} Decimal.ln", lambda c=ctx, xs=xs: len([x.ln(c) for x in xs])
     yield f"bound formulas d={MAX_DIGITS} first call", lambda: bound_formulas(clear=True)
     yield f"bound formulas d={MAX_DIGITS} cached", lambda: bound_formulas(clear=False)
+    requests = seeded_nearone_requests(seed)
+    yield f"near-one sweep d={NEARONE_DIGITS}", lambda rs=requests: near_one_sweep(rs)
 
 
 def main(argv: list[str] | None = None) -> int:

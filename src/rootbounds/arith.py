@@ -17,8 +17,10 @@ interval that depends only on the precision and a few small integers: one
 memo, :func:`_per_precision`, keyed on a function's arguments and the
 working digits at call time, holds the enclosure of c returned by
 :func:`euler_ratio`, (per prime) the enclosure of ln p returned by
-:func:`ln_prime`, and in :mod:`rootbounds.bounds` the closed-form bound
-intervals, each keyed on the integers of its formula.  Interval logs run on
+:func:`ln_prime`, in :mod:`rootbounds.bounds` the closed-form bound
+intervals, each keyed on the integers of its formula, and in
+:mod:`rootbounds.newton` the log term of the near-one radius, keyed on
+(m, n, r, p).  Interval logs run on
 the kernel :func:`_ln_half_even`: fixed-point arithmetic on ints (a table of
 ln(1 + j/256), an atanh series and a proven error bound E) followed by a
 rounding test, which returns exactly what ``Decimal.ln`` returns, the result
@@ -135,11 +137,17 @@ def require_prime(p: int) -> int:
 
 
 def _int_ord(n: int, p: int) -> int:
-    # n != 0
+    # n != 0; after each p it strips p^2, p^4, ... while they divide, so a
+    # valuation v costs O(log^2 v) divisions, not v divisions of a long n
     v = 0
     while n % p == 0:
         n //= p
         v += 1
+        q, k = p * p, 2
+        while n % q == 0:
+            n //= q
+            v += k
+            q, k = q * q, 2 * k
     return v
 
 

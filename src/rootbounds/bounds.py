@@ -28,7 +28,13 @@ from .arith import (
 )
 from .errors import ParamError
 from .linalg import to_vec
-from .newton import SparseSystem, facet_count, near_one_radius, valuation_vector_cap
+from .newton import (
+    SparseSystem,
+    facet_count,
+    near_one_log,
+    near_one_radius,
+    valuation_vector_cap,
+)
 
 FORMULA_THM1_LOCAL = "thm1_local"
 FORMULA_THM1_GLOBAL = "thm1_global"
@@ -157,12 +163,9 @@ def _cp_per_equation_interval(
     m_list: Sequence[int], n: int, rv: tuple[Fraction, ...], p: int
 ) -> Interval:
     s = sum(rv, Fraction(0))
-    prod_r = math.prod(rv, start=Fraction(1))
-    ln_p_n = ln_prime(p) ** n
     acc = euler_ratio() ** n
     for i, m_i in enumerate(m_list):
-        arg = Interval.from_fraction(Fraction((m_i - 1) ** n) / prod_r) / ln_p_n
-        acc = acc * ((m_i - 1) * (s + log_base(arg, p)) / rv[i])
+        acc = acc * ((m_i - 1) * (s + near_one_log(m_i, n, rv, p)) / rv[i])
     return acc
 
 
@@ -208,7 +211,9 @@ def cp_bound_per_equation(
 # working precision, so each is memoised on them (arith._per_precision); a
 # request multiplies a cached interval by its facet count, if any.  The
 # near-one bounds at a caller's radii (cp_bound, cp_bound_per_equation,
-# log_inequality_check) rarely repeat and stay unmemoised.
+# log_inequality_check) are not memoised whole, since their radii rarely
+# repeat across requests; their one transcendental term, newton.near_one_log,
+# is, so the bounds and the radius at one (m, n, r, p) share it.
 
 
 @_per_precision

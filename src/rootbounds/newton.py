@@ -29,11 +29,11 @@ from typing import Iterable, Mapping, Sequence
 from .arith import (
     Interval,
     _int_ord,
+    _per_precision,
     euler_ratio,
     format_rational,
     ln_prime,
     log_base,
-    ord_p_value,
     require_prime,
 )
 from .errors import CancellationError, CapExceededError, InputError, InternalError, ParamError
@@ -49,6 +49,12 @@ from .polyhedra import (
 
 MAX_SHIFT_DEGREE = 30
 MAX_SHIFT_VARS = 3
+
+# Cap on the decimal exponent of a JSON coefficient such as "1e300":
+# Fraction builds 10^|e| in full, so one ten-character coefficient would
+# otherwise take seconds.  10^MAX_COEFF_EXPONENT has the 10^6 bits that
+# parsing.MAX_POWER_BITS allows a coefficient power of the text grammar.
+MAX_COEFF_EXPONENT = 301029
 
 Exponent = tuple[int, ...]
 
@@ -201,13 +207,22 @@ class SparseSystem:
 
 
 def _json_term(t: object, n: int) -> tuple[Exponent, Fraction]:
-    """The exponent and coefficient of {"exp": [n JSON integers], "coeff": a rational}."""
+    """The exponent and coefficient of {"exp": [n JSON integers], "coeff": a rational};
+    a coefficient in exponent notation past MAX_COEFF_EXPONENT is refused
+    before ``Fraction`` builds its power of ten."""
     exp = t.get("exp") if isinstance(t, dict) else None
     if not isinstance(exp, list) or len(exp) != n:
         raise InputError(f"expected a term with a list of n = {n} exponents, got {t!r}")
     exp = tuple(map(_json_int, exp))
     try:
-        return exp, Fraction(str(t["coeff"]))
+        text = str(t["coeff"])
+        _mantissa, e, power = text.strip().lower().rpartition("e")
+        if e and abs(int(power)) > MAX_COEFF_EXPONENT:
+            raise InputError(f"a coefficient's decimal exponent exceeds the cap "
+                             f"{MAX_COEFF_EXPONENT} (MAX_COEFF_EXPONENT), got {text[:40]!r}")
+        return exp, Fraction(text)
+    except InputError:
+        raise
     except (KeyError, ValueError, ZeroDivisionError):
         raise InputError(f"expected a term with a rational coefficient, got {t!r}") from None
 
@@ -420,17 +435,27 @@ def shift_polynomial(f: SparsePolynomial) -> SparsePolynomial:
 # ---------------------------------------------------------------------------
 
 
-def near_one_radius(m: int, n: int, r: tuple[Fraction, ...], p: int) -> Interval:
+@_per_precision
+def near_one_log(m: int, n: int, r: tuple[Fraction, ...], p: int) -> Interval:
+    """log_p((m-1)^n / (r_1...r_n ln^n p)), the log term of the near-one
+    radius and of each factor of the per-equation near-one bound, memoised
+    on (m, n, r, p) and the working digits, so a request that builds the
+    radius and the bounds at one r evaluates it once."""
+    prod_r = math.prod(r, start=Fraction(1))
+    arg = Interval.from_fraction(Fraction((m - 1) ** n) / prod_r) / (ln_prime(p) ** n)
+    return log_base(arg, p)
+
+
+def near_one_radius(m: int, n: int, r: Sequence[Fraction], p: int) -> Interval:
     """c(m-1)[sum r_j + log_p((m-1)^n / (r_1...r_n ln^n p))]: the radius of
     the scaled simplex sum r_j t_j <= radius, the right-hand side of the
     slow-decay implication, and the base of the general near-one bound."""
+    r = tuple(r)
     s = sum(r, Fraction(0))
-    prod_r = math.prod(r, start=Fraction(1))
-    arg = Interval.from_fraction(Fraction((m - 1) ** n) / prod_r) / (ln_prime(p) ** n)
-    return euler_ratio() * (m - 1) * (s + log_base(arg, p))
+    return euler_ratio() * (m - 1) * (s + near_one_log(m, n, r, p))
 
 
-def _pareto_minimal(points: dict[Exponent, Fraction]) -> list[Exponent]:
+def _pareto_minimal(points: dict[Exponent, int]) -> list[Exponent]:
     """Points minimal for the product order on (exponent, weighted height)."""
     items = sorted(points.items())
     out = []
@@ -452,11 +477,20 @@ def _sloped_support(
 
     A point t qualifies exactly when there is y >= 0 with, for every support
     point t', y.(t'-t) >= z_t - z_{t'} where z is the r-weighted valuation
-    lift; the weighted form absorbs the shift s = r + y.  Feasibility is
-    decided exactly, with constraints reduced to the dominance staircase
-    first (dominated constraints are implied by their dominators).
+    lift; the weighted form absorbs the shift s = r + y.  The lift is scaled
+    to ints by L, the lcm of r's denominators: L*z_t = L*v_p(c_t) +
+    (L*r).t, and a positive scale keeps every comparison and every
+    feasibility below.  Feasibility is decided exactly, with constraints
+    reduced to the dominance staircase first (dominated constraints are
+    implied by their dominators).
     """
-    z = {exp: ord_p_value(coeff, p) + dot(r, exp) for exp, coeff in g.terms}
+    scale = math.lcm(*(x.denominator for x in r))
+    r_int = [x.numerator * (scale // x.denominator) for x in r]
+    z = {
+        exp: scale * (_int_ord(c.numerator, p) - _int_ord(c.denominator, p))
+        + dot(r_int, exp)
+        for exp, c in g.terms
+    }
     staircase = _pareto_minimal(z)
     members = []
     for t, zt in sorted(z.items()):

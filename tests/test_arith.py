@@ -1,6 +1,7 @@
 import contextvars
 import random
 import threading
+import time
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from rootbounds.arith import (
     natural_log,
     ord_p_value,
     set_precision,
+    _int_ord,
     _ln_half_even,
     _round_half_even,
 )
@@ -78,6 +80,24 @@ def test_ord_multiplicative_and_ultrametric_bulk():
         s = x + y
         if s != 0:
             assert ord_p_value(s, p) >= min(vx, vy)
+
+
+def test_ord_of_a_high_power_counts_every_factor_quickly():
+    # the valuation strips p, p^2, p^4, ... in turn: a valuation of 10^5
+    # takes a few dozen long divisions, where one division per factor of p
+    # took 12 s
+    rng = random.Random(SEED + 4)
+    for _ in range(2000):
+        p = rng.choice([2, 3, 5, 7, 11])
+        v = rng.randint(0, 300)
+        u = rng.randint(1, 10**9)
+        while u % p == 0:
+            u //= p
+        assert _int_ord(rng.choice((1, -1)) * u * p**v, p) == v
+    t0 = time.perf_counter()
+    assert ord_p_value(Fraction(7 * 10**100000, 3), 2) == 100000
+    assert ord_p_value(Fraction(3, 7 * 10**100000), 5) == -100000
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_valuation_serialization():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from rootbounds import bounds
-from rootbounds.arith import euler_ratio, get_precision, ln_prime, set_precision
+from rootbounds.arith import Interval, euler_ratio, get_precision, ln_prime, log_base, set_precision
 from rootbounds.bounds import (
     FORMULA_COR2_1,
     FORMULA_COR3_1,
@@ -33,7 +33,13 @@ from rootbounds.bounds import (
     valuation_vector_cap,
 )
 from rootbounds.cli import main
-from rootbounds.newton import SparsePolynomial, SparseSystem, facet_count
+from rootbounds.newton import (
+    SparsePolynomial,
+    SparseSystem,
+    facet_count,
+    near_one_log,
+    near_one_radius,
+)
 
 SEED = 0xB0B
 
@@ -287,6 +293,66 @@ def test_log_inequality_never_violated_bulk():
         assert (not hyp) or concl
 
 
+def _inline_radius(m, n, r, p):
+    """The near-one radius with its log term written inline, unmemoised."""
+    s = sum(r, Fraction(0))
+    prod_r = math.prod(r, start=Fraction(1))
+    arg = Interval.from_fraction(Fraction((m - 1) ** n) / prod_r) / (ln_prime(p) ** n)
+    return euler_ratio() * (m - 1) * (s + log_base(arg, p))
+
+
+def _inline_per_equation(m_list, n, r, p):
+    """The per-equation near-one interval with each log term written inline."""
+    s = sum(r, Fraction(0))
+    prod_r = math.prod(r, start=Fraction(1))
+    ln_p_n = ln_prime(p) ** n
+    acc = euler_ratio() ** n
+    for i, m_i in enumerate(m_list):
+        arg = Interval.from_fraction(Fraction((m_i - 1) ** n) / prod_r) / ln_p_n
+        acc = acc * ((m_i - 1) * (s + log_base(arg, p)) / r[i])
+    return acc
+
+
+def _digits_of(iv):
+    return iv.lo.as_tuple(), iv.hi.as_tuple()
+
+
+def test_near_one_layer_matches_the_inline_formula():
+    # the radius, both near-one bounds and the log-inequality conclusion read
+    # the memoised log term, and give digit for digit what the inline formula
+    # gives; the same keys run at each precision in turn, so a log served
+    # from another precision shows
+    rng = random.Random(SEED + 30)
+    cases = []
+    for i in range(24):
+        n = rng.randint(1, 3)
+        m = rng.randint(n + 1, n + 6)
+        r = tuple(Fraction(rng.randint(1, 200), rng.randint(1, 49)) for _ in range(n))
+        t = tuple(Fraction(rng.randint(1, 200), rng.randint(1, 49)) for _ in range(n))
+        # equal term counts share one log term, distinct ones do not
+        m_list = (m,) * n if i % 2 else tuple(rng.randint(2, 9) for _ in range(n))
+        cases.append((m, m_list, n, r, t, rng.choice((2, 3, 5))))
+
+    def check():
+        for m, m_list, n, r, t, p in cases:
+            radius = _inline_radius(m, n, r, p)
+            assert _digits_of(near_one_radius(m, n, r, p)) == _digits_of(radius)
+            general = radius**n / math.prod(r, start=Fraction(1))
+            assert _digits_of(bounds._cp_general_interval(m, n, r, p)) == _digits_of(general)
+            assert cp_bound(m, n, r, p).raw.value.as_tuple() == general.hi.as_tuple()
+            per_eq = _inline_per_equation(m_list, n, r, p)
+            per_eq_iv = bounds._cp_per_equation_interval(m_list, n, r, p)
+            assert _digits_of(per_eq_iv) == _digits_of(per_eq)
+            report = cp_bound_per_equation(m_list, n, r, p)
+            assert report.raw.value.as_tuple() == per_eq.hi.as_tuple()
+            s_rt = sum((a * b for a, b in zip(r, t)), Fraction(0))
+            _hyp, concl = log_inequality_check(r, t, m, p)
+            assert concl == Interval.from_fraction(s_rt).possibly_le(radius)
+
+    for digits in (40, 80, 1000):
+        _at_precision(digits, check)
+
+
 def test_geometry_reproduces_per_equation_product_form():
     # replacing the transcendental simplex radii by exact rationals, the
     # mixed volume of the scaled corner simplices is the product of the
@@ -364,7 +430,8 @@ BOUND_MEMOS = ("_local_interval", "_global_interval", "_facet_cp_interval", "_le
 
 
 def _clear_memos():
-    for fn in (ln_prime, euler_ratio, *(getattr(bounds, name) for name in BOUND_MEMOS)):
+    memos = (getattr(bounds, name) for name in BOUND_MEMOS)
+    for fn in (ln_prime, euler_ratio, near_one_log, *memos):
         fn.cache_clear()
 
 
@@ -383,6 +450,10 @@ def _memo_keys(rng, per_function):
     grids = {
         ln_prime: [(p,) for p in (2, 3, 5, 7, 101)],
         euler_ratio: [()],
+        near_one_log: [
+            (m, n, r, p) for p in (2, 5) for n in (1, 2) for m in (n + 1, n + 4)
+            for r in ((Fraction(1, 3),) * n, tuple(Fraction(k, 7) for k in range(2, n + 2)))
+        ],
         bounds._local_interval: [
             (p, e * f, m, n) for p in (2, 3, 7) for e, f in ((1, 1), (2, 1), (1, 3))
             for m in (3, 6) for n in (1, 2, 3) if m > n

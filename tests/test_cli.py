@@ -28,9 +28,11 @@ from rootbounds.cli import (
     main,
 )
 from rootbounds.errors import InternalError, ParamError
+from rootbounds.newton import MAX_COEFF_EXPONENT, SparseSystem
 from rootbounds.oracle import MAX_UNIVARIATE_DEGREE, PrecisionCapError, rational_root_search
 from rootbounds.parsing import (
     MAX_NESTING,
+    MAX_POWER_BITS,
     MAX_VARS,
     ParseError,
     _Parser,
@@ -703,6 +705,41 @@ def test_non_integer_json_number_is_parse_error(capsys, monkeypatch, command, st
     code, out, err = run_cli(capsys, [command, "-"], stdin_text=stdin_text, monkeypatch=monkeypatch)
     assert (code, out) == (EXIT_PARSE_ERROR, "")
     assert err.startswith("error: ") and "JSON integer" in err
+
+
+def _binomial_json(coeff):
+    return json.dumps({"n": 1, "polynomials": [[{"exp": [1], "coeff": coeff},
+                                                 {"exp": [0], "coeff": "1"}]]})
+
+
+def test_json_coefficient_exponent_past_cap_is_parse_error(capsys, monkeypatch):
+    # refused before Fraction builds 10^|e|, which takes seconds at 1e3000000
+    for coeff in ("1e3000000", "-2.5E-3000000", f"1e{MAX_COEFF_EXPONENT + 1}"):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, ["bound", "-"], stdin_text=_binomial_json(coeff),
+                                 monkeypatch=monkeypatch)
+        assert time.perf_counter() - t0 < 0.1
+        assert (code, out) == (EXIT_PARSE_ERROR, "")
+        assert err.startswith("error: ") and "MAX_COEFF_EXPONENT" in err
+    # at the cap, 10^|e| has no more bits than a coefficient power of the text grammar
+    assert (10**MAX_COEFF_EXPONENT).bit_length() <= MAX_POWER_BITS
+    assert (10 ** (MAX_COEFF_EXPONENT + 1)).bit_length() > MAX_POWER_BITS
+
+
+@pytest.mark.parametrize("coeff, rational", [("1e3", "1000"), ("25e-3", "1/40")])
+def test_json_coefficient_in_exponent_notation_reads_as_its_rational(
+    capsys, monkeypatch, coeff, rational
+):
+    system = SparseSystem.from_json_obj(json.loads(_binomial_json(coeff)))
+    assert system == SparseSystem.from_json_obj(json.loads(_binomial_json(rational)))
+    assert system.polynomials[0].terms[1][1] == Fraction(rational)
+    outs = [
+        run_cli(capsys, [command, "-", "--prime", "5"], stdin_text=_binomial_json(c),
+                monkeypatch=monkeypatch)
+        for command in ("bound", "facets") for c in (coeff, rational)
+    ]
+    assert outs[0] == outs[1] and outs[2] == outs[3]
+    assert outs[0][0] == outs[2][0] == EXIT_OK
 
 
 def test_variable_index_above_cap_is_parse_error(capsys, monkeypatch):

@@ -8,12 +8,13 @@ from fractions import Fraction
 import pytest
 
 from rootbounds.arith import ord_p_value
-from rootbounds.linalg import det, dot, to_vec
+from rootbounds.linalg import det, dot, nonneg_solution_exists, to_vec
 from rootbounds.newton import (
     CancellationError,
     CapExceededError,
     SparsePolynomial,
     SparseSystem,
+    _pareto_minimal,
     _sloped_support,
     candidate_valuations,
     clear_negative_exponents,
@@ -735,6 +736,47 @@ def test_containment_random_systems():
             s = SparseSystem.of(polys)
             r = tuple(rng.choice(grid) for _ in range(n))
             assert containment_check(s, p, r)
+
+
+def _sloped_support_on_fractions(g, p, r):
+    """The sloped support with the valuation lift on Fractions, unscaled:
+    the reference for the int lift of ``_sloped_support``."""
+    z = {exp: ord_p_value(c, p) + dot(r, exp) for exp, c in g.terms}
+    staircase = _pareto_minimal(z)
+    members = []
+    for t, zt in sorted(z.items()):
+        if any(z[u] < zt and all(a <= b for a, b in zip(u, t)) for u in staircase if u != t):
+            continue
+        others = [u for u in staircase if u != t]
+        rows = [tuple(b - a for a, b in zip(t, u)) for u in others]
+        if nonneg_solution_exists(rows, [zt - z[u] for u in others]):
+            members.append(t)
+    return members
+
+
+def test_sloped_support_int_lift_matches_the_fraction_lift():
+    # the lift scaled by the lcm of r's denominators picks the same points as
+    # the Fraction lift, over radii whose components have distinct
+    # denominators up to 49
+    rng = random.Random(SEED + 30)
+    distinct = 0
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        p = rng.choice((2, 3, 5))
+        f = rand_poly(rng, n, rng.randint(2, 5), 6 if n < 3 else 3, coefmax=60)
+        g = shift_polynomial(f)
+        r = tuple(Fraction(rng.randint(1, 120), rng.randint(1, 49)) for _ in range(n))
+        distinct += len({x.denominator for x in r}) > 1
+        assert _sloped_support(g, p, r) == _sloped_support_on_fractions(g, p, r), (f, p, r)
+    assert distinct >= 20
+
+
+def test_near_one_radius_takes_any_sequence():
+    # the radius memoises its log on a tuple of r, so a list is as good
+    r = [Fraction(3, 7), Fraction(5, 2)]
+    by_list = near_one_radius(4, 2, r, 3)
+    by_tuple = near_one_radius(4, 2, tuple(r), 3)
+    assert (by_list.lo, by_list.hi) == (by_tuple.lo, by_tuple.hi)
 
 
 def test_containment_validation():
