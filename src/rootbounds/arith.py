@@ -103,7 +103,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n == q:
             return True
         if n % q == 0:
@@ -507,15 +507,6 @@ def ln_prime(p: int) -> Interval:
     return natural_log(Fraction(p))
 
 
-def _pure_power_exponent(n: int, p: int) -> int | None:
-    # exponent k with n == p**k, for n >= 1
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k if n == 1 else None
-
-
 def log_base(x: IntervalLike, p: int) -> Interval:
     """log_p(x) = ln(x)/ln(p), exact when x is an exact power of p."""
     require_prime(p)
@@ -523,9 +514,8 @@ def log_base(x: IntervalLike, p: int) -> Interval:
         q = Fraction(x)
         if q <= 0:
             raise ParamError(f"log of nonpositive value {q}")
-        a = _pure_power_exponent(q.numerator, p)
-        b = _pure_power_exponent(q.denominator, p)
-        if a is not None and b is not None:
+        a, b = _int_ord(q.numerator, p), _int_ord(q.denominator, p)
+        if q == Fraction(p) ** (a - b):
             return Interval.exact(a - b)
     return natural_log(x) / ln_prime(p)
 

@@ -1,10 +1,9 @@
 """Command-line front end: bounds, facet data, and oracle verification.
 
-Systems are read from a file path or standard input, either as the JSON
-schema {"n": ..., "polynomials": [[{"exp": [...], "coeff": "..."}], ...]} or
-as the terse text format (one polynomial per line).  ``verify`` rows pair
-the counts of ``oracle.verification_counts`` with the bounds, and
-``oracle.verdict`` decides each.  Exit codes: 0 success, 1 verification
+Systems are read from a file path or standard input, in either form that
+``parsing.parse_system`` reads: the JSON schema or the terse text format.
+``verify`` rows pair the counts of ``oracle.verification_counts`` with the
+bounds, and ``oracle.verdict`` decides each.  Exit codes: 0 success, 1 verification
 failure, else the ``exit_code`` of the ``errors`` class raised (2 input, 3
 parameters, 4 self-check); any other exception is a bug, and exits 4 with
 ``internal: <type>: <message>`` and no traceback.
@@ -36,7 +35,7 @@ from .bounds import (
 from .errors import InputError, InternalError, ParamError, RootboundsError
 from .newton import SparsePolynomial, SparseSystem, newton_data
 from .oracle import reduce_to_square, verdict, verification_counts
-from .parsing import parse_system_text
+from .parsing import parse_system, system_to_json_obj
 from .polyhedra import lower_facets  # noqa: F401  (unused; bench/spans.py traces this binding)
 
 EXIT_OK = 0
@@ -71,13 +70,7 @@ def _read_input(path: str | None) -> str:
 def _load_system(args: argparse.Namespace) -> SparseSystem:
     text = _read_input(args.input)
     try:
-        if not text.lstrip().startswith("{"):
-            return parse_system_text(text)
-        try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # a nesting too deep included
-            raise InputError(str(exc)) from None
-        return SparseSystem.from_json_obj(obj)
+        return parse_system(text)
     except InputError as exc:
         raise InputError(f"could not parse the input system: {exc}") from None
 
@@ -216,7 +209,7 @@ def _verify_rows(system: SparseSystem, args: argparse.Namespace, fs: FieldSpec) 
                 row["inconclusive"] = inconclusive
             elif not row["ok"]:
                 # violations carry the full instance for the failure dump
-                row["system"] = system.to_json_obj()
+                row["system"] = system_to_json_obj(system)
                 row["bound_report"] = rep.to_json_obj()
             rows.append(row)
     return rows

@@ -26,7 +26,7 @@ class InternalError(RootboundsError, ArithmeticError):
 
 
 class ParseError(InputError):
-    """The text format refuses the input."""
+    """The text grammar refuses the input, or a polynomial of either form cancels."""
 
 
 class DimensionError(ParamError):

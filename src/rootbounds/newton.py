@@ -15,6 +15,8 @@ are lattice points, int tuples from :func:`_lift` to the facets and faces
 of :class:`NewtonData`.  The shift f(1+x), the near-one radius and the
 containment check at the bottom of the file exercise the
 slow-valuation-decay phenomenon that drives the near-one root bounds.
+The systems here are values only: ``parsing`` reads and writes both of
+their input forms.
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ from .arith import (
     _int_ord,
     _per_precision,
     euler_ratio,
-    format_rational,
     ln_prime,
     log_base,
     require_prime,
 )
-from .errors import CancellationError, CapExceededError, InputError, InternalError, ParamError
+from .errors import CancellationError, CapExceededError, InternalError, ParamError
 from .linalg import det, dot, mat_rank, nonneg_solution_exists, to_vec, vec_sub
 from .polyhedra import (
     LatticePoint,
@@ -49,12 +50,6 @@ from .polyhedra import (
 
 MAX_SHIFT_DEGREE = 30
 MAX_SHIFT_VARS = 3
-
-# Cap on the decimal exponent of a JSON coefficient such as "1e300":
-# Fraction builds 10^|e| in full, so one ten-character coefficient would
-# otherwise take seconds.  10^MAX_COEFF_EXPONENT has the 10^6 bits that
-# parsing.MAX_POWER_BITS allows a coefficient power of the text grammar.
-MAX_COEFF_EXPONENT = 301029
 
 Exponent = tuple[int, ...]
 
@@ -177,62 +172,6 @@ class SparseSystem:
     @property
     def m_counts(self) -> tuple[int, ...]:
         return tuple(f.m for f in self.polynomials)
-
-    # JSON schema: {"n": int, "polynomials": [[{"exp": [...], "coeff": "num/den"}], ...]}
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "polynomials": [
-                [
-                    {"exp": list(exp), "coeff": format_rational(coeff)}
-                    for exp, coeff in f.terms
-                ]
-                for f in self.polynomials
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "SparseSystem":
-        n = _json_int(obj.get("n"))
-        if n < 1:
-            raise InputError(f"a system needs n >= 1 variables, got n = {n}")
-        polys = obj.get("polynomials")
-        if not isinstance(polys, list) or not all(isinstance(terms, list) for terms in polys):
-            raise InputError("expected polynomials as a JSON list of lists of terms")
-        dicts = [dict(_json_term(t, n) for t in terms) for terms in polys]
-        if not dicts or not all(any(d.values()) for d in dicts):
-            raise InputError("expected at least one polynomial, each with a nonzero coefficient")
-        return cls(tuple(map(SparsePolynomial.from_dict, dicts)), n)
-
-
-def _json_term(t: object, n: int) -> tuple[Exponent, Fraction]:
-    """The exponent and coefficient of {"exp": [n JSON integers], "coeff": a rational};
-    a coefficient in exponent notation past MAX_COEFF_EXPONENT is refused
-    before ``Fraction`` builds its power of ten."""
-    exp = t.get("exp") if isinstance(t, dict) else None
-    if not isinstance(exp, list) or len(exp) != n:
-        raise InputError(f"expected a term with a list of n = {n} exponents, got {t!r}")
-    exp = tuple(map(_json_int, exp))
-    try:
-        text = str(t["coeff"])
-        _mantissa, e, power = text.strip().lower().rpartition("e")
-        if e and abs(int(power)) > MAX_COEFF_EXPONENT:
-            raise InputError(f"a coefficient's decimal exponent exceeds the cap "
-                             f"{MAX_COEFF_EXPONENT} (MAX_COEFF_EXPONENT), got {text[:40]!r}")
-        return exp, Fraction(text)
-    except InputError:
-        raise
-    except (KeyError, ValueError, ZeroDivisionError):
-        raise InputError(f"expected a term with a rational coefficient, got {t!r}") from None
-
-
-def _json_int(x: object) -> int:
-    """x if it is a JSON integer; a float such as 1.5 or 1e999, a bool or a
-    string is refused rather than truncated or converted."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise InputError(f"expected a JSON integer, got {x!r}")
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,11 @@ MAX_UNIVARIATE_DEGREE = 2000
 # refused, and a dense degree-300 input with coefficients 1..9 passes.
 MAX_GCD_WORK = 10**10
 
+# Caps on the rational search: the variables it runs in, and the height cap
+# of its candidates (2H^2 per variable at height cap H).
+MAX_SEARCH_VARS = 3
+MAX_SEARCH_HEIGHT = 100
+
 
 @dataclass(frozen=True)
 class RootCount:
@@ -62,23 +67,23 @@ class RootCount:
 
 def verification_counts(F: SparseSystem, p: int, height_cap: int) -> list[RootCount]:
     """The counts the bounds of F are checked against: the p-adic counter on
-    one univariate equation, the Smith count on a square binomial system of
-    at most 6 variables with a nonsingular exponent matrix, and the rational
-    search in at most 3 variables.  A system that none covers is refused."""
+    one univariate equation, the Smith count on a square binomial system
+    with a nonsingular exponent matrix, and the rational search in at most
+    MAX_SEARCH_VARS variables.  A system that none covers is refused."""
     counts = []
     if F.n == 1 and F.k == 1:
         counts.append(count_univariate_padic(F.polynomials[0], p))
-    if F.k == F.n <= 6 and all(f.m == 2 for f in F.polynomials):
+    if F.k == F.n and all(f.m == 2 for f in F.polynomials):
         exponents = [tuple(b - a for a, b in zip(*f.support)) for f in F.polynomials]
         # a singular exponent matrix has no isolated roots to count
         if det(exponents):
             constants = [-f.terms[0][1] / f.terms[1][1] for f in F.polynomials]
             counts.append(count_binomial_system(exponents, constants, p)[0])
-    if F.n <= 3:
+    if F.n <= MAX_SEARCH_VARS:
         counts.append(rational_root_search(F, height_cap))
     if not counts:
-        raise ParamError(f"no counter covers this system: n = {F.n} > 3, and it is no square "
-                         "binomial system of at most 6 variables with a nonsingular exponent matrix")
+        raise ParamError(f"no counter covers this system: n = {F.n} > {MAX_SEARCH_VARS} "
+                         "(MAX_SEARCH_VARS), and it is no nonsingular square binomial system")
     return counts
 
 
@@ -486,10 +491,12 @@ def rational_root_search(F: SparseSystem, height_cap: int) -> RootCount:
     variables are fixed, so equations in few variables prune the grid early.
     A search weighing more than MAX_SEARCH_WORK is refused before it starts.
     """
-    if F.n > 3:
-        raise ParamError("rational search capped at 3 variables")
-    if height_cap > 100:
-        raise ParamError("rational search capped at height 100")
+    if F.n > MAX_SEARCH_VARS:
+        raise ParamError(f"rational search capped at {MAX_SEARCH_VARS} variables "
+                         "(MAX_SEARCH_VARS)")
+    if height_cap > MAX_SEARCH_HEIGHT:
+        raise ParamError(f"rational search capped at height {MAX_SEARCH_HEIGHT} "
+                         "(MAX_SEARCH_HEIGHT)")
     if height_cap < 1:
         raise ParamError(f"rational search needs a height cap >= 1, got {height_cap}")
     n = F.n

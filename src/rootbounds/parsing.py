@@ -1,23 +1,32 @@
-"""Terse text format for sparse polynomial systems.
+"""Both forms of a sparse polynomial system, read and written here alone.
 
-One polynomial per line (or semicolon-separated): integers, rationals like
-3/4, variables x1..xn, +, -, *, ^ with integer exponents, and parentheses,
-e.g. ``3*x1^10 + x1^2 - 4``.  Exponents may be negative on monomial bases,
-giving Laurent terms.  A monomial base is raised to its power in one step;
-a power whose coefficient would exceed about MAX_POWER_BITS bits is refused.
-A base of several terms is multiplied out, and refused before any product
-when the estimated work exceeds MAX_POWER_WORK.  A variable index above
-MAX_VARS is refused before any exponent tuple is built, and parentheses
-and unary minus signs nested past MAX_NESTING before they exhaust the stack.
+Text: one polynomial per line (or semicolon-separated): integers, rationals
+like 3/4, variables x1..xn, +, -, *, ^ with integer exponents, and
+parentheses, e.g. ``3*x1^10 + x1^2 - 4``; exponents may be negative on
+monomial bases, giving Laurent terms.  JSON: {"n": ..., "polynomials":
+[[{"exp": [...], "coeff": "num/den"}, ...], ...]}, as
+:func:`system_to_json_obj` writes it.  :func:`parse_system` reads either,
+by the leading ``{``, and sums each polynomial's terms in one accumulator,
+so a repeated exponent vector adds up in both forms.  A monomial base is
+raised to its power in one step; a power whose coefficient would exceed
+about MAX_POWER_BITS bits is refused, as is a JSON coefficient whose
+decimal exponent would.  A base of several terms is multiplied out, and
+refused before any product when the estimated work exceeds MAX_POWER_WORK.
+A variable index above MAX_VARS is refused before any exponent tuple is
+built, and parentheses and unary minus signs nested past MAX_NESTING before
+they exhaust the stack.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from fractions import Fraction
+from typing import Iterable
 
-from .errors import ParseError
+from .arith import format_rational
+from .errors import InputError, ParseError
 from .newton import SparsePolynomial, SparseSystem
 
 _TOKEN = re.compile(
@@ -28,6 +37,11 @@ _TOKEN = re.compile(
 # Cap on the size of c^k for a monomial c*x^e raised to k: the power is
 # taken in one step, so without it one exponent could allocate gigabytes.
 MAX_POWER_BITS = 10**6
+
+# Cap on the decimal exponent of a JSON coefficient such as "1e300", for the
+# same reason: Fraction builds 10^|e| in full, which has at most
+# MAX_POWER_BITS bits at the cap, 301029.
+MAX_COEFF_EXPONENT = int(MAX_POWER_BITS * math.log10(2))
 
 # Cap on raising a base of m >= 2 terms to the power k by k products: they
 # make at most k*comb(k+m-1, m-1) term products, each on coefficients of up
@@ -70,11 +84,13 @@ def _tokenize(text: str) -> list[str]:
 Poly = dict[tuple[int, ...], Fraction]
 
 
-def _padd(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, Fraction(0)) + c
-    return {e: c for e, c in out.items() if c != 0}
+def _collect(terms: Iterable[tuple[tuple[int, ...], Fraction]]) -> Poly:
+    """The sum of the (exponent, coefficient) terms, without the exponents
+    whose coefficients cancel: the one accumulator of both forms."""
+    out: Poly = {}
+    for e, c in terms:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def _pneg(a: Poly) -> Poly:
@@ -82,12 +98,8 @@ def _pneg(a: Poly) -> Poly:
 
 
 def _pmul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, Fraction(0)) + ca * cb
-    return {e: c for e, c in out.items() if c != 0}
+    return _collect((tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                    for ea, ca in a.items() for eb, cb in b.items())
 
 
 def _monomial_power(term: Poly, k: int) -> Poly:
@@ -138,16 +150,14 @@ class _Parser:
             raise ParseError(f"expected {tok!r}, got {got!r}")
 
     def parse_expr(self) -> Poly:
-        if self.peek() == "-":
-            self.take()
-            acc = _pneg(self.parse_term())
-        else:
-            acc = self.parse_term()
-        while self.peek() in ("+", "-"):
+        op = self.take() if self.peek() == "-" else "+"
+        terms = []
+        while True:
+            term = self.parse_term()
+            terms += (_pneg(term) if op == "-" else term).items()
+            if self.peek() not in ("+", "-"):
+                return _collect(terms)
             op = self.take()
-            rhs = self.parse_term()
-            acc = _padd(acc, rhs if op == "+" else _pneg(rhs))
-        return acc
 
     def parse_term(self) -> Poly:
         acc = self.parse_factor()
@@ -209,14 +219,18 @@ class _Parser:
         return {tuple([0] * self.n): Fraction(_integer(num), denominator)}
 
 
+def _polynomial(poly: Poly) -> SparsePolynomial:
+    if not poly:
+        raise ParseError("polynomial cancelled to zero")
+    return SparsePolynomial.from_dict(poly)
+
+
 def parse_polynomial_text(text: str, n: int) -> SparsePolynomial:
     parser = _Parser(_tokenize(text), n)
     poly = parser.parse_expr()
     if parser.peek() is not None:
         raise ParseError(f"trailing input from token {parser.peek()!r}")
-    if not poly:
-        raise ParseError("polynomial cancelled to zero")
-    return SparsePolynomial.from_dict(poly)
+    return _polynomial(poly)
 
 
 def parse_system_text(text: str) -> SparseSystem:
@@ -231,3 +245,58 @@ def parse_system_text(text: str) -> SparseSystem:
     indices = [_integer(v[1:]) for v in re.findall(r"x\d+", text)]
     n = max(indices) if indices else 1
     return SparseSystem.of([parse_polynomial_text(c, n) for c in chunks])
+
+
+def parse_system(text: str) -> SparseSystem:
+    """The system in the JSON form when the text starts with ``{``, else in
+    the text form."""
+    if not text.lstrip().startswith("{"):
+        return parse_system_text(text)
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # a nesting too deep included
+        raise InputError(str(exc)) from None
+    n = _json_int(obj.get("n"))
+    if n < 1:
+        raise InputError(f"a system needs n >= 1 variables, got n = {n}")
+    polys = obj.get("polynomials")
+    if not polys or not isinstance(polys, list) or not all(isinstance(t, list) for t in polys):
+        raise InputError("expected polynomials as a nonempty JSON list of lists of terms")
+    return SparseSystem(tuple(_polynomial(_collect(_json_term(t, n) for t in terms))
+                              for terms in polys), n)
+
+
+def system_to_json_obj(system: SparseSystem) -> dict:
+    """The JSON form of the system, which :func:`parse_system` reads back."""
+    return {"n": system.n, "polynomials": [
+        [{"exp": list(e), "coeff": format_rational(c)} for e, c in f.terms]
+        for f in system.polynomials]}
+
+
+def _json_term(t: object, n: int) -> tuple[tuple[int, ...], Fraction]:
+    """The exponent and coefficient of {"exp": [n JSON integers], "coeff": a rational};
+    a coefficient in exponent notation past MAX_COEFF_EXPONENT is refused
+    before ``Fraction`` builds its power of ten."""
+    exp = t.get("exp") if isinstance(t, dict) else None
+    if not isinstance(exp, list) or len(exp) != n:
+        raise InputError(f"expected a term with a list of n = {n} exponents, got {t!r}")
+    exp = tuple(map(_json_int, exp))
+    try:
+        text = str(t["coeff"])
+        _mantissa, e, power = text.strip().lower().rpartition("e")
+        if e and abs(int(power)) > MAX_COEFF_EXPONENT:
+            raise InputError(f"a coefficient's decimal exponent exceeds the cap "
+                             f"{MAX_COEFF_EXPONENT} (MAX_COEFF_EXPONENT), got {text[:40]!r}")
+        return exp, Fraction(text)
+    except InputError:
+        raise
+    except (KeyError, ValueError, ZeroDivisionError):
+        raise InputError(f"expected a term with a rational coefficient, got {t!r}") from None
+
+
+def _json_int(x: object) -> int:
+    """x if it is a JSON integer; a float such as 1.5 or 1e999, a bool or a
+    string is refused rather than truncated or converted."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"expected a JSON integer, got {x!r}")
+    return x

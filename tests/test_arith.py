@@ -163,6 +163,16 @@ def test_integer_log_is_exact():
     assert log_base(Fraction(9), 3).upper().value == Decimal(2)
 
 
+def test_log_of_a_long_prime_power_is_exact_within_seconds():
+    # found by one division per factor of p, this took about 30 s
+    start = time.perf_counter()
+    iv = log_base(Fraction(3**300000, 3), 3)
+    assert time.perf_counter() - start < 2
+    assert iv.lo == iv.hi == Decimal(299999)
+    iv = log_base(Fraction(2 * 3**5, 3), 3)  # no power of 3: enclosed, not exact
+    assert Decimal(4) < iv.lo < iv.hi < Decimal(5)
+
+
 def test_euler_ratio_window():
     c = euler_ratio().upper().value
     assert Decimal("1.58197") <= c <= Decimal("1.58198")

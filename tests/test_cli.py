@@ -28,9 +28,16 @@ from rootbounds.cli import (
     main,
 )
 from rootbounds.errors import InternalError, ParamError
-from rootbounds.newton import MAX_COEFF_EXPONENT, SparseSystem
-from rootbounds.oracle import MAX_UNIVARIATE_DEGREE, PrecisionCapError, rational_root_search
+from rootbounds.arith import format_rational
+from rootbounds.newton import newton_data
+from rootbounds.oracle import (
+    MAX_UNIVARIATE_DEGREE,
+    PrecisionCapError,
+    rational_root_search,
+    reduce_to_square,
+)
 from rootbounds.parsing import (
+    MAX_COEFF_EXPONENT,
     MAX_NESTING,
     MAX_POWER_BITS,
     MAX_VARS,
@@ -39,7 +46,9 @@ from rootbounds.parsing import (
     _pmul,
     _tokenize,
     parse_polynomial_text,
+    parse_system,
     parse_system_text,
+    system_to_json_obj,
 )
 
 EXAMPLE_13_SYSTEM = "1 + x1*x2 + x1^2*x2^3\n1 + x1*x2^2 + x1^4*x2\n"
@@ -233,7 +242,7 @@ def test_bound_affine_flag(tmp_path, capsys):
 def test_bound_json_input(tmp_path, capsys):
     system = parse_system_text(EXAMPLE_13_SYSTEM)
     path = tmp_path / "system.json"
-    path.write_text(json.dumps(system.to_json_obj()))
+    path.write_text(json.dumps(system_to_json_obj(system)))
     code = main(["bound", str(path), "--prime", "2"])
     out, _ = capsys.readouterr()
     assert code == EXIT_OK
@@ -290,7 +299,7 @@ def test_verify_product_system(capsys, tmp_path):
 
     system = product_system(4, 2)
     path = tmp_path / "system.json"
-    path.write_text(json.dumps(system.to_json_obj()))
+    path.write_text(json.dumps(system_to_json_obj(system)))
     code = main(["verify", str(path), "--prime", "2", "--height-cap", "5"])
     out, _ = capsys.readouterr()
     payload = json.loads(out)
@@ -730,8 +739,8 @@ def test_json_coefficient_exponent_past_cap_is_parse_error(capsys, monkeypatch):
 def test_json_coefficient_in_exponent_notation_reads_as_its_rational(
     capsys, monkeypatch, coeff, rational
 ):
-    system = SparseSystem.from_json_obj(json.loads(_binomial_json(coeff)))
-    assert system == SparseSystem.from_json_obj(json.loads(_binomial_json(rational)))
+    system = parse_system(_binomial_json(coeff))
+    assert system == parse_system(_binomial_json(rational))
     assert system.polynomials[0].terms[1][1] == Fraction(rational)
     outs = [
         run_cli(capsys, [command, "-", "--prime", "5"], stdin_text=_binomial_json(c),
@@ -740,6 +749,66 @@ def test_json_coefficient_in_exponent_notation_reads_as_its_rational(
     ]
     assert outs[0] == outs[1] and outs[2] == outs[3]
     assert outs[0][0] == outs[2][0] == EXIT_OK
+
+
+def _json_of_terms(n, *polys):
+    # each polynomial as (coefficient, exponent list) pairs, repeats kept
+    return json.dumps({"n": n, "polynomials": [
+        [{"exp": list(e), "coeff": c} for c, e in terms] for terms in polys]})
+
+
+def test_json_repeated_exponent_vectors_sum_as_in_the_text_form():
+    # the JSON reader kept only the last term of each exponent vector
+    doc = _json_of_terms(1, [("1", [1]), ("1", [1]), ("-4", [0])])
+    assert parse_system(doc) == parse_system_text("2*x1 - 4")
+
+
+def test_verify_reads_both_forms_of_a_system_with_a_cancelling_term(capsys, monkeypatch):
+    # the JSON form read x1^2 - x1 - 4 (m = 3, no rational root), the text
+    # form the binomial x1^2 - 4 (two rational roots)
+    doc = _json_of_terms(1, [("1", [1]), ("-1", [1]), ("1", [2]), ("-4", [0])])
+    runs = [run_cli(capsys, ["verify", "-", "--prime", "2"], stdin_text=text, monkeypatch=monkeypatch)
+            for text in (doc, "x1 - x1 + x1^2 - 4\n")]
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert {(row["oracle"], row["count"]) for row in rows} >= {("rational_search", 2), ("snf_binomial", 2)}
+
+
+def test_json_polynomial_whose_terms_cancel_is_parse_error(capsys, monkeypatch):
+    doc = _json_of_terms(2, [("1", [1, 0]), ("3/2", [0, 1])], [("2", [1, 1]), ("-2", [1, 1])])
+    code, out, err = run_cli(capsys, ["bound", "-"], stdin_text=doc, monkeypatch=monkeypatch)
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err == "error: could not parse the input system: polynomial cancelled to zero\n"
+
+
+def test_facets_reduces_an_overdetermined_system_with_its_seed(capsys, monkeypatch):
+    text = "x1 + x2 - 1; x1 - x2 + 2; x1*x2 - 3\n"
+    code, out, _ = run_cli(capsys, ["facets", "-", "--prime", "3", "--seed", "5"],
+                           stdin_text=text, monkeypatch=monkeypatch)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert len(payload["notes"]) == 1 and "seeded random square reduction" in payload["notes"][0]
+    system = parse_system_text(text)
+    data = newton_data(system, 3)
+    assert payload["facet_count"] == len(data.facets)
+    assert payload["lower_facets"] == [
+        {"normal": [format_rational(x) for x in normal], "vertices": facet.to_json_obj()}
+        for normal, facet in data.facets
+    ]
+    square = newton_data(reduce_to_square(system, 5), 3).face_bounds()
+    assert square and payload["face_bounds"] == [
+        {"r": [format_rational(x) for x in r], "bound": bound} for r, bound in square
+    ]
+
+
+def test_global_bound_notes_that_it_ignores_the_prime(capsys, monkeypatch):
+    outs = [run_cli(capsys, ["bound", "-", "--global", "--d", "2", "--prime", p],
+                    stdin_text=EXAMPLE_13_SYSTEM, monkeypatch=monkeypatch) for p in ("3", "2")]
+    assert outs[0][:2] == outs[1][:2] and outs[0][0] == EXIT_OK
+    assert outs[0][2] == "note: global bounds embed through the 2-adics; --prime is ignored\n"
+    assert outs[1][2] == ""
 
 
 def test_variable_index_above_cap_is_parse_error(capsys, monkeypatch):

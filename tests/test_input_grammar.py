@@ -7,7 +7,9 @@ parentheses, ``;``), systems under up to MAX_NESTING + 1 levels of
 parentheses and unary minus signs, and JSON documents (wrong types,
 non-integers, missing keys) and feeds each to ``bound``, ``facets`` and
 ``verify``.  ``main()`` must return 0 to 3 without raising, never 4 (a bug),
-and 1 only with ``"all_ok": false``.
+and 1 only with ``"all_ok": false``.  A second property reads well-formed
+JSON documents, repeated exponent vectors included, against their text
+renderings: both forms must give one system, or one refusal.
 """
 
 import contextlib
@@ -18,7 +20,8 @@ import sys
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from rootbounds.cli import EXIT_BAD_PARAMS, EXIT_INTERNAL, EXIT_OK, EXIT_PARSE_ERROR, EXIT_VERIFY_FAILED, main
-from rootbounds.parsing import MAX_NESTING
+from rootbounds.errors import InputError
+from rootbounds.parsing import MAX_NESTING, parse_system, parse_system_text
 
 # tokens of a well-formed system, and the same plus zero denominators,
 # variables out of range and exponents past the caps; a third of the systems
@@ -152,3 +155,39 @@ def test_any_system_text_or_json_ends_in_a_documented_exit_code(argv, stdin_text
             assert payload["all_ok"] is (code == EXIT_OK)
     else:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+@st.composite
+def _json_and_text(draw):
+    # small exponents so that exponent vectors repeat; every term names every
+    # variable, so that the text form infers the document's n
+    n = draw(st.integers(1, 3))
+    exponents = st.lists(st.integers(-1, 2), min_size=n, max_size=n)
+    term = st.tuples(st.integers(-6, 6), st.integers(1, 4), exponents)
+    polys = draw(st.lists(st.lists(term, min_size=1, max_size=5), min_size=1, max_size=3))
+    doc = {"n": n, "polynomials": [
+        [{"exp": e, "coeff": num if den == 1 and draw(st.booleans()) else f"{num}/{den}"}
+         for num, den, e in terms] for terms in polys]}
+    text = "\n".join(
+        " + ".join(f"({num}/{den})*" + "*".join(f"x{i + 1}^{a}" for i, a in enumerate(e))
+                   for num, den, e in terms)
+        for terms in polys)
+    return json.dumps(doc), text
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_json_and_text())
+def test_json_and_text_forms_read_to_one_system(pair):
+    doc, text = pair
+    polys = json.loads(doc)["polynomials"]
+    event(f"repeated exponent vector: {any(len({tuple(t['exp']) for t in f}) < len(f) for f in polys)}")
+    system = _read(parse_system, doc)
+    event("refused" if isinstance(system, tuple) else "read")
+    assert system == _read(parse_system_text, text)

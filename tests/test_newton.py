@@ -31,6 +31,7 @@ from rootbounds.newton import (
     valuation_vector_cap,
 )
 from rootbounds.oracle import _lower_hull_slopes, count_binomial_system
+from rootbounds.parsing import parse_system, system_to_json_obj
 from rootbounds.polyhedra import (
     convex_hull,
     face,
@@ -84,9 +85,9 @@ def test_system_counts():
 
 
 def test_system_json_roundtrip():
-    obj = PM2.to_json_obj()
+    obj = system_to_json_obj(PM2)
     assert obj["n"] == 2
-    assert SparseSystem.from_json_obj(obj) == PM2
+    assert parse_system(json.dumps(obj)) == PM2
 
 
 def test_normalization():

@@ -23,6 +23,7 @@ from rootbounds.oracle import (
     smith_normal_form,
     verdict,
 )
+from rootbounds.parsing import system_to_json_obj
 
 SEED = 0x0AC1E
 
@@ -204,8 +205,25 @@ def test_rational_search_examples():
 
 def test_rational_search_caps():
     s = SparseSystem.of([poly({(1, 0, 0): 1, (0, 0, 0): -1})])
-    with pytest.raises(ValueError):
-        rational_root_search(s, 101)
+    with pytest.raises(ValueError, match="MAX_SEARCH_HEIGHT"):
+        rational_root_search(s, oracle.MAX_SEARCH_HEIGHT + 1)
+    s = SparseSystem.of([poly({(1, 0, 0, 0): 1, (0, 0, 0, 0): -1})] * 4)
+    with pytest.raises(ValueError, match="MAX_SEARCH_VARS"):
+        rational_root_search(s, 2)
+
+
+def test_verification_counts_a_square_binomial_system_of_any_size():
+    # polyhedra.MAX_DIM caps the bounds verify builds first; the counters
+    # themselves cap only the rational search, at MAX_SEARCH_VARS variables
+    n = 7
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    F = SparseSystem.of([poly({tuple(2 * x for x in e): 1, (0,) * n: -(i + 2)})
+                         for i, e in enumerate(unit)])
+    [rc] = oracle.verification_counts(F, 3, 10)
+    assert (rc.method, rc.count) == ("snf_binomial", 2**n)
+    with pytest.raises(ValueError, match=r"^no counter covers this system: n = 7 > 3 \(MAX_SEARCH_VARS\)"):
+        oracle.verification_counts(SparseSystem.of([poly({e: 1, (0,) * n: 1, (1,) * n: 1})
+                                                    for e in unit]), 3, 10)
 
 
 def test_product_system_counts():
@@ -545,6 +563,6 @@ def test_rational_search_matches_brute_force(n, height):
             polys.append(f)
         system = SparseSystem.of(polys)
         count = rational_root_search(system, height).count
-        assert count == _ref_rational_search(system, height), system.to_json_obj()
+        assert count == _ref_rational_search(system, height), system_to_json_obj(system)
         positive += count > 0
     assert positive >= (12 if n < 3 else 6)
