@@ -14,9 +14,8 @@ import random
 from fractions import Fraction
 
 from rootbounds.bounds import FieldSpec, local_bound, local_facet_bound
-from rootbounds.newton import SparsePolynomial, SparseSystem
+from rootbounds.newton import SparsePolynomial, SparseSystem, collect_terms
 from rootbounds.oracle import count_univariate_padic
-from rootbounds.parsing import _pmul
 
 
 def random_univariate(rng: random.Random, terms: int, degree: int) -> SparsePolynomial:
@@ -29,12 +28,18 @@ def random_univariate(rng: random.Random, terms: int, degree: int) -> SparsePoly
     return SparsePolynomial.from_dict(d)
 
 
+def product(a: dict, b: dict) -> dict:
+    """The product of two polynomials given as exponent -> coefficient dicts."""
+    return collect_terms(((ea[0] + eb[0],), ca * cb)
+                         for ea, ca in a.items() for eb, cb in b.items())
+
+
 def repeated_factor_univariate(rng: random.Random) -> SparsePolynomial:
     """g * h^2 with h = c0 + c1 x^e, e >= 1: never squarefree."""
     g = random_univariate(rng, rng.randint(2, 3), 15).as_dict()
     h = {(0,): Fraction(rng.choice([-3, -2, -1, 1, 2, 3])),
          (rng.randint(1, 5),): Fraction(rng.choice([-2, -1, 1, 2]))}
-    return SparsePolynomial.from_dict(_pmul(g, _pmul(h, h)))
+    return SparsePolynomial.from_dict(product(g, product(h, h)))
 
 
 def sweep_univariate(rng: random.Random, trials: int, precision_cap: int) -> tuple[int, int]:

@@ -151,13 +151,18 @@ def _int_ord(n: int, p: int) -> int:
     return v
 
 
+def _ord(q: Fraction, p: int) -> int:
+    """v_p of the nonzero rational q as an int, p and q unchecked."""
+    return _int_ord(q.numerator, p) - _int_ord(q.denominator, p)
+
+
 def ord_p_value(x: RationalLike, p: int) -> Fraction:
     """Exponent of the prime p in the nonzero rational x."""
     require_prime(p)
     x = Fraction(x)
     if x == 0:
         raise ParamError("valuation of zero is infinite")
-    return Fraction(_int_ord(x.numerator, p) - _int_ord(x.denominator, p))
+    return Fraction(_ord(x, p))
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +519,9 @@ def log_base(x: IntervalLike, p: int) -> Interval:
         q = Fraction(x)
         if q <= 0:
             raise ParamError(f"log of nonpositive value {q}")
-        a, b = _int_ord(q.numerator, p), _int_ord(q.denominator, p)
-        if q == Fraction(p) ** (a - b):
-            return Interval.exact(a - b)
+        v = _ord(q, p)
+        if q == Fraction(p) ** v:
+            return Interval.exact(v)
     return natural_log(x) / ln_prime(p)
 
 

@@ -114,6 +114,7 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
 
 
 def _text_lines(obj, indent: int):
+    """The lines of a payload, a dict, and of the dicts and lists it nests."""
     pad = "  " * indent
     if isinstance(obj, dict):
         for key in sorted(obj):
@@ -123,14 +124,12 @@ def _text_lines(obj, indent: int):
                 yield from _text_lines(value, indent + 1)
             else:
                 yield f"{pad}{key}: {value}"
-    elif isinstance(obj, list):
+    else:
         for value in obj:
             if isinstance(value, (dict, list)):
                 yield from _text_lines(value, indent + 1)
             else:
                 yield f"{pad}- {value}"
-    else:
-        yield f"{pad}{obj}"
 
 
 # ---------------------------------------------------------------------------

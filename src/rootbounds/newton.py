@@ -15,8 +15,11 @@ are lattice points, int tuples from :func:`_lift` to the facets and faces
 of :class:`NewtonData`.  The shift f(1+x), the near-one radius and the
 containment check at the bottom of the file exercise the
 slow-valuation-decay phenomenon that drives the near-one root bounds.
-The systems here are values only: ``parsing`` reads and writes both of
-their input forms.
+:func:`collect_terms` is the one sum of terms (the parser, :func:`poly_sum`
+and ``oracle.reduce_to_square`` read it), and :func:`integer_terms` the one
+integer form, with denominators and least exponents cleared (the shift and
+the exact counters read it).  The systems here are values only: ``parsing``
+reads and writes both of their input forms.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .arith import (
     Interval,
-    _int_ord,
+    _ord,
     _per_precision,
     euler_ratio,
     ln_prime,
@@ -72,12 +75,9 @@ class SparsePolynomial:
 
     @classmethod
     def from_dict(cls, terms: Mapping[Sequence[int], Fraction | int]) -> "SparsePolynomial":
-        cleaned = []
-        for exp, coeff in terms.items():
-            coeff = Fraction(coeff)
-            if coeff != 0:
-                cleaned.append((tuple(int(e) for e in exp), coeff))
-        return cls(tuple(sorted(cleaned)))
+        return cls(tuple(sorted(collect_terms(
+            (tuple(int(e) for e in exp), Fraction(coeff)) for exp, coeff in terms.items()
+        ).items())))
 
     @property
     def n(self) -> int:
@@ -105,44 +105,34 @@ class SparsePolynomial:
             total += term
         return total
 
-    def total_degree(self) -> int:
-        return max(sum(exp) for exp, _ in self.terms)
+
+def collect_terms(terms: Iterable[tuple[Exponent, Fraction]]) -> dict[Exponent, Fraction]:
+    """The sum of the (exponent, coefficient) terms, without the exponents
+    whose coefficients cancel: the one accumulator of Fraction terms."""
+    out: dict[Exponent, Fraction] = {}
+    for e, c in terms:
+        out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if c}
 
 
 def poly_sum(polys: Iterable[SparsePolynomial]) -> SparsePolynomial:
-    acc: dict[Exponent, Fraction] = {}
-    for f in polys:
-        for exp, coeff in f.terms:
-            acc[exp] = acc.get(exp, Fraction(0)) + coeff
-    cleaned = {e: c for e, c in acc.items() if c != 0}
-    if not cleaned:
+    acc = collect_terms(t for f in polys for t in f.terms)
+    if not acc:
         raise CancellationError("coefficient-wise sum cancelled to the zero polynomial")
-    return SparsePolynomial.from_dict(cleaned)
+    return SparsePolynomial(tuple(sorted(acc.items())))
 
 
-def laurent_normalize(f: SparsePolynomial) -> SparsePolynomial:
-    """Divide out the full common monomial, making the minimum exponent zero
-    in every variable.
-
-    Torus roots and lower Newton structure are preserved up to a lattice
-    translation of the lift.
-    """
-    return _divide_out_minimum(f, negative_only=False)
-
-
-def clear_negative_exponents(f: SparsePolynomial) -> SparsePolynomial:
-    """Multiply by the smallest monomial making every exponent nonnegative;
-    nonnegative exponents are left untouched."""
-    return _divide_out_minimum(f, negative_only=True)
-
-
-def _divide_out_minimum(f: SparsePolynomial, negative_only: bool) -> SparsePolynomial:
-    mins = [min(exp[i] for exp, _ in f.terms) for i in range(f.n)]
-    if negative_only:
-        mins = [min(0, v) for v in mins]
-    if not any(mins):
-        return f
-    return SparsePolynomial(tuple((tuple(e - m for e, m in zip(exp, mins)), c) for exp, c in f.terms))
+def integer_terms(f: SparsePolynomial) -> tuple[int, Exponent, list[tuple[Exponent, int]]]:
+    """The one integer form of f: (L, lo, terms) with f = x^lo * sum(c * x^e
+    for e, c in terms) / L, where L is the lcm of the denominators, lo the
+    least exponent of each variable, and each term (e - lo, L * coefficient)
+    on ints, in the order of f's terms."""
+    scale = math.lcm(*(c.denominator for _, c in f.terms))
+    lo = tuple(map(min, zip(*f.support)))
+    return scale, lo, [
+        (tuple(a - b for a, b in zip(exp, lo)), c.numerator * (scale // c.denominator))
+        for exp, c in f.terms
+    ]
 
 
 @dataclass(frozen=True)
@@ -183,9 +173,7 @@ def _lift(f: SparsePolynomial, p: int) -> list[LatticePoint]:
     """The (exponent, coefficient valuation) points of f, lattice points of
     Z^(n+1) as int tuples."""
     require_prime(p)
-    return [
-        exp + (_int_ord(c.numerator, p) - _int_ord(c.denominator, p),) for exp, c in f.terms
-    ]
+    return [exp + (_ord(c, p),) for exp, c in f.terms]
 
 
 def newton_polytope(f: SparsePolynomial, p: int) -> Polytope:
@@ -337,29 +325,23 @@ def valuation_face_bound(F: SparseSystem, p: int, r: Sequence[Fraction]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_shift_caps(f: SparsePolynomial) -> SparsePolynomial:
-    if f.n > MAX_SHIFT_VARS:
-        raise CapExceededError(f"shift supports at most {MAX_SHIFT_VARS} variables")
-    g = clear_negative_exponents(f)
-    if g.total_degree() > MAX_SHIFT_DEGREE:
-        raise CapExceededError(
-            f"shift supports total degree <= {MAX_SHIFT_DEGREE}"
-        )
-    return g
-
-
 def shift_polynomial(f: SparsePolynomial) -> SparsePolynomial:
     """Exact expansion of f(1+x_1, ..., 1+x_n) after clearing Laurent terms.
 
-    The coefficients are cleared of denominators once, by their lcm, so the
+    The integer form of f clears the denominators once, by their lcm, so the
     binomial expansion accumulates on ints; each output coefficient is
-    divided by the lcm once.
+    divided by the lcm once.  Only negative exponents are cleared: the
+    positive part of each least exponent is put back.
     """
-    g = _check_shift_caps(f)
-    scale = math.lcm(*(c.denominator for _, c in g.terms))
+    if f.n > MAX_SHIFT_VARS:
+        raise CapExceededError(f"shift supports at most {MAX_SHIFT_VARS} variables")
+    scale, lo, terms = integer_terms(f)
+    up = [max(0, a) for a in lo]
+    terms = [(tuple(a + b for a, b in zip(exp, up)), c) for exp, c in terms]
+    if max(sum(exp) for exp, _ in terms) > MAX_SHIFT_DEGREE:
+        raise CapExceededError(f"shift supports total degree <= {MAX_SHIFT_DEGREE}")
     acc: dict[Exponent, int] = {}
-    for exp, coeff in g.terms:
-        c = coeff.numerator * (scale // coeff.denominator)
+    for exp, c in terms:
         rows = [[math.comb(a, t) for t in range(a + 1)] for a in exp]
         for t in itertools.product(*(range(a + 1) for a in exp)):
             weight = c
@@ -425,11 +407,7 @@ def _sloped_support(
     """
     scale = math.lcm(*(x.denominator for x in r))
     r_int = [x.numerator * (scale // x.denominator) for x in r]
-    z = {
-        exp: scale * (_int_ord(c.numerator, p) - _int_ord(c.denominator, p))
-        + dot(r_int, exp)
-        for exp, c in g.terms
-    }
+    z = {exp: scale * _ord(c, p) + dot(r_int, exp) for exp, c in g.terms}
     staircase = _pareto_minimal(z)
     members = []
     for t, zt in sorted(z.items()):

@@ -4,9 +4,11 @@ The counters here deliberately avoid the polyhedral machinery of the rest of
 the package: the univariate p-adic counter builds its own Newton polygon and
 refines residues symbolically over the integers, the binomial counter goes
 through Smith normal form, and the rational search is plain exhaustive
-evaluation.  Nothing is approximated; a precision cap can make a run fail,
-never return a wrong count.  ``verification_counts`` picks the counters for a
-system, and ``verdict`` what each count can refute.
+evaluation.  The p-adic counter and the search read a polynomial in its one
+integer form, ``newton.integer_terms``.  Nothing is approximated; a
+precision cap can make a run fail, never return a wrong count.
+``verification_counts`` picks the counters for a system, and ``verdict``
+what each count can refute.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arith import _int_ord, ord_p_value, require_prime
-from .newton import SparsePolynomial, SparseSystem, laurent_normalize
+from .newton import SparsePolynomial, SparseSystem, collect_terms, integer_terms
 from .errors import InternalError, ParamError, PrecisionCapError
 from .linalg import det, solve_square
 
@@ -252,8 +254,8 @@ def count_univariate_padic(
 ) -> RootCount:
     """Exact number of distinct roots of f in the punctured p-adic line.
 
-    All on Python ints: f is cleared of denominators once (times their lcm,
-    over their gcd) and reduced to its squarefree part by a primitive
+    All on Python ints: f's integer form (``newton.integer_terms``) is made
+    primitive and reduced to its squarefree part by a primitive
     pseudo-remainder sequence with f'.  Only integer Newton-polygon slopes
     carry roots with rational coordinates; for each, f(p^r y) is scaled by
     the power of p that leaves its coefficients integral, one a unit, and the
@@ -267,15 +269,14 @@ def count_univariate_padic(
                          f"exceeds the cap {MAX_SCAN_PRIME} (MAX_SCAN_PRIME)")
     if f.n != 1:
         raise ParamError("the univariate counter takes one-variable polynomials")
-    g = laurent_normalize(f)
-    degree = g.total_degree()
+    _, _, terms = integer_terms(f)
+    degree = max(e for (e,), _ in terms)
     if degree > MAX_UNIVARIATE_DEGREE:
         raise ParamError(f"the univariate counter makes the polynomial dense; its degree "
                          f"{degree} exceeds the cap {MAX_UNIVARIATE_DEGREE} (MAX_UNIVARIATE_DEGREE)")
-    scale = math.lcm(*(c.denominator for _, c in g.terms))
     dense = [0] * (degree + 1)
-    for exp, coeff in g.terms:
-        dense[exp[0]] = coeff.numerator * (scale // coeff.denominator)
+    for (e,), c in terms:
+        dense[e] = c
     sf = _squarefree_part(_primitive(dense))
     notes = ()
     if len(sf) != len(dense):
@@ -456,18 +457,12 @@ def _rationals_up_to_height(h: int) -> tuple[tuple[int, int], ...]:
 
 
 def _integer_form(f: SparsePolynomial):
-    """f as integer terms (c, ((j, e_j - lo_j, hi_j - e_j), ...)), and the
-    (j, lo_j, hi_j) of the variables whose exponent varies in f, between
-    lo_j and hi_j."""
-    scale = math.lcm(*(c.denominator for _, c in f.terms))
-    ranges = [(j, min(col), max(col)) for j, col in enumerate(zip(*f.support))]
-    ranges = [r for r in ranges if r[1] != r[2]]
-    terms = [
-        (c.numerator * (scale // c.denominator),
-         tuple((j, e[j] - lo, hi - e[j]) for j, lo, hi in ranges))
-        for e, c in f.terms
-    ]
-    return terms, ranges
+    """f's integer form as terms (c, ((j, e_j, s_j - e_j), ...)), each e_j
+    counted from the least exponent of x_j, and the (j, s_j) of the
+    variables whose exponents span s_j > 0 in f."""
+    _, _, terms = integer_terms(f)
+    spans = [(j, hi) for j, hi in enumerate(map(max, zip(*(e for e, _ in terms)))) if hi]
+    return [(c, tuple((j, e[j], hi - e[j]) for j, hi in spans)) for e, c in terms], spans
 
 
 def _vanishes(terms, nums: list[int], dens: list[int]) -> bool:
@@ -483,10 +478,11 @@ def rational_root_search(F: SparseSystem, height_cap: int) -> RootCount:
     """Exhaustive count of common roots in the punctured rational box of the
     given height: numerators and denominators up to the cap in magnitude.
 
-    Each equation f becomes, once, integer coefficients c (f times the lcm of
-    its denominators) with exponent offsets lo_j <= e_j <= hi_j: x_j = a_j/b_j
-    is a root exactly when sum c * prod a_j^(e_j - lo_j) * b_j^(hi_j - e_j),
-    f(x) times a nonzero integer, is 0, for Laurent exponents too.  Variables
+    Each equation f becomes, once, its integer form: integer coefficients c
+    (f times the lcm of its denominators) with exponent offsets 0 <= e_j <= s_j
+    from the least: x_j = a_j/b_j is a root exactly when
+    sum c * prod a_j^e_j * b_j^(s_j - e_j), f(x) times a nonzero integer, is
+    0, for Laurent exponents too.  Variables
     are assigned one at a time and each equation is tested once all of its
     variables are fixed, so equations in few variables prune the grid early.
     A search weighing more than MAX_SEARCH_WORK is refused before it starts.
@@ -508,13 +504,13 @@ def rational_root_search(F: SparseSystem, height_cap: int) -> RootCount:
     level_cost = [64] * n  # per point tested at each level
     first_level_roots = candidates
     for f in F.polynomials:
-        terms, ranges = _integer_form(f)
-        if not ranges:
+        terms, spans = _integer_form(f)
+        if not spans:
             # one monomial: no root in the torus
             return RootCount(0, "rational_search", region, "Q", isolated)
-        depth = ranges[-1][0]
+        depth = spans[-1][0]
         by_depth[depth].append(terms)
-        span = sum(hi - lo for _, lo, hi in ranges)
+        span = sum(hi for _, hi in spans)
         if depth == 0:
             # a nonzero Laurent polynomial in x1 alone has at most span roots
             first_level_roots = min(first_level_roots, span)
@@ -593,20 +589,13 @@ def reduce_to_square(F: SparseSystem, seed: int) -> SparseSystem:
     rng = random.Random(seed)
     for _attempt in range(32):
         combos = []
-        ok = True
         for _ in range(F.n):
             weights = [rng.randint(-bound, bound) for _ in range(F.k)]
-            acc: dict[tuple[int, ...], Fraction] = {}
-            for w, f in zip(weights, F.polynomials):
-                if w == 0:
-                    continue
-                for exp, coeff in f.terms:
-                    acc[exp] = acc.get(exp, Fraction(0)) + w * coeff
-            acc = {e: c for e, c in acc.items() if c != 0}
-            if not acc:
-                ok = False
+            acc = collect_terms((exp, w * coeff) for w, f in zip(weights, F.polynomials)
+                                if w for exp, coeff in f.terms)
+            if not acc:  # a cancelled combination: draw all n again
                 break
             combos.append(SparsePolynomial.from_dict(acc))
-        if ok:
+        else:
             return SparseSystem.of(combos)
     raise ParamError("could not draw a nondegenerate square reduction")

@@ -6,15 +6,16 @@ parentheses, e.g. ``3*x1^10 + x1^2 - 4``; exponents may be negative on
 monomial bases, giving Laurent terms.  JSON: {"n": ..., "polynomials":
 [[{"exp": [...], "coeff": "num/den"}, ...], ...]}, as
 :func:`system_to_json_obj` writes it.  :func:`parse_system` reads either,
-by the leading ``{``, and sums each polynomial's terms in one accumulator,
-so a repeated exponent vector adds up in both forms.  A monomial base is
-raised to its power in one step; a power whose coefficient would exceed
-about MAX_POWER_BITS bits is refused, as is a JSON coefficient whose
-decimal exponent would.  A base of several terms is multiplied out, and
-refused before any product when the estimated work exceeds MAX_POWER_WORK.
-A variable index above MAX_VARS is refused before any exponent tuple is
-built, and parentheses and unary minus signs nested past MAX_NESTING before
-they exhaust the stack.
+by the leading ``{``, and sums each polynomial's terms in the one
+accumulator, ``newton.collect_terms``, so a repeated exponent vector adds up
+in both forms.  A monomial base is raised to its power in one step; a power
+whose coefficient would exceed about MAX_POWER_BITS bits is refused, as is a
+JSON coefficient whose decimal exponent would.  A base of several terms is
+multiplied out, and refused before any product when the estimated work
+exceeds MAX_POWER_WORK.  A variable count above MAX_VARS, the text's largest
+index or the JSON form's n, is refused before any exponent tuple is built,
+and parentheses and unary minus signs nested past MAX_NESTING before they
+exhaust the stack.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ import json
 import math
 import re
 from fractions import Fraction
-from typing import Iterable
 
 from .arith import format_rational
 from .errors import InputError, ParseError
-from .newton import SparsePolynomial, SparseSystem
+from .newton import SparsePolynomial, SparseSystem, collect_terms
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[-+*^();]))"
@@ -84,13 +84,10 @@ def _tokenize(text: str) -> list[str]:
 Poly = dict[tuple[int, ...], Fraction]
 
 
-def _collect(terms: Iterable[tuple[tuple[int, ...], Fraction]]) -> Poly:
-    """The sum of the (exponent, coefficient) terms, without the exponents
-    whose coefficients cancel: the one accumulator of both forms."""
-    out: Poly = {}
-    for e, c in terms:
-        out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
+def _check_vars(n: int, error: type[InputError]) -> None:
+    """Refuse n past MAX_VARS before an exponent tuple of length n is built."""
+    if n > MAX_VARS:
+        raise error(f"{n} variables exceed the cap of {MAX_VARS}")
 
 
 def _pneg(a: Poly) -> Poly:
@@ -98,8 +95,8 @@ def _pneg(a: Poly) -> Poly:
 
 
 def _pmul(a: Poly, b: Poly) -> Poly:
-    return _collect((tuple(x + y for x, y in zip(ea, eb)), ca * cb)
-                    for ea, ca in a.items() for eb, cb in b.items())
+    return collect_terms((tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                         for ea, ca in a.items() for eb, cb in b.items())
 
 
 def _monomial_power(term: Poly, k: int) -> Poly:
@@ -127,8 +124,7 @@ def _check_power_work(base: Poly, k: int) -> None:
 
 class _Parser:
     def __init__(self, tokens: list[str], n: int):
-        if n > MAX_VARS:
-            raise ParseError(f"{n} variables exceed the cap of {MAX_VARS}")
+        _check_vars(n, ParseError)
         self.tokens = tokens
         self.pos = 0
         self.n = n
@@ -156,7 +152,7 @@ class _Parser:
             term = self.parse_term()
             terms += (_pneg(term) if op == "-" else term).items()
             if self.peek() not in ("+", "-"):
-                return _collect(terms)
+                return collect_terms(terms)
             op = self.take()
 
     def parse_term(self) -> Poly:
@@ -259,10 +255,11 @@ def parse_system(text: str) -> SparseSystem:
     n = _json_int(obj.get("n"))
     if n < 1:
         raise InputError(f"a system needs n >= 1 variables, got n = {n}")
+    _check_vars(n, InputError)
     polys = obj.get("polynomials")
     if not polys or not isinstance(polys, list) or not all(isinstance(t, list) for t in polys):
         raise InputError("expected polynomials as a nonempty JSON list of lists of terms")
-    return SparseSystem(tuple(_polynomial(_collect(_json_term(t, n) for t in terms))
+    return SparseSystem(tuple(_polynomial(collect_terms(_json_term(t, n) for t in terms))
                               for terms in polys), n)
 
 

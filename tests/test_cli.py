@@ -229,6 +229,24 @@ def test_bound_global_single_term(tmp_path, capsys):
     assert by_id["cor3_1"]["integer_bound"] == 8
 
 
+def test_bound_global_zero_case(capsys, monkeypatch):
+    # m = 2 <= n = 2: both global bounds are 0 and say why
+    code, out, _ = run_cli(capsys, ["bound", "-", "--global", "--d", "1"], stdin_text="x1\nx2\n",
+                           monkeypatch=monkeypatch)
+    by_id = {b["formula_id"]: b for b in json.loads(out)["bounds"]}
+    assert code == EXIT_OK and set(by_id) == {"thm1_global", "cor3_1"}
+    assert by_id["thm1_global"]["notes"] == ["zero case: m <= n or k < n"]
+    assert by_id["cor3_1"]["notes"] == ["zero case: m <= n"]
+    assert all(b["integer_bound"] == 0 and b["raw"] == "0" for b in by_id.values())
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", ";"], ids=["empty", "blank-lines", "semicolon"])
+def test_empty_input_is_parse_error(capsys, monkeypatch, text):
+    code, out, err = run_cli(capsys, ["bound", "-"], stdin_text=text, monkeypatch=monkeypatch)
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert "no polynomials in input" in err
+
+
 def test_bound_affine_flag(tmp_path, capsys):
     path = tmp_path / "system.txt"
     path.write_text(TRINOMIAL + "\n")
@@ -813,8 +831,13 @@ def test_global_bound_notes_that_it_ignores_the_prime(capsys, monkeypatch):
 
 def test_variable_index_above_cap_is_parse_error(capsys, monkeypatch):
     # refused before an exponent tuple of that length is built
+    # the JSON form's n takes the same cap
+    def json_doc(n):
+        return json.dumps({"n": n, "polynomials": [[{"exp": [1] * n, "coeff": "1"},
+                                                    {"exp": [0] * n, "coeff": "-1"}]]})
+
     t0 = time.perf_counter()
-    for text in ["x1000000000 + x1 + 1\n", f"x{MAX_VARS + 1} + 1\n"]:
+    for text in ["x1000000000 + x1 + 1\n", f"x{MAX_VARS + 1} + 1\n", json_doc(MAX_VARS + 1)]:
         code, out, err = run_cli(capsys, ["bound", "-"], stdin_text=text, monkeypatch=monkeypatch)
         assert (code, out) == (EXIT_PARSE_ERROR, "")
         assert err.startswith("error: ") and str(MAX_VARS) in err
@@ -822,6 +845,7 @@ def test_variable_index_above_cap_is_parse_error(capsys, monkeypatch):
         parse_polynomial_text("x1 + 1", MAX_VARS + 1)
     assert time.perf_counter() - t0 < 1.0
     assert parse_system_text(f"x{MAX_VARS} + x1 + 1").n == MAX_VARS
+    assert parse_system(json_doc(MAX_VARS)).n == MAX_VARS
 
 
 @pytest.mark.parametrize("trials", ["-1", str(MAX_RANDOM_TRIALS + 1), "1000000000"])

@@ -17,10 +17,9 @@ from rootbounds.newton import (
     _pareto_minimal,
     _sloped_support,
     candidate_valuations,
-    clear_negative_exponents,
     containment_check,
     facet_count,
-    laurent_normalize,
+    integer_terms,
     near_one_radius,
     newton_data,
     newton_polytope,
@@ -91,14 +90,18 @@ def test_system_json_roundtrip():
 
 
 def test_normalization():
-    f = poly({(-2,): 1, (3,): 2})
-    g = laurent_normalize(f)
-    assert g.support == ((0,), (5,))
-    h = clear_negative_exponents(f)
-    assert h.support == ((0,), (5,))
-    plain = poly({(2,): 1, (5,): 1})
-    assert clear_negative_exponents(plain) == plain
-    assert laurent_normalize(plain).support == ((0,), (3,))
+    # f = x^lo * sum(c * x^e) / L: denominators cleared by their lcm, the
+    # least exponent of each variable divided out, terms kept in f's order
+    f = poly({(-2, 1): Fraction(1, 6), (3, 4): Fraction(1, 2), (0, 2): -3})
+    L, lo, terms = integer_terms(f)
+    assert (L, lo) == (6, (-2, 1))
+    assert terms == [((0, 0), 1), ((2, 1), -18), ((5, 3), 3)]
+    x = (Fraction(3, 2), Fraction(-5, 7))
+    assert f.evaluate(x) == (x[0] ** lo[0] * x[1] ** lo[1] / L
+                             * sum(c * x[0] ** e[0] * x[1] ** e[1] for e, c in terms))
+    assert integer_terms(poly({(2,): 1, (5,): 1})) == (1, (2,), [((0,), 1), ((3,), 1)])
+    # the shift clears negative exponents only (test_shift_examples: x1^2)
+    assert shift_polynomial(poly({(-2,): 1, (3,): 2})) == shift_polynomial(poly({(0,): 1, (5,): 2}))
 
 
 # ---------------------------------------------------------------------------

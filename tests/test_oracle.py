@@ -9,7 +9,7 @@ from rootbounds import oracle
 from rootbounds.arith import ord_p_value
 from rootbounds.bounds import FieldSpec, local_bound, local_facet_bound
 from rootbounds.linalg import det
-from rootbounds.newton import SparsePolynomial, SparseSystem, laurent_normalize
+from rootbounds.newton import SparsePolynomial, SparseSystem
 from rootbounds.oracle import (
     MAX_SCAN_PRIME,
     PrecisionCapError,
@@ -266,6 +266,16 @@ def test_reduce_duplicates():
     assert g.polynomials[0].evaluate((Fraction(1),)) == 0
 
 
+def test_reduce_redraws_a_cancelled_combination():
+    # seed 63 first draws equal weights (12, 12), and 12 f - 12 f cancels
+    f = poly({(1,): 1, (0,): -1})
+    s = SparseSystem.of([f, poly({(1,): -1, (0,): 1})])
+    rng = random.Random(63)
+    assert [rng.randint(-16, 16) for _ in range(2)] == [12, 12]
+    (g,) = reduce_to_square(s, 63).polynomials
+    assert g.support == f.support and g.terms[0][1] == -g.terms[1][1] != 0
+
+
 def test_reduce_preserves_planted_roots():
     rng = random.Random(SEED + 4)
     for _ in range(100):
@@ -410,10 +420,10 @@ def _ref_padic_integer_roots(cs, p, residues, depth=0):
 def _ref_count_univariate(f, p):
     """The p-adic root count of the Fraction kernel: Euclid over Fraction,
     Fraction valuations and Fraction residue refinement."""
-    g = laurent_normalize(f)
-    dense = [Fraction(0)] * (g.total_degree() + 1)
-    for exp, coeff in g.terms:
-        dense[exp[0]] = coeff
+    lo = min(e for (e,), _ in f.terms)
+    dense = [Fraction(0)] * (max(e for (e,), _ in f.terms) - lo + 1)
+    for (e,), coeff in f.terms:
+        dense[e - lo] = coeff
     sf = _ref_squarefree(dense)
     points = [(i, ord_p_value(c, p)) for i, c in enumerate(sf) if c != 0]
     total = 0
