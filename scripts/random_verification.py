@@ -13,7 +13,7 @@ import argparse
 import random
 from fractions import Fraction
 
-from rootbounds.bounds import FieldSpec, local_bound, local_facet_bound
+from rootbounds.bounds import LocalField, local_bound, local_facet_bound
 from rootbounds.newton import SparsePolynomial, SparseSystem, collect_terms
 from rootbounds.oracle import count_univariate_padic
 
@@ -42,7 +42,7 @@ def repeated_factor_univariate(rng: random.Random) -> SparsePolynomial:
     return SparsePolynomial.from_dict(product(g, product(h, h)))
 
 
-def sweep_univariate(rng: random.Random, trials: int, precision_cap: int) -> tuple[int, int]:
+def sweep_univariate(rng: random.Random, trials: int) -> tuple[int, int]:
     """Violations, and instances whose squarefree reduction dropped degree."""
     violations = reduced = 0
     for _ in range(trials):
@@ -51,9 +51,9 @@ def sweep_univariate(rng: random.Random, trials: int, precision_cap: int) -> tup
             f = repeated_factor_univariate(rng)
         else:
             f = random_univariate(rng, rng.randint(2, 4), 30)
-        rc = count_univariate_padic(f, p, precision_cap)
+        rc = count_univariate_padic(f, p)
         count, reduced = rc.count, reduced + bool(rc.notes)
-        fs = FieldSpec.local(p, 1, 1)
+        fs = LocalField(p, 1, 1)
         system = SparseSystem.of([f])
         for rep in (local_bound(fs, f.m, 1, 1), local_facet_bound(system, fs)):
             if count > rep.integer_bound:
@@ -67,10 +67,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--trials", type=int, default=200)
-    parser.add_argument("--precision-cap", type=int, default=60)
     args = parser.parse_args()
     rng = random.Random(args.seed)
-    violations, reduced = sweep_univariate(rng, args.trials, args.precision_cap)
+    violations, reduced = sweep_univariate(rng, args.trials)
     print(f"{violations} violations over {args.trials} instances, "
           f"{reduced} with a repeated factor reduced to the squarefree part")
     return 1 if violations else 0

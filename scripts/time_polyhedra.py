@@ -184,17 +184,17 @@ def bound_formulas(clear: bool) -> int:
             fn.cache_clear()
     reports = []
     for p in (2, 3, 5, 7):
-        fs = bounds.FieldSpec.local(p)
+        fs = bounds.LocalField(p)
         reports += [
             bounds.local_bound(fs, 3, 1, 1),
             bounds.local_facet_bound_from_counts(2, 1, fs, m=3, m_list=(3,)),
             bounds.affine_bound(fs, 3, 1, 1),
         ]
     for d in (2, 3):
-        fs = bounds.FieldSpec.global_field(d, 1)
+        fs = bounds.GlobalField(d, 1)
         reports += [
             bounds.global_bound(fs, 3, 1, 1),
-            bounds.global_facet_sum_bound_from_counts(2, 3, 1, d, 1),
+            bounds.global_facet_sum_bound_from_counts(2, 3, 1, fs),
         ]
     return len(reports)
 

@@ -8,7 +8,8 @@ the exact oracle counts that they must dominate.
 from fractions import Fraction
 
 from rootbounds.bounds import (
-    FieldSpec,
+    GlobalField,
+    LocalField,
     global_facet_sum_bound_from_counts,
     local_bound,
     local_facet_bound_from_counts,
@@ -18,7 +19,7 @@ from rootbounds.oracle import count_univariate_padic, product_system, rational_r
 
 
 def main() -> None:
-    q2 = FieldSpec.local(2, 1, 1)
+    q2 = LocalField(2, 1, 1)
 
     print("== headline local bound, two trinomial-sized equations over Q_2 ==")
     rep = local_bound(q2, m=5, n=2, k=2)
@@ -51,7 +52,7 @@ def main() -> None:
         print(f"   (m={m}, n={n}): {count} roots, bound {rep.integer_bound}")
 
     print("== global refinement at degree 1, root degree 2 ==")
-    rep = global_facet_sum_bound_from_counts(1, 3, 1, 1, 2)
+    rep = global_facet_sum_bound_from_counts(1, 3, 1, GlobalField(1, 2))
     print(f"   raw {rep.raw.to_decimal_string(12)}  floor {rep.integer_bound}")
 
 

@@ -22,7 +22,8 @@ from .binomials import (
 )
 from .bounds import (
     BoundReport,
-    FieldSpec,
+    GlobalField,
+    LocalField,
     affine_bound,
     cp_bound,
     cp_bound_per_equation,

@@ -1,11 +1,13 @@
 """Closed-form upper bounds for isolated torus roots of sparse systems.
 
-Local bounds cover degree-d extensions of the p-adic rationals via the
-ramification degree e and residue cardinality q = p^f; global bounds cover
-degree-d number fields with roots of degree <= delta, reduced through the
-2-adic embedding.  Every formula is evaluated with directed rounding, so the
-reported decimal is >= the exact value of the bound expression and its
-integer floor is still a valid bound for an integer root count.
+Each bound takes the field it is stated for: local bounds a
+``LocalField(p, e, f)``, the degree-d = e*f extension of the p-adic
+rationals with residue cardinality q = p^f; global bounds a
+``GlobalField(d, delta)``, a degree-d number field with roots of degree
+<= delta, reduced through the 2-adic embedding.  Every formula is evaluated
+with directed rounding, so the reported decimal is >= the exact value of the
+bound expression and its integer floor is still a valid bound for an
+integer root count.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import ParamError
 from .linalg import to_vec
 from .newton import (
     SparseSystem,
+    _validate_r,
     facet_count,
     near_one_log,
     near_one_radius,
@@ -54,52 +57,46 @@ MAX_BOUND_DIGITS = 4300
 
 
 @dataclass(frozen=True)
-class FieldSpec:
-    """Arithmetic context: a local field given by (p, e, f) with q = p^f and
-    d = e*f, or a global field given by degree d and root-degree delta."""
+class LocalField:
+    """A degree-d extension of the p-adic rationals, given by its ramification
+    degree e and residue degree f: d = e*f and residue cardinality q = p^f."""
 
-    kind: str
     p: int
-    e: int | None = None
-    f: int | None = None
-    d: int | None = None
-    delta: int | None = None
+    e: int = 1
+    f: int = 1
 
     def __post_init__(self) -> None:
-        if self.kind not in ("local", "global"):
-            raise ParamError(f"unknown field kind {self.kind!r}")
         require_prime(self.p)
-        if self.kind == "local":
-            if not self.e or not self.f or self.e < 1 or self.f < 1:
-                raise ParamError("local fields need ramification e >= 1 and residue degree f >= 1")
-            if self.d is not None and self.d != self.e * self.f:
-                raise ParamError("local degree must equal e*f; no factorization is guessed")
-            object.__setattr__(self, "d", self.e * self.f)
-            if self.d * math.log2(self.p) > MAX_FIELD_BITS:
-                raise ParamError(f"p^d = {self.p}^{self.d} exceeds the cap 2^{MAX_FIELD_BITS} "
-                                 "(MAX_FIELD_BITS)")
-        else:
-            if not self.d or self.d < 1:
-                raise ParamError("global fields need a degree d >= 1")
-            if not self.delta or self.delta < 1:
-                raise ParamError("global bounds need a root degree delta >= 1")
-            if self.d * self.delta > MAX_GLOBAL_DEGREE:
-                raise ParamError(f"d*delta = {self.d * self.delta} exceeds the cap "
-                                 f"{MAX_GLOBAL_DEGREE} (MAX_GLOBAL_DEGREE)")
+        if self.e < 1 or self.f < 1:
+            raise ParamError("local fields need ramification e >= 1 and residue degree f >= 1")
+        if self.d * math.log2(self.p) > MAX_FIELD_BITS:
+            raise ParamError(f"p^d = {self.p}^{self.d} exceeds the cap 2^{MAX_FIELD_BITS} "
+                             "(MAX_FIELD_BITS)")
 
-    @classmethod
-    def local(cls, p: int, e: int = 1, f: int = 1) -> "FieldSpec":
-        return cls(kind="local", p=p, e=e, f=f)
-
-    @classmethod
-    def global_field(cls, d: int, delta: int) -> "FieldSpec":
-        return cls(kind="global", p=2, d=d, delta=delta)
+    @property
+    def d(self) -> int:
+        return self.e * self.f
 
     @property
     def q(self) -> int:
-        if self.kind != "local":
-            raise ParamError("residue cardinality only exists for local fields")
         return self.p ** self.f
+
+
+@dataclass(frozen=True)
+class GlobalField:
+    """A degree-d number field, with roots counted up to degree delta over it."""
+
+    d: int
+    delta: int
+
+    def __post_init__(self) -> None:
+        if not self.d or self.d < 1:  # d is None for --global without --d
+            raise ParamError("global fields need a degree d >= 1")
+        if self.delta < 1:
+            raise ParamError("global bounds need a root degree delta >= 1")
+        if self.d * self.delta > MAX_GLOBAL_DEGREE:
+            raise ParamError(f"d*delta = {self.d * self.delta} exceeds the cap "
+                             f"{MAX_GLOBAL_DEGREE} (MAX_GLOBAL_DEGREE)")
 
 
 @dataclass(frozen=True)
@@ -143,15 +140,6 @@ def _zero_report(formula_id: str, inputs: dict, reason: str) -> BoundReport:
 # ---------------------------------------------------------------------------
 # Near-one root count bounds over the p-adic complex numbers
 # ---------------------------------------------------------------------------
-
-
-def _validate_r(r: Sequence, n: int) -> tuple[Fraction, ...]:
-    rv = to_vec(r)
-    if len(rv) != n:
-        raise ParamError(f"r must have length {n}")
-    if any(x <= 0 for x in rv):
-        raise ParamError("r components must be positive")
-    return rv
 
 
 def _cp_general_interval(m: int, n: int, rv: tuple[Fraction, ...], p: int) -> Interval:
@@ -229,10 +217,8 @@ def _local_interval(p: int, d: int, m: int, n: int) -> Interval:
     return valuation_vector_cap(m, n) * (inner ** n)
 
 
-def local_bound(fs: FieldSpec, m: int, n: int, k: int) -> BoundReport:
+def local_bound(fs: LocalField, m: int, n: int, k: int) -> BoundReport:
     """Isolated torus roots in a degree-d extension of the p-adics."""
-    if fs.kind != "local":
-        raise ParamError("local bound requires a local field spec")
     inputs = {"m": m, "n": n, "k": k, "p": fs.p, "d": fs.d, "e": fs.e, "q": fs.q}
     if m <= n or k < n:
         return _zero_report(FORMULA_THM1_LOCAL, inputs, "m <= n or k < n")
@@ -253,10 +239,8 @@ def _global_interval(d: int, delta: int, m: int, n: int) -> Interval:
     return 2 * valuation_vector_cap(m, n) * (inner ** n)
 
 
-def global_bound(fs: FieldSpec, m: int, n: int, k: int) -> BoundReport:
+def global_bound(fs: GlobalField, m: int, n: int, k: int) -> BoundReport:
     """Isolated roots of degree <= delta over a degree-d number field."""
-    if fs.kind != "global":
-        raise ParamError("global bound requires a global field spec")
     inputs = {"m": m, "n": n, "k": k, "d": fs.d, "delta": fs.delta}
     notes = ("zero condition applied as k < n, matching the local statement",)
     if m <= n or k < n:
@@ -279,7 +263,7 @@ def _facet_cp_interval(
 def local_facet_bound_from_counts(
     facets: int,
     n: int,
-    fs: FieldSpec,
+    fs: LocalField,
     m: int | None = None,
     m_list: Sequence[int] | None = None,
 ) -> BoundReport:
@@ -289,8 +273,6 @@ def local_facet_bound_from_counts(
     supplied (valid for square systems), otherwise the general form with the
     total count m; the notes record which form was used.
     """
-    if fs.kind != "local":
-        raise ParamError("the facet refinement applies to local fields")
     inputs = {"facets": facets, "n": n, "p": fs.p, "e": fs.e, "q": fs.q}
     if m is not None:
         inputs["m"] = m
@@ -311,7 +293,7 @@ def local_facet_bound_from_counts(
     return _report(FORMULA_COR2_1, iv, inputs, (note,))
 
 
-def local_facet_bound(F: SparseSystem, fs: FieldSpec) -> BoundReport:
+def local_facet_bound(F: SparseSystem, fs: LocalField) -> BoundReport:
     m_list = F.m_counts if F.k == F.n else None
     return local_facet_bound_from_counts(facet_count(F, fs.p), F.n, fs, m=F.m, m_list=m_list)
 
@@ -333,13 +315,13 @@ def _level_sum_interval(m: int, n: int, dd: int) -> Interval:
 
 
 def global_facet_sum_bound_from_counts(
-    facets: int, m: int, n: int, d: int, delta: int
+    facets: int, m: int, n: int, fs: GlobalField
 ) -> BoundReport:
     """Facet-count refinement of the global bound: the sum over subgroup
     levels j of (2^j - 1)^n times the 2-adic near-one bound at radius
     1/(ceil(d*delta/j) * d*delta)."""
-    dd = d * delta
-    inputs = {"facets": facets, "m": m, "n": n, "d": d, "delta": delta}
+    dd = fs.d * fs.delta
+    inputs = {"facets": facets, "m": m, "n": n, "d": fs.d, "delta": fs.delta}
     if m <= n:
         return _zero_report(FORMULA_COR3_1, inputs, "m <= n")
     iv = facets * _level_sum_interval(m, n, dd)
@@ -352,15 +334,15 @@ def global_facet_sum_bound_from_counts(
     return _report(FORMULA_COR3_1, iv, inputs, notes)
 
 
-def global_facet_sum_bound(F: SparseSystem, d: int, delta: int) -> BoundReport:
-    return global_facet_sum_bound_from_counts(facet_count(F, 2), F.m, F.n, d, delta)
+def global_facet_sum_bound(F: SparseSystem, fs: GlobalField) -> BoundReport:
+    return global_facet_sum_bound_from_counts(facet_count(F, 2), F.m, F.n, fs)
 
 
-def affine_bound(fs: FieldSpec, m: int, n: int, k: int) -> BoundReport:
+def affine_bound(fs: LocalField | GlobalField, m: int, n: int, k: int) -> BoundReport:
     """Bound off the torus: zero coordinates handled by summing the field's
     torus bound over all variable subsets, with the 2^n relaxation reported
     alongside."""
-    if fs.kind == "local":
+    if isinstance(fs, LocalField):
         base, interval = FORMULA_THM1_LOCAL, functools.partial(_local_interval, fs.p, fs.d)
     else:
         base, interval = FORMULA_THM1_GLOBAL, functools.partial(_global_interval, fs.d, fs.delta)

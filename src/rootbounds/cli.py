@@ -25,7 +25,8 @@ from .arith import format_rational
 from .binomials import expansion_coeffs, lcm_profile
 from .bounds import (
     BoundReport,
-    FieldSpec,
+    GlobalField,
+    LocalField,
     affine_bound,
     global_bound,
     global_facet_sum_bound,
@@ -75,23 +76,26 @@ def _load_system(args: argparse.Namespace) -> SparseSystem:
         raise InputError(f"could not parse the input system: {exc}") from None
 
 
-def _field_spec(args: argparse.Namespace) -> FieldSpec:
+def _field(args: argparse.Namespace) -> LocalField | GlobalField:
+    """The field of --global/--d/--delta, or of --prime/--e/--f, where an
+    explicit --d must agree with e*f."""
     if getattr(args, "global_case", False):
-        return FieldSpec.global_field(args.d, args.delta)
-    return FieldSpec(kind="local", p=args.prime, e=args.e, f=args.f, d=args.d)
+        return GlobalField(args.d, args.delta)
+    fs = LocalField(args.prime, args.e, args.f)
+    if args.d is not None and args.d != fs.d:
+        raise ParamError("local degree must equal e*f; no factorization is guessed")
+    return fs
 
 
-def _reports(system: SparseSystem, fs: FieldSpec) -> list[BoundReport]:
+def _reports(system: SparseSystem, fs: LocalField | GlobalField) -> list[BoundReport]:
     """The field's headline bound, then its facet refinement when k >= n."""
-    m, n, k = system.m, system.n, system.k
-    global_case = fs.kind == "global"
-    reports = [(global_bound if global_case else local_bound)(fs, m, n, k)]
-    if k >= n:
-        reports.append(
-            global_facet_sum_bound(system, fs.d, fs.delta)
-            if global_case
-            else local_facet_bound(system, fs)
-        )
+    headline, refinement = (
+        (local_bound, local_facet_bound) if isinstance(fs, LocalField)
+        else (global_bound, global_facet_sum_bound)
+    )
+    reports = [headline(fs, system.m, system.n, system.k)]
+    if system.k >= system.n:
+        reports.append(refinement(system, fs))
     return reports
 
 
@@ -139,7 +143,7 @@ def _text_lines(obj, indent: int):
 
 def cmd_bound(args: argparse.Namespace) -> int:
     system = _load_system(args)
-    fs = _field_spec(args)
+    fs = _field(args)
     if args.global_case and args.prime != 2:
         print("note: global bounds embed through the 2-adics; --prime is ignored",
               file=sys.stderr)
@@ -189,7 +193,9 @@ def cmd_facets(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_rows(system: SparseSystem, args: argparse.Namespace, fs: FieldSpec) -> list[dict]:
+def _verify_rows(
+    system: SparseSystem, args: argparse.Namespace, fs: LocalField | GlobalField
+) -> list[dict]:
     """A row per pair of an oracle count and a bound, decided by oracle.verdict."""
     bounds = _reports(system, fs)
     rows = []
@@ -214,17 +220,15 @@ def _verify_rows(system: SparseSystem, args: argparse.Namespace, fs: FieldSpec) 
     return rows
 
 
-def _random_trinomial(rng, n_terms: int = 3):
-    while True:
-        terms = {}
-        while len(terms) < n_terms:
-            e = rng.randint(0, 30)
-            c = rng.randint(-50, 50)
-            if c:
-                terms[(e,)] = Fraction(c)
-        f = SparsePolynomial.from_dict(terms)
-        if f.m == n_terms:
-            return f
+def _random_trinomial(rng) -> SparsePolynomial:
+    # three distinct exponents with nonzero coefficients: always three terms
+    terms = {}
+    while len(terms) < 3:
+        e = rng.randint(0, 30)
+        c = rng.randint(-50, 50)
+        if c:
+            terms[(e,)] = Fraction(c)
+    return SparsePolynomial.from_dict(terms)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -238,7 +242,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"(2 * height-cap^2 candidate roots per trial), above the cap "
             f"{MAX_RANDOM_WORK} (MAX_RANDOM_WORK)"
         )
-    fs = _field_spec(args)
+    fs = _field(args)
     rows = []
     if args.input is not None:
         rows.extend(_verify_rows(_load_system(args), args, fs))

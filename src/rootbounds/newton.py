@@ -367,6 +367,15 @@ def near_one_log(m: int, n: int, r: tuple[Fraction, ...], p: int) -> Interval:
     return log_base(arg, p)
 
 
+def _validate_r(r: Sequence, n: int) -> tuple[Fraction, ...]:
+    rv = to_vec(r)
+    if len(rv) != n:
+        raise ParamError(f"r must have length {n}")
+    if any(x <= 0 for x in rv):
+        raise ParamError("r components must be positive")
+    return rv
+
+
 def near_one_radius(m: int, n: int, r: Sequence[Fraction], p: int) -> Interval:
     """c(m-1)[sum r_j + log_p((m-1)^n / (r_1...r_n ln^n p))]: the radius of
     the scaled simplex sum r_j t_j <= radius, the right-hand side of the
@@ -438,9 +447,7 @@ def containment_check(F: SparseSystem, p: int, r: Sequence[Fraction]) -> bool:
     or <= 0 for a monomial.  Shifted exponents are nonnegative, so t >= 0
     holds by construction."""
     require_prime(p)
-    rv = to_vec(r)
-    if len(rv) != F.n or any(x <= 0 for x in rv):
-        raise ParamError("r must be a positive vector of length n")
+    rv = _validate_r(r, F.n)
     outside = 0
     for f in F.polynomials:
         g = shift_polynomial(f)

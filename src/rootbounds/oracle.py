@@ -222,18 +222,16 @@ def _normalize_content(cs: list[int], p: int) -> list[int]:
     return [c // scale for c in cs]
 
 
-def _count_padic_integer_roots(
-    cs: list[int], p: int, residues: Sequence[int], depth: int, cap: int
-) -> int:
+def _count_padic_integer_roots(cs: list[int], p: int, residues: Sequence[int], depth: int) -> int:
     """Distinct p-adic integer roots of a squarefree integer polynomial, not
     every coefficient divisible by p, explored residue class by class.
 
     Simple residues lift uniquely; multiple residues are refined by the
     substitution y -> rho + p y until they become simple or die out.
     """
-    if depth > cap:
+    if depth > DEFAULT_PRECISION_CAP:
         raise PrecisionCapError(
-            f"residue refinement exceeded the cap of {cap} levels"
+            f"residue refinement exceeded the cap of {DEFAULT_PRECISION_CAP} levels"
         )
     cs_mod = [c % p for c in cs]
     deriv_mod = [c % p for c in _deriv(cs_mod)] or [0]
@@ -245,13 +243,11 @@ def _count_padic_integer_roots(
             count += 1
             continue
         refined = _normalize_content(_compose_residue(cs, rho, p), p)
-        count += _count_padic_integer_roots(refined, p, range(p), depth + 1, cap)
+        count += _count_padic_integer_roots(refined, p, range(p), depth + 1)
     return count
 
 
-def count_univariate_padic(
-    f: SparsePolynomial, p: int, precision_cap: int = DEFAULT_PRECISION_CAP
-) -> RootCount:
+def count_univariate_padic(f: SparsePolynomial, p: int) -> RootCount:
     """Exact number of distinct roots of f in the punctured p-adic line.
 
     All on Python ints: f's integer form (``newton.integer_terms``) is made
@@ -295,9 +291,7 @@ def count_univariate_padic(
         # sf(p^r y) / p^low: every coefficient stays integral, one is a unit
         substituted = [c * p ** (r * i - low) if r * i >= low else c // p ** (low - r * i)
                        for i, c in enumerate(sf)]
-        total += _count_padic_integer_roots(
-            substituted, p, range(1, p), 0, precision_cap
-        )
+        total += _count_padic_integer_roots(substituted, p, range(1, p), 0)
     return RootCount(total, "univariate_padic", f"Q_{p}^*", "Q_p", True, notes)
 
 

@@ -15,7 +15,7 @@ from rootbounds.binomials import (
     lcm_profile,
 )
 from rootbounds.bounds import (
-    FieldSpec,
+    LocalField,
     cp_bound,
     local_bound,
     local_facet_bound,
@@ -38,7 +38,7 @@ from rootbounds.oracle import (
 from rootbounds.polyhedra import convex_hull, mixed_volume
 from test_binomials import lcm_profile_bruteforce
 
-Q2 = FieldSpec.local(2, 1, 1)
+Q2 = LocalField(2, 1, 1)
 
 _RESULTS = []
 

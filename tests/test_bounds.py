@@ -2,6 +2,7 @@ import functools
 import io
 import math
 import random
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -20,7 +21,8 @@ from rootbounds.bounds import (
     FORMULA_THM2_PER_EQ,
     MAX_FIELD_BITS,
     MAX_GLOBAL_DEGREE,
-    FieldSpec,
+    GlobalField,
+    LocalField,
     affine_bound,
     cp_bound,
     cp_bound_per_equation,
@@ -33,9 +35,11 @@ from rootbounds.bounds import (
     valuation_vector_cap,
 )
 from rootbounds.cli import main
+from rootbounds.errors import ParamError
 from rootbounds.newton import (
     SparsePolynomial,
     SparseSystem,
+    containment_check,
     facet_count,
     near_one_log,
     near_one_radius,
@@ -44,45 +48,59 @@ from rootbounds.newton import (
 SEED = 0xB0B
 
 
-Q2 = FieldSpec.local(2, 1, 1)
+Q2 = LocalField(2, 1, 1)
 
 
 def test_field_spec_validation():
-    fs = FieldSpec.local(3, 2, 2)
+    fs = LocalField(3, 2, 2)
     assert fs.d == 4 and fs.q == 9
     assert fs.e <= fs.d and fs.q <= fs.p**fs.d
     with pytest.raises(ValueError):
-        FieldSpec.local(4, 1, 1)  # not prime
+        LocalField(4, 1, 1)  # not prime
     with pytest.raises(ValueError):
-        FieldSpec.local(2, 0, 1)
+        LocalField(2, 0, 1)
     with pytest.raises(ValueError):
-        FieldSpec(kind="local", p=2, e=2, f=1, d=3)  # inconsistent degree
-    with pytest.raises(ValueError):
-        FieldSpec.global_field(0, 1)
-    with pytest.raises(ValueError):
-        FieldSpec(kind="other", p=2)
+        GlobalField(0, 1)
 
 
 def test_field_caps_refuse_before_any_bound_is_evaluated():
     # at the caps: 2^2048, 3^1292 < 2^2048, and d*delta = 24
-    assert FieldSpec.local(2, MAX_FIELD_BITS).d == MAX_FIELD_BITS
-    assert FieldSpec(kind="local", p=3, e=2, f=646, d=1292).q == 3**646
-    assert FieldSpec.global_field(4, 6).d * FieldSpec.global_field(4, 6).delta == MAX_GLOBAL_DEGREE
+    assert LocalField(2, MAX_FIELD_BITS).d == MAX_FIELD_BITS
+    assert LocalField(3, 2, 646).d == 1292 and LocalField(3, 2, 646).q == 3**646
+    assert GlobalField(4, 6).d * GlobalField(4, 6).delta == MAX_GLOBAL_DEGREE
     for make in (
-        lambda: FieldSpec.local(2, MAX_FIELD_BITS + 1),
-        lambda: FieldSpec.local(3, 1, 1293),
-        lambda: FieldSpec.local(2, 10**9, 10**9),
-        lambda: FieldSpec.local(1000003, 3000),
+        lambda: LocalField(2, MAX_FIELD_BITS + 1),
+        lambda: LocalField(3, 1, 1293),
+        lambda: LocalField(2, 10**9, 10**9),
+        lambda: LocalField(1000003, 3000),
     ):
         with pytest.raises(ValueError, match="MAX_FIELD_BITS"):
             make()
     for d, delta in [(25, 1), (5, 5), (3000, 10)]:
         with pytest.raises(ValueError, match="MAX_GLOBAL_DEGREE"):
-            FieldSpec.global_field(d, delta)
+            GlobalField(d, delta)
     # every field the benchmark corpus draws stays accepted
     for d in range(1, 5):
         for delta in range(1, 4):
-            FieldSpec.global_field(d, delta)
+            GlobalField(d, delta)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GlobalField(None, 1), "global fields need a degree d >= 1"),
+    (lambda: GlobalField(1, 0), "global bounds need a root degree delta >= 1"),
+    (lambda: cp_bound(3, 2, (1,), 2), "r must have length 2"),
+    (lambda: cp_bound(3, 1, (0,), 2), "r components must be positive"),
+    (lambda: containment_check(SparseSystem.of([SparsePolynomial.from_dict({(0,): 1, (1,): 1})]),
+                               2, (-1,)), "r components must be positive"),
+    (lambda: cp_bound_per_equation((3,), 2, (1, 1), 2), "need one term count per equation"),
+    (lambda: log_inequality_check((1,), (1, 1), 3, 2), "r and t must have equal length"),
+    (lambda: log_inequality_check((1,), (0,), 3, 2), "r and t must be positive"),
+    (lambda: log_inequality_check((1,), (1,), 1, 2), "m must be at least 2"),
+], ids=["no-degree", "delta-0", "r-length", "r-zero", "containment-r", "m-list-length",
+        "r-t-length", "t-zero", "m-1"])
+def test_library_refusals_name_their_parameter(call, message):
+    with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_valuation_vector_cap():
@@ -156,7 +174,7 @@ def test_local_bound_headline_value():
 
 
 def test_local_bound_cross_checked_by_float_evaluation():
-    fs = FieldSpec.local(3, 1, 1)
+    fs = LocalField(3, 1, 1)
     rep = local_bound(fs, 2, 1, 1)
     c = math.e / (math.e - 1)
     inner = c * 1 * 1 * (3 - 1) * (1 + math.log(1 * 1 / math.log(3), 3))
@@ -201,20 +219,20 @@ def test_local_facet_bound_general_flag():
 
 
 def test_global_bound_zero_and_value():
-    gfs = FieldSpec.global_field(1, 1)
+    gfs = GlobalField(1, 1)
     assert global_bound(gfs, 2, 2, 2).integer_bound == 0
     rep = global_bound(gfs, 3, 1, 1)
     assert abs(rep.raw.value - Decimal("102.7")) < Decimal("0.1")
 
 
 def test_global_sum_single_term_collapse():
-    rep = global_facet_sum_bound_from_counts(1, 3, 1, 1, 1)
+    rep = global_facet_sum_bound_from_counts(1, 3, 1, GlobalField(1, 1))
     single = cp_bound(3, 1, (Fraction(1),), 2)
     assert abs(rep.raw.value - single.raw.value) < Decimal("1e-20")
 
 
 def test_global_sum_term_radii():
-    rep = global_facet_sum_bound_from_counts(1, 3, 1, 1, 2)
+    rep = global_facet_sum_bound_from_counts(1, 3, 1, GlobalField(1, 2))
     assert "1/4, 1/2" in rep.notes[-1]
 
 
@@ -226,8 +244,9 @@ def test_global_sum_dominated_by_headline_bound():
         n = rng.randint(1, 3)
         m = rng.randint(n + 1, n + 6)
         cap = valuation_vector_cap(m, n)
-        refined = global_facet_sum_bound_from_counts(cap, m, n, d, delta)
-        headline = global_bound(FieldSpec.global_field(d, delta), m, n, n)
+        gfs = GlobalField(d, delta)
+        refined = global_facet_sum_bound_from_counts(cap, m, n, gfs)
+        headline = global_bound(gfs, m, n, n)
         assert refined.raw.value <= headline.raw.value
 
 
@@ -256,7 +275,7 @@ def test_affine_bound_exact_below_relaxation():
 
 def test_affine_bound_base_follows_field_kind():
     # the torus bound summed over variable subsets is the field's own
-    gfs = FieldSpec.global_field(2, 1)
+    gfs = GlobalField(2, 1)
     assert affine_bound(Q2, 5, 2, 2).inputs["base"] == FORMULA_THM1_LOCAL
     assert affine_bound(gfs, 5, 2, 2).inputs["base"] == FORMULA_THM1_GLOBAL
     for fs, bound in [(Q2, local_bound), (gfs, global_bound)]:
@@ -265,7 +284,7 @@ def test_affine_bound_base_follows_field_kind():
 
 
 def test_affine_bound_global_base():
-    gfs = FieldSpec.global_field(1, 1)
+    gfs = GlobalField(1, 1)
     rep = affine_bound(gfs, 3, 1, 1)
     assert rep.formula_id == FORMULA_REMARK1_1
     assert rep.integer_bound >= 1
@@ -411,13 +430,9 @@ def test_formula_ids_and_json():
         cp_bound_per_equation((3, 3), 2, (Fraction(1), Fraction(1)), 2).formula_id
         == FORMULA_THM2_PER_EQ
     )
-    assert (
-        global_facet_sum_bound_from_counts(1, 3, 1, 1, 1).formula_id == FORMULA_COR3_1
-    )
-    assert (
-        global_bound(FieldSpec.global_field(1, 1), 3, 1, 1).formula_id
-        == FORMULA_THM1_GLOBAL
-    )
+    gfs = GlobalField(1, 1)
+    assert global_facet_sum_bound_from_counts(1, 3, 1, gfs).formula_id == FORMULA_COR3_1
+    assert global_bound(gfs, 3, 1, 1).formula_id == FORMULA_THM1_GLOBAL
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +524,8 @@ def _switch_run(capsys, monkeypatch, digits):
     """The stdout of each SWITCH_REQUESTS run at digits, and the raw upper
     value of library reports at full working precision: the 30-digit JSON
     of these requests reads the same at 40 and at 80 digits."""
-    q9 = FieldSpec.local(3, 1, 2)
-    gfs = FieldSpec.global_field(2, 3)
+    q9 = LocalField(3, 1, 2)
+    gfs = GlobalField(2, 3)
 
     def run():
         outs = []
@@ -523,7 +538,7 @@ def _switch_run(capsys, monkeypatch, digits):
             local_facet_bound_from_counts(7, 2, q9, m=5, m_list=(3, 4)),
             local_facet_bound_from_counts(2, 1, q9, m=4),
             global_bound(gfs, 4, 1, 1),
-            global_facet_sum_bound_from_counts(3, 4, 1, 2, 3),
+            global_facet_sum_bound_from_counts(3, 4, 1, gfs),
             affine_bound(q9, 5, 2, 2),
             affine_bound(gfs, 4, 2, 2),
         ]

@@ -7,10 +7,11 @@ import pytest
 
 from rootbounds import oracle
 from rootbounds.arith import ord_p_value
-from rootbounds.bounds import FieldSpec, local_bound, local_facet_bound
+from rootbounds.bounds import LocalField, local_bound, local_facet_bound
 from rootbounds.linalg import det
 from rootbounds.newton import SparsePolynomial, SparseSystem
 from rootbounds.oracle import (
+    DEFAULT_PRECISION_CAP,
     MAX_SCAN_PRIME,
     PrecisionCapError,
     RootCount,
@@ -105,7 +106,7 @@ def test_univariate_unit_scaling_invariance():
 
 def test_univariate_counts_below_bounds():
     rng = random.Random(SEED + 1)
-    fs_cache = {p: FieldSpec.local(p, 1, 1) for p in (2, 3, 5)}
+    fs_cache = {p: LocalField(p, 1, 1) for p in (2, 3, 5)}
     for _ in range(200):
         p = rng.choice([2, 3, 5])
         m = rng.randint(2, 4)
@@ -119,9 +120,11 @@ def test_univariate_counts_below_bounds():
 
 
 def test_precision_cap_is_an_error_not_a_wrong_answer():
+    # the roots 1 +- 2^65 agree modulo 2^66: past the default cap of levels
+    f = poly({(2,): 1, (1,): -2, (0,): 1 - 2**130})  # (x-1)^2 - 2^130
+    with pytest.raises(PrecisionCapError, match=f"cap of {DEFAULT_PRECISION_CAP} levels"):
+        count_univariate_padic(f, 2)
     f = poly({(2,): 1, (1,): -2, (0,): 1 - 2**40})  # (x-1)^2 - 2^40
-    with pytest.raises(PrecisionCapError):
-        count_univariate_padic(f, 2, precision_cap=3)
     assert count_univariate_padic(f, 2).count == 2
 
 
