@@ -40,7 +40,8 @@ from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
 from typing import Union
 
-from .errors import ParamError
+from .errors import ParamError, require_int
+from .linalg import to_rational
 
 RationalLike = Union[Fraction, int]
 
@@ -60,17 +61,9 @@ _digits: ContextVar[int] = ContextVar("rootbounds_digits", default=DEFAULT_DIGIT
 
 
 def set_precision(digits: int) -> None:
-    """Set the number of significant digits used for bound evaluation.
-
-    Values below 30 are rejected: the bound formulas promise at least 30
-    significant digits before the final directed round-up.  Values above
-    MAX_DIGITS are rejected too.
-    """
-    if digits < 30:
-        raise ParamError(f"precision must be at least 30 digits, got {digits}")
-    if digits > MAX_DIGITS:
-        raise ParamError(f"precision must be at most {MAX_DIGITS} digits, got {digits}")
-    _digits.set(digits)
+    """Set the significant digits of bound evaluation: an int from 30, which the
+    formulas promise before the final directed round-up, to MAX_DIGITS."""
+    _digits.set(require_int("precision", digits, 30, MAX_DIGITS))
 
 
 def get_precision() -> int:
@@ -159,7 +152,7 @@ def _ord(q: Fraction, p: int) -> int:
 def ord_p_value(x: RationalLike, p: int) -> Fraction:
     """Exponent of the prime p in the nonzero rational x."""
     require_prime(p)
-    x = Fraction(x)
+    x = to_rational(x, "x")
     if x == 0:
         raise ParamError("valuation of zero is infinite")
     return Fraction(_ord(x, p))
@@ -423,8 +416,7 @@ class Interval:
         return Interval._coerce(other) / self
 
     def __pow__(self, n: int) -> "Interval":
-        if not isinstance(n, int) or n < 0:
-            raise ParamError("interval powers take a nonnegative integer exponent")
+        require_int("exponent", n, 0)
         result = Interval.exact(1)
         base = self
         while n:

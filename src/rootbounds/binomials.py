@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arith import is_prime
-from .errors import InternalError, ParamError
+from .errors import InternalError, ParamError, require_int, shown
 from .linalg import solve_square
 
 # The interpreter's default limit on the decimal digits of a printed int; an
@@ -36,8 +36,8 @@ MAX_SUPPORT_ELEMENT = 10**6
 
 
 def _check_t(t: int) -> None:
-    if t > MAX_T:
-        raise ParamError(f"t = {t} exceeds the cap {MAX_T}")
+    if require_int("t", t, 0) > MAX_T:
+        raise ParamError(f"t = {shown(t)} exceeds the cap {MAX_T}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,7 @@ def lcm_profile(m: int, t: int) -> int:
     m largest valuations independently per prime attains it.  A value of
     more than ``MAX_PRINT_DIGITS`` digits is refused before it is built.
     """
-    if m < 0 or t < 0:
-        raise ParamError("lcm profile arguments must be nonnegative")
+    require_int("m", m, 0)
     _check_t(t)
     if m == 0 or t == 0:
         return 1
@@ -100,9 +99,9 @@ def lcm_profile(m: int, t: int) -> int:
 
 def gen_binomial(a: int, t: int) -> Fraction:
     """(a choose t) = prod_{i<t} (a-i)/(t-i), an integer for integer a: the
-    usual binomial for a >= 0, and (-1)^t (t - a - 1 choose t) below."""
-    if t < 0:
-        raise ParamError("lower index must be nonnegative")
+    usual binomial for a >= 0, and (-1)^t (t - a - 1 choose t) below, t <= MAX_T."""
+    require_int("a", a)
+    _check_t(t)
     return Fraction(math.comb(a, t) if a >= 0 else (-1) ** t * math.comb(t - a - 1, t))
 
 
@@ -114,7 +113,7 @@ def expansion_coeffs(support: Sequence[int], t: int) -> BinomialExpansion:
     invertible because the binomial basis polynomials have degree < m and
     the support points are distinct.
     """
-    a_sorted = tuple(sorted(support))
+    a_sorted = tuple(sorted(require_int("each support element", a) for a in support))
     m = len(a_sorted)
     if m == 0:
         raise ParamError("expansion needs a nonempty support")
@@ -124,8 +123,6 @@ def expansion_coeffs(support: Sequence[int], t: int) -> BinomialExpansion:
         raise ParamError(f"support elements are capped at magnitude {MAX_SUPPORT_ELEMENT}")
     if len(set(a_sorted)) != m:
         raise ParamError("support elements must be distinct")
-    if t < 0:
-        raise ParamError("t must be nonnegative")
     _check_t(t)
     if t < m:
         coeffs = tuple(Fraction(1 if j == t else 0) for j in range(m))

@@ -28,9 +28,10 @@ from .arith import (
     log_base,
     require_prime,
 )
-from .errors import ParamError
+from .errors import ParamError, require_int
 from .linalg import to_vec
 from .newton import (
+    MAX_VARS,
     SparseSystem,
     _validate_r,
     facet_count,
@@ -50,10 +51,12 @@ FORMULA_REMARK1_1 = "remark1_1"
 # Field caps, checked before any bound is evaluated: p^d < 2^MAX_FIELD_BITS
 # keeps q and a bound in up to 5 variables printable, and d*delta <=
 # MAX_GLOBAL_DEGREE keeps the global facet sum to about 1 s at the 1000-digit
-# precision cap.  A bound past the interpreter's 4300 printable digits is refused.
+# precision cap.  A bound past the interpreter's 4300 printable digits is
+# refused, before any power is formed when its factor valuation_vector_cap is.
 MAX_FIELD_BITS = 2048
 MAX_GLOBAL_DEGREE = 24
 MAX_BOUND_DIGITS = 4300
+_PAST_DIGITS = f"the {{}} bound has more than {MAX_BOUND_DIGITS} digits, the cap MAX_BOUND_DIGITS"
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,8 @@ class LocalField:
 
     def __post_init__(self) -> None:
         require_prime(self.p)
-        if self.e < 1 or self.f < 1:
-            raise ParamError("local fields need ramification e >= 1 and residue degree f >= 1")
+        require_int("e", self.e, 1)
+        require_int("f", self.f, 1)
         if self.d * math.log2(self.p) > MAX_FIELD_BITS:
             raise ParamError(f"p^d = {self.p}^{self.d} exceeds the cap 2^{MAX_FIELD_BITS} "
                              "(MAX_FIELD_BITS)")
@@ -90,10 +93,8 @@ class GlobalField:
     delta: int
 
     def __post_init__(self) -> None:
-        if not self.d or self.d < 1:  # d is None for --global without --d
-            raise ParamError("global fields need a degree d >= 1")
-        if self.delta < 1:
-            raise ParamError("global bounds need a root degree delta >= 1")
+        require_int("d", self.d, 1)  # d is None for --global without --d
+        require_int("delta", self.delta, 1)
         if self.d * self.delta > MAX_GLOBAL_DEGREE:
             raise ParamError(f"d*delta = {self.d * self.delta} exceeds the cap "
                              f"{MAX_GLOBAL_DEGREE} (MAX_GLOBAL_DEGREE)")
@@ -122,13 +123,35 @@ def _report(
 ) -> BoundReport:
     raw = iv.upper()
     if raw.value.adjusted() >= MAX_BOUND_DIGITS:
-        raise ParamError(f"the {formula_id} bound has more than {MAX_BOUND_DIGITS} digits, "
-                         "the cap MAX_BOUND_DIGITS")
+        raise ParamError(_PAST_DIGITS.format(formula_id))
     floor = raw.floor_int()
     if floor < 0:
         notes = notes + ("negative raw bound clamped to 0: no roots in this regime",)
         floor = 0
     return BoundReport(formula_id, raw, floor, inputs, notes)
+
+
+def _counts(m: int, n: int, k: int = 1) -> None:
+    require_int("m", m, 1)
+    require_int("n", n, 1, MAX_VARS)
+    require_int("k", k, 1)
+
+
+def _check_cap_digits(formula_id: str, m: int, n: int) -> None:
+    """Refuse a Theorem 1 bound, valuation_vector_cap(m, n) times factors > 1,
+    when the cap is >= 10^MAX_BOUND_DIGITS: for b the bits of m - 1, its log2
+    is at least b - 1, 2b or n(2b - 3) for n = 1, n = 2 or n >= 3."""
+    b = (m - 1).bit_length()
+    log2_cap = b - 1 if n == 1 else 2 * b if n == 2 else n * (2 * b - 3)
+    if log2_cap > MAX_BOUND_DIGITS * math.log2(10):
+        raise ParamError(_PAST_DIGITS.format(formula_id))
+
+
+def _term_counts(m_list: Sequence[int], n: int) -> tuple[int, ...]:
+    m_list = tuple(require_int("each m_list entry", m_i, 1) for m_i in m_list)
+    if len(m_list) != n:
+        raise ParamError("need one term count per equation")
+    return m_list
 
 
 def _zero_report(formula_id: str, inputs: dict, reason: str) -> BoundReport:
@@ -161,6 +184,7 @@ def cp_bound(m: int, n: int, r: Sequence, p: int) -> BoundReport:
     """Roots with every coordinate p-adically within r_i of 1: the general
     m-sparse form."""
     require_prime(p)
+    _counts(m, n)
     rv = _validate_r(r, n)
     inputs = {"m": m, "n": n, "p": p, "r": tuple(format_rational(x) for x in rv)}
     if m <= n:
@@ -173,10 +197,8 @@ def cp_bound_per_equation(
 ) -> BoundReport:
     """Sharper near-one bound using the per-equation term counts."""
     require_prime(p)
-    rv = _validate_r(r, n)
-    m_list = tuple(int(m) for m in m_list)
-    if len(m_list) != n:
-        raise ParamError("need one term count per equation")
+    rv = _validate_r(r, require_int("n", n, 1, MAX_VARS))
+    m_list = _term_counts(m_list, n)
     inputs = {
         "m_list": m_list,
         "n": n,
@@ -219,9 +241,11 @@ def _local_interval(p: int, d: int, m: int, n: int) -> Interval:
 
 def local_bound(fs: LocalField, m: int, n: int, k: int) -> BoundReport:
     """Isolated torus roots in a degree-d extension of the p-adics."""
+    _counts(m, n, k)
     inputs = {"m": m, "n": n, "k": k, "p": fs.p, "d": fs.d, "e": fs.e, "q": fs.q}
     if m <= n or k < n:
         return _zero_report(FORMULA_THM1_LOCAL, inputs, "m <= n or k < n")
+    _check_cap_digits(FORMULA_THM1_LOCAL, m, n)
     return _report(FORMULA_THM1_LOCAL, _local_interval(fs.p, fs.d, m, n), inputs)
 
 
@@ -241,10 +265,12 @@ def _global_interval(d: int, delta: int, m: int, n: int) -> Interval:
 
 def global_bound(fs: GlobalField, m: int, n: int, k: int) -> BoundReport:
     """Isolated roots of degree <= delta over a degree-d number field."""
+    _counts(m, n, k)
     inputs = {"m": m, "n": n, "k": k, "d": fs.d, "delta": fs.delta}
     notes = ("zero condition applied as k < n, matching the local statement",)
     if m <= n or k < n:
         return _zero_report(FORMULA_THM1_GLOBAL, inputs, "m <= n or k < n")
+    _check_cap_digits(FORMULA_THM1_GLOBAL, m, n)
     return _report(FORMULA_THM1_GLOBAL, _global_interval(fs.d, fs.delta, m, n), inputs, notes)
 
 
@@ -273,16 +299,18 @@ def local_facet_bound_from_counts(
     supplied (valid for square systems), otherwise the general form with the
     total count m; the notes record which form was used.
     """
+    require_int("facets", facets, 0)
+    require_int("n", n, 1, MAX_VARS)
     inputs = {"facets": facets, "n": n, "p": fs.p, "e": fs.e, "q": fs.q}
     if m is not None:
-        inputs["m"] = m
+        inputs["m"] = require_int("m", m, 1)
         if m <= n:
             return _zero_report(FORMULA_COR2_1, inputs, "m <= n")
     if m_list is not None:
-        inputs["m_list"] = tuple(m_list)
+        inputs["m_list"] = m_list = _term_counts(m_list, n)
         if any(m_i <= 1 for m_i in m_list):
             return _zero_report(FORMULA_COR2_1, inputs, "some m_i <= 1")
-        cp = _facet_cp_interval(None, tuple(m_list), n, fs.e, fs.p)
+        cp = _facet_cp_interval(None, m_list, n, fs.e, fs.p)
         note = "per-equation near-one form"
     else:
         if m is None:
@@ -320,6 +348,8 @@ def global_facet_sum_bound_from_counts(
     """Facet-count refinement of the global bound: the sum over subgroup
     levels j of (2^j - 1)^n times the 2-adic near-one bound at radius
     1/(ceil(d*delta/j) * d*delta)."""
+    require_int("facets", facets, 0)
+    _counts(m, n)
     dd = fs.d * fs.delta
     inputs = {"facets": facets, "m": m, "n": n, "d": fs.d, "delta": fs.delta}
     if m <= n:
@@ -342,6 +372,8 @@ def affine_bound(fs: LocalField | GlobalField, m: int, n: int, k: int) -> BoundR
     """Bound off the torus: zero coordinates handled by summing the field's
     torus bound over all variable subsets, with the 2^n relaxation reported
     alongside."""
+    _counts(m, n, k)
+    _check_cap_digits(FORMULA_REMARK1_1, m, min(n, k, m - 1))  # the largest j summed below
     if isinstance(fs, LocalField):
         base, interval = FORMULA_THM1_LOCAL, functools.partial(_local_interval, fs.p, fs.d)
     else:
@@ -375,14 +407,13 @@ def log_inequality_check(
     fail on a genuine violation beyond interval slack.
     """
     require_prime(p)
-    rv = to_vec(r)
-    tv = to_vec(t)
+    rv = to_vec(r, "r")
+    tv = to_vec(t, "t")
     if len(rv) != len(tv):
         raise ParamError("r and t must have equal length")
     if any(x <= 0 for x in rv) or any(x <= 0 for x in tv):
         raise ParamError("r and t must be positive")
-    if m < 2:
-        raise ParamError("m must be at least 2")
+    require_int("m", m, 2)
     n = len(rv)
     s_rt = sum((a * b for a, b in zip(rv, tv)), Fraction(0))
     s_r = sum(rv, Fraction(0))

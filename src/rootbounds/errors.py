@@ -2,7 +2,8 @@
 unreadable input is an InputError (2), a refused argument or a request past
 a ``MAX_*`` cap a ParamError (3), a failed self-check an InternalError (4).
 The second bases keep ``except ValueError`` and ``except ArithmeticError``
-in library callers working.
+in library callers working.  :func:`require_int` is the library's one integer
+rule, refusing a bool, float, string or None by name, and ``linalg.to_vec`` its rational rule.
 """
 
 
@@ -43,3 +44,20 @@ class CancellationError(ParamError, ArithmeticError):
 
 class PrecisionCapError(ParamError, ArithmeticError):
     """Residue refinement hit the recursion cap before deciding."""
+
+
+def shown(value: object) -> str:
+    """repr(value), or the size of an int too long to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+
+
+def require_int(name: str, value: object, low: int | None = None, high: int | None = None) -> int:
+    """value if its type is int (a bool's is not) and low <= value <= high,
+    an end None being open; else a ParamError naming the parameter."""
+    if type(value) is int and (low is None or value >= low) and (high is None or value <= high):
+        return value
+    ends = " and ".join(f"{op} {x}" for op, x in ((">=", low), ("<=", high)) if x is not None)
+    raise ParamError(f"{name} must be an integer {ends}".rstrip() + f", got {shown(value)}")

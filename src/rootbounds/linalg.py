@@ -19,13 +19,24 @@ import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InternalError, ParamError
+from .errors import InternalError, ParamError, shown
 
 Vector = tuple[Fraction, ...]
 
 
-def to_vec(xs: Sequence) -> Vector:
-    return tuple(Fraction(x) for x in xs)
+def to_rational(x: object, name: str) -> Fraction:
+    """x as an exact rational, a Fraction as it is or an int (a bool is not);
+    any other x, a float above all since Fraction(0.1) is not 1/10, is refused."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
+        return Fraction(x)
+    raise ParamError(f"{name} must be ints or Fractions (a float is inexact), got {shown(x)}")
+
+
+def to_vec(xs: Sequence, name: str = "a vector") -> Vector:
+    """xs by the rational rule of the library boundary, :func:`to_rational`."""
+    return tuple(x if type(x) is Fraction else to_rational(x, name) for x in xs)
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

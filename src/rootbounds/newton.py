@@ -40,8 +40,9 @@ from .arith import (
     log_base,
     require_prime,
 )
-from .errors import CancellationError, CapExceededError, InternalError, ParamError
-from .linalg import det, dot, mat_rank, nonneg_solution_exists, to_vec, vec_sub
+from .errors import (CancellationError, CapExceededError, InternalError, ParamError,
+                     require_int, shown)
+from .linalg import det, dot, mat_rank, nonneg_solution_exists, to_rational, to_vec, vec_sub
 from .polyhedra import (
     LatticePoint,
     Polytope,
@@ -53,6 +54,10 @@ from .polyhedra import (
 
 MAX_SHIFT_DEGREE = 30
 MAX_SHIFT_VARS = 3
+
+# Cap on the variables of a system, read by the parser and the bounds: each
+# term is an n-tuple of exponents, and a bound's powers grow with n.
+MAX_VARS = 100
 
 Exponent = tuple[int, ...]
 
@@ -74,9 +79,14 @@ class SparsePolynomial:
                 raise ParamError("zero coefficients must not be stored")
 
     @classmethod
-    def from_dict(cls, terms: Mapping[Sequence[int], Fraction | int]) -> "SparsePolynomial":
+    def from_dict(cls, terms: Mapping[Exponent, Fraction | int]) -> "SparsePolynomial":
+        for exp in terms:
+            if type(exp) is not tuple:
+                raise ParamError(f"exponents must be tuples of integers, got {shown(exp)}")
+            for e in exp:
+                require_int("each exponent", e)
         return cls(tuple(sorted(collect_terms(
-            (tuple(int(e) for e in exp), Fraction(coeff)) for exp, coeff in terms.items()
+            (exp, to_rational(c, "coefficients")) for exp, c in terms.items()
         ).items())))
 
     @property
@@ -243,10 +253,8 @@ class NewtonData:
 def valuation_vector_cap(m: int, n: int) -> int:
     """Combinatorial cap on the number of valuation vectors of torus roots:
     m-1, 4(m-1)^2, or (m(m-1)/2)^n according to n = 1, n = 2, n >= 3."""
-    if m < 2:
-        raise ParamError("the cap needs m >= 2")
-    if n < 1:
-        raise ParamError("the cap needs n >= 1")
+    require_int("m", m, 2)
+    require_int("n", n, 1, MAX_VARS)
     if n == 1:
         return m - 1
     if n == 2:
@@ -314,7 +322,7 @@ def valuation_face_bound(F: SparseSystem, p: int, r: Sequence[Fraction]) -> int:
     call runs the whole analysis of :func:`newton_data`; for many r, read
     ``newton_data(F, p).face_bounds()`` once.
     """
-    rv = to_vec(r)
+    rv = to_vec(r, "r")
     if len(rv) != F.n:
         raise ParamError("valuation vector has wrong dimension")
     return dict(newton_data(F, p).face_bounds()).get(rv, 0)
@@ -348,7 +356,7 @@ def shift_polynomial(f: SparsePolynomial) -> SparsePolynomial:
             for row, t_i in zip(rows, t):
                 weight *= row[t_i]
             acc[t] = acc.get(t, 0) + weight
-    return SparsePolynomial.from_dict({t: Fraction(c, scale) for t, c in acc.items() if c})
+    return SparsePolynomial(tuple(sorted((t, Fraction(c, scale)) for t, c in acc.items() if c)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +376,7 @@ def near_one_log(m: int, n: int, r: tuple[Fraction, ...], p: int) -> Interval:
 
 
 def _validate_r(r: Sequence, n: int) -> tuple[Fraction, ...]:
-    rv = to_vec(r)
+    rv = to_vec(r, "r")
     if len(rv) != n:
         raise ParamError(f"r must have length {n}")
     if any(x <= 0 for x in rv):
@@ -380,7 +388,7 @@ def near_one_radius(m: int, n: int, r: Sequence[Fraction], p: int) -> Interval:
     """c(m-1)[sum r_j + log_p((m-1)^n / (r_1...r_n ln^n p))]: the radius of
     the scaled simplex sum r_j t_j <= radius, the right-hand side of the
     slow-decay implication, and the base of the general near-one bound."""
-    r = tuple(r)
+    r = to_vec(r, "r")
     s = sum(r, Fraction(0))
     return euler_ratio() * (m - 1) * (s + near_one_log(m, n, r, p))
 

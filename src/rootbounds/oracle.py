@@ -22,8 +22,8 @@ from typing import Sequence
 
 from .arith import _int_ord, ord_p_value, require_prime
 from .newton import SparsePolynomial, SparseSystem, collect_terms, integer_terms
-from .errors import InternalError, ParamError, PrecisionCapError
-from .linalg import det, solve_square
+from .errors import InternalError, ParamError, PrecisionCapError, require_int
+from .linalg import det, solve_square, to_vec
 
 DEFAULT_PRECISION_CAP = 60
 
@@ -314,10 +314,10 @@ def _mat_mul(a, b):
 def smith_normal_form(a: Sequence[Sequence[int]]):
     """U, D, V with U a V = D diagonal, U and V unimodular, as lists of int
     rows, for a nonempty rectangular int matrix a; verified."""
-    if not a or any(len(r) != len(a[0]) for r in a):
-        raise ParamError("smith normal form takes a nonempty rectangular matrix")
+    if not a or not a[0] or any(len(r) != len(a[0]) for r in a):
+        raise ParamError("smith normal form takes a nonempty rectangular matrix a")
     rows, cols = len(a), len(a[0])
-    m = [list(r) for r in a]
+    m = [[require_int("each entry of a", x) for x in r] for r in a]
     u = _identity(rows)
     v = _identity(cols)
 
@@ -409,21 +409,19 @@ def count_binomial_system(
     require_prime(p)
     rows = len(a)
     if not rows or any(len(row) != rows for row in a):
-        raise ParamError("binomial counting takes a square exponent matrix")
-    if len(c) != rows or any(Fraction(x) == 0 for x in c):
-        raise ParamError("need one nonzero constant per equation")
+        raise ParamError("binomial counting takes a square exponent matrix a")
+    a = [[require_int("each entry of a", x) for x in row] for row in a]
+    c = to_vec(c, "c")
+    if len(c) != rows or not all(c):
+        raise ParamError("need one nonzero constant per equation in c")
     detv = det(a)
     if detv == 0:
         raise ParamError("singular exponent matrix")
     _, d, _ = smith_normal_form(a)
-    invariants = [d[i][i] for i in range(rows)]
-    count = 1
-    for x in invariants:
-        count *= abs(x)
+    count = math.prod(abs(d[i][i]) for i in range(rows))
     if count != abs(detv):
         raise InternalError("smith invariant product disagrees with the determinant")
-    ords = [ord_p_value(Fraction(x), p) for x in c]
-    r = solve_square([[Fraction(x) for x in row] for row in a], ords)
+    r = solve_square(a, [ord_p_value(x, p) for x in c])
     rc = RootCount(count, "snf_binomial", f"(C_{p}^*)^{rows}", "C_p", True)
     return rc, (tuple(r) if r is not None else None)
 
@@ -484,11 +482,9 @@ def rational_root_search(F: SparseSystem, height_cap: int) -> RootCount:
     if F.n > MAX_SEARCH_VARS:
         raise ParamError(f"rational search capped at {MAX_SEARCH_VARS} variables "
                          "(MAX_SEARCH_VARS)")
-    if height_cap > MAX_SEARCH_HEIGHT:
+    if require_int("height_cap", height_cap, 1) > MAX_SEARCH_HEIGHT:
         raise ParamError(f"rational search capped at height {MAX_SEARCH_HEIGHT} "
                          "(MAX_SEARCH_HEIGHT)")
-    if height_cap < 1:
-        raise ParamError(f"rational search needs a height cap >= 1, got {height_cap}")
     n = F.n
     region = f"(Q^*)^{n}, numerator and denominator magnitudes <= {height_cap}"
     # with k < n every root lies on a positive-dimensional component
@@ -537,8 +533,8 @@ def rational_root_search(F: SparseSystem, height_cap: int) -> RootCount:
 
 def product_system_root_count(m: int, n: int) -> RootCount:
     """The construction-time count for the separable reference system."""
-    if not (2 <= m <= 8) or not (1 <= n <= 3):
-        raise ParamError("reference count follows the product-system caps")
+    require_int("m", m, 2, 8)
+    require_int("n", n, 1, 3)
     return RootCount((m - 1) ** n, "product_system",
                      f"N^{n}, the grid {{1..{m - 1}}}^{n} by construction", "Q", True)
 
@@ -546,10 +542,8 @@ def product_system_root_count(m: int, n: int) -> RootCount:
 def product_system(m: int, n: int) -> SparseSystem:
     """The separable reference system f_i = (x_i - 1)...(x_i - (m-1)); it has
     exactly (m-1)^n roots, all in the positive integer grid."""
-    if not (2 <= m <= 8):
-        raise ParamError("product system supports 2 <= m <= 8")
-    if not (1 <= n <= 3):
-        raise ParamError("product system supports 1 <= n <= 3")
+    require_int("m", m, 2, 8)
+    require_int("n", n, 1, 3)
     coeffs = [Fraction(1)]
     for j in range(1, m):
         coeffs = [Fraction(0)] + coeffs

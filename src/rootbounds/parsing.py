@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .arith import format_rational
 from .errors import InputError, ParseError
-from .newton import SparsePolynomial, SparseSystem, collect_terms
+from .newton import MAX_VARS, SparsePolynomial, SparseSystem, collect_terms
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[-+*^();]))"
@@ -49,11 +49,6 @@ MAX_COEFF_EXPONENT = int(MAX_POWER_BITS * math.log10(2))
 # the estimate counts one product per started 4096 bits.  10^5 units take
 # under a second, e.g. (x1 + 1)^300 or (x1 + x2 + x3 + 1)^25.
 MAX_POWER_WORK = 10**5
-
-# Cap on the number of variables: every term is an n-tuple of exponents, and
-# n is the largest index in the text, so one token such as x1000000000 would
-# otherwise allocate gigabytes.  Hulls stop at ambient dimension 6 anyway.
-MAX_VARS = 100
 
 # Cap on the open parentheses and unary minus signs around one atom: each
 # level costs the recursive descent two to four stack frames.
@@ -85,7 +80,7 @@ Poly = dict[tuple[int, ...], Fraction]
 
 
 def _check_vars(n: int, error: type[InputError]) -> None:
-    """Refuse n past MAX_VARS before an exponent tuple of length n is built."""
+    """Refuse n past newton.MAX_VARS before an exponent tuple of length n is built."""
     if n > MAX_VARS:
         raise error(f"{n} variables exceed the cap of {MAX_VARS}")
 

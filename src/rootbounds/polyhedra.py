@@ -58,6 +58,7 @@ from .linalg import (
     mat_rank,
     null_vector,
     pivots,
+    to_rational,
     to_vec,
     vec_sub,
 )
@@ -307,8 +308,8 @@ def _ambient_dim(pts: Sequence[Sequence]) -> int:
 
 
 def _point(p: Sequence) -> Point:
-    """p as a tuple of its int coordinates and Fractions of the others."""
-    return tuple(x if type(x) is int else Fraction(x) for x in p)
+    """p as a tuple of its int and Fraction coordinates, by linalg.to_rational."""
+    return tuple(x if type(x) is int else to_rational(x, "points") for x in p)
 
 
 def convex_hull(points: Iterable[Sequence]) -> Polytope:
@@ -325,7 +326,7 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
 
 def face(p: Polytope, w: Sequence) -> Polytope:
     """Sub-polytope of P minimizing the linear functional w.x."""
-    wv = to_vec(w)
+    wv = to_vec(w, "w")
     if len(wv) != p.ambient_dim:
         raise DimensionError("functional dimension does not match the polytope")
     vals = [dot(wv, v) for v in p.vertices]

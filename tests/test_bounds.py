@@ -1,9 +1,11 @@
+import contextvars
 import functools
 import io
 import math
 import random
 import re
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -34,6 +36,7 @@ from rootbounds.bounds import (
     log_inequality_check,
     valuation_vector_cap,
 )
+from rootbounds.binomials import expansion_coeffs, gen_binomial, lcm_profile
 from rootbounds.cli import main
 from rootbounds.errors import ParamError
 from rootbounds.newton import (
@@ -43,7 +46,16 @@ from rootbounds.newton import (
     facet_count,
     near_one_log,
     near_one_radius,
+    valuation_face_bound,
 )
+from rootbounds.oracle import (
+    count_binomial_system,
+    product_system,
+    product_system_root_count,
+    rational_root_search,
+    smith_normal_form,
+)
+from rootbounds.polyhedra import convex_hull, face
 
 SEED = 0xB0B
 
@@ -85,22 +97,98 @@ def test_field_caps_refuse_before_any_bound_is_evaluated():
             GlobalField(d, delta)
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: GlobalField(None, 1), "global fields need a degree d >= 1"),
-    (lambda: GlobalField(1, 0), "global bounds need a root degree delta >= 1"),
-    (lambda: cp_bound(3, 2, (1,), 2), "r must have length 2"),
-    (lambda: cp_bound(3, 1, (0,), 2), "r components must be positive"),
-    (lambda: containment_check(SparseSystem.of([SparsePolynomial.from_dict({(0,): 1, (1,): 1})]),
-                               2, (-1,)), "r components must be positive"),
-    (lambda: cp_bound_per_equation((3,), 2, (1, 1), 2), "need one term count per equation"),
-    (lambda: log_inequality_check((1,), (1, 1), 3, 2), "r and t must have equal length"),
-    (lambda: log_inequality_check((1,), (0,), 3, 2), "r and t must be positive"),
-    (lambda: log_inequality_check((1,), (1,), 1, 2), "m must be at least 2"),
-], ids=["no-degree", "delta-0", "r-length", "r-zero", "containment-r", "m-list-length",
-        "r-t-length", "t-zero", "m-1"])
+FLOAT = "must be ints or Fractions (a float is inexact), got"
+SQUARE = convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+X2_MINUS_4 = SparseSystem.of([SparsePolynomial.from_dict({(2,): 1, (0,): -4})])
+HUGE_M = 10**4999 + 7  # 5000 digits
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(call, message, id=name) for name, call, message in [
+    ("no-degree", lambda: GlobalField(None, 1), "d must be an integer >= 1, got None"),
+    ("delta-0", lambda: GlobalField(1, 0), "delta must be an integer >= 1, got 0"),
+    ("r-length", lambda: cp_bound(3, 2, (1,), 2), "r must have length 2"),
+    ("r-zero", lambda: cp_bound(3, 1, (0,), 2), "r components must be positive"),
+    ("containment-r", lambda: containment_check(
+        SparseSystem.of([SparsePolynomial.from_dict({(0,): 1, (1,): 1})]), 2, (-1,)),
+     "r components must be positive"),
+    ("m-list-length", lambda: cp_bound_per_equation((3,), 2, (1, 1), 2),
+     "need one term count per equation"),
+    ("r-t-length", lambda: log_inequality_check((1,), (1, 1), 3, 2), "r and t must have equal length"),
+    ("t-zero", lambda: log_inequality_check((1,), (0,), 3, 2), "r and t must be positive"),
+    ("m-1", lambda: log_inequality_check((1,), (1,), 1, 2), "m must be an integer >= 2, got 1"),
+    # integers: a float, bool, string or None is refused, never truncated
+    ("local-m-float", lambda: local_bound(Q2, 3.5, 1, 1), "m must be an integer >= 1, got 3.5"),
+    ("local-e-float", lambda: LocalField(2, 2.5, 1), "e must be an integer >= 1, got 2.5"),
+    ("local-f-bool", lambda: LocalField(2, 1, True), "f must be an integer >= 1, got True"),
+    ("global-d-float", lambda: GlobalField(1.5, 1), "d must be an integer >= 1, got 1.5"),
+    ("global-n-str", lambda: global_bound(GlobalField(1, 1), 3, "1", 1),
+     "n must be an integer >= 1 and <= 100, got '1'"),
+    ("exponent-float", lambda: SparsePolynomial.from_dict({(2.7, 1): 1, (0, 0): -1}),
+     "each exponent must be an integer, got 2.7"),
+    ("exponent-str", lambda: SparsePolynomial.from_dict({("2",): 1}),
+     "each exponent must be an integer, got '2'"),
+    ("exponent-list", lambda: SparsePolynomial.from_dict({"12": 1}),
+     "exponents must be tuples of integers, got '12'"),
+    ("affine-m-float", lambda: affine_bound(Q2, 3.5, 1, 1), "m must be an integer >= 1, got 3.5"),
+    ("affine-k-none", lambda: affine_bound(Q2, 3, 1, None), "k must be an integer >= 1, got None"),
+    ("cp-m-float", lambda: cp_bound(1.5, 1, [Fraction(1, 2)], 2), "m must be an integer >= 1, got 1.5"),
+    ("per-eq-m-float", lambda: cp_bound_per_equation((2.9, 3), 2, (1, 1), 2),
+     "each m_list entry must be an integer >= 1, got 2.9"),
+    ("facets-float", lambda: local_facet_bound_from_counts(1.5, 1, Q2, m=3),
+     "facets must be an integer >= 0, got 1.5"),
+    ("facet-m-float", lambda: local_facet_bound_from_counts(1, 1, Q2, m=3.5),
+     "m must be an integer >= 1, got 3.5"),
+    ("facet-m-list-length", lambda: local_facet_bound_from_counts(1, 1, Q2, m_list=(3, 3)),
+     "need one term count per equation"),
+    ("sum-n-float", lambda: global_facet_sum_bound_from_counts(1, 3, 1.0, GlobalField(1, 1)),
+     "n must be an integer >= 1 and <= 100, got 1.0"),
+    ("log-m-float", lambda: log_inequality_check((1,), (1,), 2.5, 2), "m must be an integer >= 2, got 2.5"),
+    ("cap-m-float", lambda: valuation_vector_cap(2.5, 1), "m must be an integer >= 2, got 2.5"),
+    ("precision-float", lambda: set_precision(40.5),
+     "precision must be an integer >= 30 and <= 1000, got 40.5"),
+    ("height-cap-float", lambda: rational_root_search(X2_MINUS_4, 2.5),
+     "height_cap must be an integer >= 1, got 2.5"),
+    ("product-m-float", lambda: product_system(2.5, 1), "m must be an integer >= 2 and <= 8, got 2.5"),
+    ("product-count-n-4", lambda: product_system_root_count(3, 4),
+     "n must be an integer >= 1 and <= 3, got 4"),
+    ("lcm-m-float", lambda: lcm_profile(2.5, 3), "m must be an integer >= 0, got 2.5"),
+    ("support-float", lambda: expansion_coeffs((0, 1.5), 3),
+     "each support element must be an integer, got 1.5"),
+    ("expansion-t-float", lambda: expansion_coeffs((0, 1), 2.5), "t must be an integer >= 0, got 2.5"),
+    ("binomial-a-float", lambda: gen_binomial(2.5, 1), "a must be an integer, got 2.5"),
+    ("snf-empty-row", lambda: smith_normal_form([[]]),
+     "smith normal form takes a nonempty rectangular matrix a"),
+    ("snf-float", lambda: smith_normal_form([[1.5]]), "each entry of a must be an integer, got 1.5"),
+    ("binomial-system-a-float", lambda: count_binomial_system([[2.0]], [1], 2),
+     "each entry of a must be an integer, got 2.0"),
+    # rationals: ints and Fractions only, since Fraction(0.1) is not 1/10
+    ("coefficient-float", lambda: SparsePolynomial.from_dict({(1,): 0.1}), f"coefficients {FLOAT} 0.1"),
+    ("coefficient-str", lambda: SparsePolynomial.from_dict({(1,): "1/2"}), f"coefficients {FLOAT} '1/2'"),
+    ("cp-r-float", lambda: cp_bound(3, 1, [0.1], 2), f"r {FLOAT} 0.1"),
+    ("log-t-float", lambda: log_inequality_check((1,), (0.5,), 3, 2), f"t {FLOAT} 0.5"),
+    ("face-bound-r-float", lambda: valuation_face_bound(X2_MINUS_4, 2, (0.5,)), f"r {FLOAT} 0.5"),
+    ("binomial-system-c-float", lambda: count_binomial_system([[2]], [0.5], 2), f"c {FLOAT} 0.5"),
+    ("hull-point-float", lambda: convex_hull([(0, 0), (0.5, 1)]), f"points {FLOAT} 0.5"),
+    ("face-w-float", lambda: face(SQUARE, (0.5, 1)), f"w {FLOAT} 0.5"),
+    # shapes that ran unbounded, or escaped as decimal.Overflow
+    ("n-1e5", lambda: local_bound(Q2, 10**5 + 1, 10**5, 10**5),
+     "n must be an integer >= 1 and <= 100, got 100000"),
+    ("affine-n-1e30", lambda: affine_bound(Q2, 10**30 + 1, 10**30, 10**30),
+     f"n must be an integer >= 1 and <= 100, got {10**30}"),
+    ("facet-n-1e30", lambda: local_facet_bound_from_counts(1, 10**30, Q2, m=10**30 + 1),
+     f"n must be an integer >= 1 and <= 100, got {10**30}"),
+    ("m-5000-digits", lambda: local_bound(Q2, HUGE_M, 100, 100),
+     "the thm1_local bound has more than 4300 digits, the cap MAX_BOUND_DIGITS"),
+    ("global-m-5000-digits", lambda: global_bound(GlobalField(1, 1), HUGE_M, 3, 3),
+     "the thm1_global bound has more than 4300 digits, the cap MAX_BOUND_DIGITS"),
+    ("affine-m-5000-digits", lambda: affine_bound(Q2, HUGE_M, 1, 1),
+     "the remark1_1 bound has more than 4300 digits, the cap MAX_BOUND_DIGITS"),
+]])
 def test_library_refusals_name_their_parameter(call, message):
+    t0 = time.perf_counter()
     with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
-        call()
+        contextvars.copy_context().run(call)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_valuation_vector_cap():

@@ -929,7 +929,7 @@ def test_verify_height_cap_below_one_is_bad_params(capsys, monkeypatch, cap):
     argv = ["verify", "-", "--height-cap", cap]
     code, out, err = run_cli(capsys, argv, stdin_text="x1^2 - 1\n", monkeypatch=monkeypatch)
     assert (code, out) == (EXIT_BAD_PARAMS, "")
-    assert err.startswith("error: ") and "height cap" in err
+    assert err.startswith("error: ") and "height_cap" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,22 @@
-"""The package's internal imports: an acyclic graph, all at module level.
+"""The package's imports: an acyclic graph, all at module level, and a
+root that exports what the README documents.
 
-Each ``src/rootbounds/*.py`` is parsed with ``ast``, nothing is imported.
-An import inside a function body hides a dependency from the module header
-and is how a cycle gets papered over, so both are refused.
+The graph is read from each ``src/rootbounds/*.py`` by ``ast``, without
+importing it.  An import inside a function body hides a dependency from the
+module header and is how a cycle gets papered over, so both are refused.
+The root's ``__all__`` is the import list of the README's Library snippet,
+which runs with the values its comments state.
 """
 
 import ast
+import re
+import types
 from pathlib import Path
 
+import rootbounds
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rootbounds"
+README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -103,3 +111,40 @@ def test_no_function_body_imports_from_the_package():
     # the check sees an import inside a method
     probe = ast.parse("class A:\n    def f(self):\n        from .bounds import x\n")
     assert _function_imports(probe) == [("f", 3, ["bounds"])]
+
+
+def _library_snippet() -> str:
+    """The one python block of the README's Library section."""
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    [block] = re.findall(r"```python\n(.*?)```", section, re.S)
+    return block
+
+
+def test_the_root_exports_the_readme_names_and_nothing_else():
+    [names] = [[a.name for a in node.names] for node in ast.parse(_library_snippet()).body
+               if isinstance(node, ast.ImportFrom) and node.module == "rootbounds"]
+    assert len(names) == 9 and rootbounds.__all__ == names
+    public = {k: v for k, v in vars(rootbounds).items() if not k.startswith("_")}
+    others = {k for k in public.keys() - set(names)
+              if not (isinstance(public[k], types.ModuleType) and public[k].__name__ == f"rootbounds.{k}")}
+    assert others == set()
+
+
+def test_the_readme_library_snippet_runs_with_the_values_it_states():
+    """Each statement runs in turn; a trailing comment on an expression is its
+    value, and on any other statement an expression that must hold."""
+    block = _library_snippet()
+    lines, namespace, checked = block.splitlines(), {}, []
+    for stmt in ast.parse(block).body:
+        comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert value == ast.literal_eval(comment), (ast.unparse(stmt), value)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            if comment:
+                assert eval(comment, namespace), comment
+        if comment:
+            checked.append(comment)
+    assert checked == ["16", "[(0,), (1,)]", "2", "[((0,), 8), ((1,), 2)]", "6",
+                       "normal == (0, 1)", "(2, 1)"]
