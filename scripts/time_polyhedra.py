@@ -26,7 +26,12 @@ the interval-log kernel ``arith._ln_half_even`` beside ``Decimal.ln`` at
 40, 80 and 1000 digits (the precision cap), on 500 seeded ratios of
 integers below 10^12 (20 at 1000 digits) rounded to the working precision;
 before timing, each row asserts that the two agree digit for digit, which
-also builds the kernel's table.  The ``bound formulas`` rows evaluate, at
+also builds the kernel's table.  The ``interval ops`` rows time products,
+quotients, sums and differences at 40 and 80 digits, 6000 each, of 500
+seeded intervals (enclosures of ratios of integers below 10^12, or their
+logs) with another such interval, an int and a Fraction; before timing,
+each row asserts that every result is, bit for bit, what the four-candidate
+reference in ``tests/interval_reference.py`` returns.  The ``bound formulas`` rows evaluate, at
 1000 digits, the reports of ``rootbounds bound`` for a trinomial over p = 2,
 3, 5, 7 (local headline, facet bound and affine variant) and over two
 global fields (headline and level sum), once with every per-precision memo
@@ -35,7 +40,7 @@ emptied first and once served from it.  The ``near-one sweep`` row runs
 of 2 to 4 terms (exponents 0..8, the coefficients above) at p = 2, 3 or 5
 with a radius r and a point t of components k/(7j), through ``cp_bound``,
 ``cp_bound_per_equation``, ``log_inequality_check`` and
-``containment_check``, with the near-one log memo emptied first; its
+``containment_check``, with the near-one log and radius memos emptied first; its
 result is the sum of the integer bounds plus the number of log-inequality
 conclusions and of containments that hold.  Each case draws its input from
 a fresh ``random.Random(seed)``.  The script prints one line per case: its
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import random
 import sys
 import time
@@ -54,20 +60,25 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+import interval_reference as ref  # noqa: E402
 from rootbounds import bounds  # noqa: E402
 from rootbounds.arith import (  # noqa: E402
     _GUARD_DIGITS,
     MAX_DIGITS,
+    Interval,
     _ln_half_even,
     euler_ratio,
     ln_prime,
+    natural_log,
     set_precision,
 )
 from rootbounds.newton import (  # noqa: E402
     SparsePolynomial,
     SparseSystem,
+    _near_one_radius,
     candidate_valuations,
     containment_check,
     facet_count,
@@ -105,6 +116,10 @@ COLLINEAR_SETS = 40
 COLLINEAR_POINTS = 12
 NEARONE_REQUESTS = 200
 NEARONE_DIGITS = 40
+INTERVAL_DRAWS = 500
+# each interval operation beside its four-candidate reference
+INTERVAL_OPS = ((operator.mul, ref.mul), (operator.truediv, ref.div),
+                (operator.add, ref.add), (operator.sub, ref.sub))
 
 
 def seeded_system(
@@ -173,6 +188,42 @@ def seeded_log_arguments(seed: int, digits: int, count: int) -> tuple[Context, l
     ]
 
 
+def seeded_interval_operands(seed: int, digits: int) -> list[tuple[Interval, object]]:
+    """INTERVAL_DRAWS triples of pairs (x, y), (x, k) and (x, q) at digits:
+    x the enclosure of a ratio of integers below 10^12 or its log (of either
+    sign), y that of another such ratio or the log of 1 plus it, k an int and
+    q a Fraction below 10^6 over 10^6."""
+    set_precision(digits)
+    rng = random.Random(seed)
+    ratio = lambda: Fraction(rng.randint(1, 10**12), rng.randint(1, 10**12))
+    pairs = []
+    for _ in range(INTERVAL_DRAWS):
+        x = natural_log(ratio()) if rng.random() < 0.5 else Interval.from_fraction(ratio())
+        y = natural_log(1 + ratio()) if rng.random() < 0.5 else Interval.from_fraction(ratio())
+        q = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        pairs += [(x, y), (x, rng.randint(2, 10**6)), (x, q)]
+    return pairs
+
+
+def interval_ops(pairs: list[tuple[Interval, object]], digits: int) -> int:
+    """Every operation of INTERVAL_OPS on every pair at digits; returns
+    their number."""
+    set_precision(digits)
+    return len([op(x, y) for x, y in pairs for op, _ in INTERVAL_OPS])
+
+
+def check_interval_ops(pairs: list[tuple[Interval, object]], digits: int) -> None:
+    """Stop unless every operation on every pair returns, bit for bit, what
+    its reference returns."""
+    set_precision(digits)
+    as_pair = lambda v: (v.lo, v.hi) if isinstance(v, Interval) else v
+    for x, y in pairs:
+        for op, ref_op in INTERVAL_OPS:
+            got, want = op(x, y), ref_op(as_pair(x), as_pair(y), digits)
+            if (got.lo.as_tuple(), got.hi.as_tuple()) != (want[0].as_tuple(), want[1].as_tuple()):
+                raise AssertionError(f"{op.__name__}{(x, y)} at {digits} digits: {got}, reference {want}")
+
+
 def bound_formulas(clear: bool) -> int:
     """The bound reports of a trinomial (m = 3, n = 1) over Q_p for p = 2, 3,
     5, 7 and over global fields of degree 2 and 3, at MAX_DIGITS digits; with
@@ -216,11 +267,13 @@ def seeded_nearone_requests(seed: int) -> list[tuple[SparseSystem, int, tuple, t
 
 def near_one_sweep(requests: list[tuple[SparseSystem, int, tuple, tuple]]) -> int:
     """The near-one bounds, log-inequality conclusion and containment of each
-    request at NEARONE_DIGITS digits, the near-one log memo emptied first;
+    request at NEARONE_DIGITS digits, the near-one log and radius memos
+    emptied first;
     returns the sum of the integer bounds plus the conclusions and
     containments that hold."""
     set_precision(NEARONE_DIGITS)
     near_one_log.cache_clear()
+    _near_one_radius.cache_clear()
     total = 0
     for system, p, r, t in requests:
         total += bounds.cp_bound(system.m, system.n, r, p).integer_bound
@@ -258,6 +311,10 @@ def cases(seed: int):
         yield f"natural_log d={digits} kernel", lambda c=ctx, xs=xs: len(
             [_ln_half_even(x, c.prec) for x in xs])
         yield f"natural_log d={digits} Decimal.ln", lambda c=ctx, xs=xs: len([x.ln(c) for x in xs])
+    for digits in (40, 80):
+        pairs = seeded_interval_operands(seed, digits)
+        check_interval_ops(pairs, digits)
+        yield f"interval ops d={digits}", lambda ps=pairs, d=digits: interval_ops(ps, d)
     yield f"bound formulas d={MAX_DIGITS} first call", lambda: bound_formulas(clear=True)
     yield f"bound formulas d={MAX_DIGITS} cached", lambda: bound_formulas(clear=False)
     requests = seeded_nearone_requests(seed)

@@ -19,8 +19,19 @@ working digits at call time, holds the enclosure of c returned by
 :func:`euler_ratio`, (per prime) the enclosure of ln p returned by
 :func:`ln_prime`, in :mod:`rootbounds.bounds` the closed-form bound
 intervals, each keyed on the integers of its formula, and in
-:mod:`rootbounds.newton` the log term of the near-one radius, keyed on
-(m, n, r, p).  Interval logs run on
+:mod:`rootbounds.newton` the near-one radius and its log term, keyed on
+(m, n, r, p).
+
+An :class:`Interval` operation costs its ``decimal`` operations and little
+else.  A product or quotient of nonnegative intervals rounds two endpoint
+candidates where the plain rule rounds all four and takes the first least
+and the first greatest, and returns what that rule returns, bit for bit:
+the lower end of a product, floor(lo*lo'), is least and comes first, and
+any other end that is inexact is the greatest (or least) candidate, which
+an earlier candidate can only tie by being inexact too, so with the same
+digits and exponent.  An exact end takes all four.  An int operand below
+10^30 in magnitude is one exact point, a Fraction is rounded outward, and
+anything else is refused by ``linalg.to_rational``.  Interval logs run on
 the kernel :func:`_ln_half_even`: fixed-point arithmetic on ints (a table of
 ln(1 + j/256), an atanh series and a proven error bound E) followed by a
 rounding test, which returns exactly what ``Decimal.ln`` returns, the result
@@ -36,7 +47,7 @@ import functools
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
-from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
 from typing import Union
 
@@ -76,14 +87,6 @@ def _contexts(digits: int) -> tuple[Context, Context]:
     at most MAX_DIGITS - 29 pairs, since set_precision bounds ``digits``."""
     prec = digits + _GUARD_DIGITS
     return Context(prec=prec, rounding=ROUND_FLOOR), Context(prec=prec, rounding=ROUND_CEILING)
-
-
-def _ctx_floor() -> Context:
-    return _contexts(_digits.get())[0]
-
-
-def _ctx_ceil() -> Context:
-    return _contexts(_digits.get())[1]
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +179,6 @@ def format_rational(q: RationalLike) -> str:
 # ---------------------------------------------------------------------------
 # Directed-rounding interval arithmetic
 # ---------------------------------------------------------------------------
-
-
-def _dec_from_fraction(q: Fraction, ctx: Context) -> Decimal:
-    return ctx.divide(Decimal(q.numerator), Decimal(q.denominator))
 
 
 def _ulp(x: Decimal, prec: int) -> Decimal:
@@ -342,88 +341,135 @@ def _ln_half_even(x: Decimal, prec: int) -> Decimal:
     return x.ln(Context(prec=prec))
 
 
-@dataclass(frozen=True)
 class Interval:
-    """A closed interval [lo, hi] of decimals enclosing an exact real."""
+    """A closed interval [lo, hi] of decimals enclosing an exact real.
+
+    Immutable, equal and hashed by value.  A product or quotient is, bit for
+    bit, the first least of its four endpoint candidates rounded down
+    (lo*lo', lo*hi', hi*lo', hi*hi', in that order) and the first greatest of
+    the four rounded up, but it mostly computes two of them:
+
+    * for lo, lo' >= 0 the product's lower end is floor(lo*lo'), which is
+      least and comes first; its upper end is ceil(hi*hi') when that product
+      is inexact;
+    * for lo >= 0 and lo' > 0 the quotient's ends are floor(lo/hi') and
+      ceil(hi/lo'), each when it is inexact.
+
+    An earlier candidate that ties with an inexact end is inexact too (were it
+    exact, it would equal its own rounding and lie strictly beyond the end's
+    exact value), and an inexact result has all the working digits: the same
+    number, so the same coefficient and exponent.  An exact end, or any other
+    sign pattern, takes all four candidates, since an earlier exact tie may
+    have another exponent: [1.99...9, 2] * [7, 7] has upper end ceil(1.99...9
+    * 7) = 14.00...0, not 2 * 7 = 14.  An int operand below _POINT_INTS in
+    magnitude is one exact point; any other int or Fraction is rounded
+    outward, and a negation is exact.
+    """
+
+    __slots__ = ("lo", "hi")
 
     lo: Decimal
     hi: Decimal
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ParamError(f"inverted interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Decimal, hi: Decimal) -> None:
+        if lo > hi:
+            raise ParamError(f"inverted interval [{lo}, {hi}]")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Interval:
+            return (self.lo, self.hi) == (other.lo, other.hi)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
+
+    def __reduce__(self):
+        return Interval, (self.lo, self.hi)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_fraction(cls, q: RationalLike) -> "Interval":
-        q = Fraction(q)
-        return cls(_dec_from_fraction(q, _ctx_floor()), _dec_from_fraction(q, _ctx_ceil()))
+        """The enclosure of the int or Fraction q at the working digits."""
+        return Interval(*_endpoints(q, *_contexts(_digits.get()), "q"))
 
     @classmethod
     def exact(cls, x: Decimal | int) -> "Interval":
         d = Decimal(x)
         return cls(d, d)
 
-    # -- coercion ----------------------------------------------------------
-
-    @staticmethod
-    def _coerce(x: "IntervalLike") -> "Interval":
-        if isinstance(x, Interval):
-            return x
-        return Interval.from_fraction(x)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "IntervalLike") -> "Interval":
-        o = Interval._coerce(other)
-        return Interval(_ctx_floor().add(self.lo, o.lo), _ctx_ceil().add(self.hi, o.hi))
+        cf, cc = _contexts(_digits.get())
+        c, d = _operand(other, cf, cc)
+        return Interval(cf.add(self.lo, c), cc.add(self.hi, d))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return Interval(_negate(self.hi), _negate(self.lo))
 
     def __sub__(self, other: "IntervalLike") -> "Interval":
-        return self + (-Interval._coerce(other))
+        cf, cc = _contexts(_digits.get())
+        c, d = _operand(other, cf, cc)
+        return Interval(cf.add(self.lo, _negate(d)), cc.add(self.hi, _negate(c)))
 
     def __rsub__(self, other: "IntervalLike") -> "Interval":
-        return Interval._coerce(other) + (-self)
+        cf, cc = _contexts(_digits.get())
+        c, d = _operand(other, cf, cc)
+        return Interval(cf.add(c, _negate(self.hi)), cc.add(d, _negate(self.lo)))
 
     def __mul__(self, other: "IntervalLike") -> "Interval":
-        o = Interval._coerce(other)
-        cf, cc = _ctx_floor(), _ctx_ceil()
-        pairs = ((self.lo, o.lo), (self.lo, o.hi), (self.hi, o.lo), (self.hi, o.hi))
+        cf, cc = _contexts(_digits.get())
+        a, b = self.lo, self.hi
+        c, d = _operand(other, cf, cc)
+        if not (a.is_signed() or c.is_signed()):
+            hi = cc.multiply(b, d)
+            if hi == cf.multiply(b, d):  # exact: an earlier tie may differ
+                hi = max((cc.multiply(a, c), cc.multiply(a, d), cc.multiply(b, c), hi))
+            return Interval(cf.multiply(a, c), hi)
         return Interval(
-            min(cf.multiply(a, b) for a, b in pairs),
-            max(cc.multiply(a, b) for a, b in pairs),
+            min((cf.multiply(a, c), cf.multiply(a, d), cf.multiply(b, c), cf.multiply(b, d))),
+            max((cc.multiply(a, c), cc.multiply(a, d), cc.multiply(b, c), cc.multiply(b, d))),
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "IntervalLike") -> "Interval":
-        o = Interval._coerce(other)
-        if o.lo <= 0 <= o.hi:
-            raise ZeroDivisionError("interval division by an interval containing 0")
-        cf, cc = _ctx_floor(), _ctx_ceil()
-        pairs = ((self.lo, o.lo), (self.lo, o.hi), (self.hi, o.lo), (self.hi, o.hi))
-        return Interval(
-            min(cf.divide(a, b) for a, b in pairs),
-            max(cc.divide(a, b) for a, b in pairs),
-        )
+        cf, cc = _contexts(_digits.get())
+        return _divide(self.lo, self.hi, *_operand(other, cf, cc), cf, cc)
 
     def __rtruediv__(self, other: "IntervalLike") -> "Interval":
-        return Interval._coerce(other) / self
+        cf, cc = _contexts(_digits.get())
+        return _divide(*_operand(other, cf, cc), self.lo, self.hi, cf, cc)
 
     def __pow__(self, n: int) -> "Interval":
+        """self^n by squaring, the odd powers multiplied in from the right."""
         require_int("exponent", n, 0)
-        result = Interval.exact(1)
+        if n == 0:
+            return Interval.exact(1)
         base = self
-        while n:
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        while n > 1:
+            n >>= 1
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
         return result
 
     def ln(self) -> "Interval":
@@ -440,7 +486,7 @@ class Interval:
             raise ParamError(f"log of nonpositive value (interval [{self.lo}, {self.hi}])")
         if self.lo == 1 and self.hi == 1:
             return Interval.exact(0)
-        cf, cc = _ctx_floor(), _ctx_ceil()
+        cf, cc = _contexts(_digits.get())
         prec = cf.prec
         lo_ln = _ln_half_even(self.lo, prec)
         hi_ln = lo_ln if self.hi == self.lo else _ln_half_even(self.hi, prec)
@@ -452,22 +498,85 @@ class Interval:
     # -- comparisons -------------------------------------------------------
 
     def certainly_le(self, other: "IntervalLike") -> bool:
-        o = Interval._coerce(other)
-        return self.hi <= o.lo
+        if isinstance(other, Interval):
+            return self.hi <= other.lo
+        return self.hi <= _endpoint(other, _contexts(_digits.get())[0])
 
     def possibly_le(self, other: "IntervalLike") -> bool:
-        o = Interval._coerce(other)
-        return self.lo <= o.hi
+        if isinstance(other, Interval):
+            return self.lo <= other.hi
+        return self.lo <= _endpoint(other, _contexts(_digits.get())[1])
 
     def upper(self) -> "UpperReal":
         return UpperReal(self.hi)
+
+
+# The slots' own setters: the constructor's only way past __setattr__.
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+
+# -x exactly, +0 for either zero: what the unary minus of a Decimal gives in
+# a context with digits to spare (in decimal's default 28-digit context it
+# rounds a longer x half-even, in neither direction).
+_negate = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN).minus
+
+# An int below this in magnitude has at most 30 digits, within any working
+# precision (at least 30 + _GUARD_DIGITS), so Decimal(n) is exact, and it is
+# what dividing n by 1 returns in either rounding direction.
+_POINT_INTS = 10**30
+
+
+def _endpoint(x: object, ctx: Context) -> Decimal:
+    """The int or Fraction x rounded in ctx's direction."""
+    if type(x) is int and -_POINT_INTS < x < _POINT_INTS:
+        return Decimal(x)
+    q = to_rational(x, "operand")
+    return ctx.divide(Decimal(q.numerator), Decimal(q.denominator))
+
+
+def _endpoints(x: object, cf: Context, cc: Context, name: str) -> tuple[Decimal, Decimal]:
+    """The enclosure (lo, hi) of the int or Fraction x, refused by name
+    otherwise: one exact point, lo is hi, for an int below _POINT_INTS in
+    magnitude, else x's numerator over its denominator rounded down and up."""
+    if type(x) is int and -_POINT_INTS < x < _POINT_INTS:
+        point = Decimal(x)
+        return point, point
+    q = to_rational(x, name)
+    num, den = Decimal(q.numerator), Decimal(q.denominator)
+    return cf.divide(num, den), cc.divide(num, den)
+
+
+def _operand(x: "IntervalLike", cf: Context, cc: Context) -> tuple[Decimal, Decimal]:
+    if isinstance(x, Interval):
+        return x.lo, x.hi
+    return _endpoints(x, cf, cc, "operand")
+
+
+def _divide(a: Decimal, b: Decimal, c: Decimal, d: Decimal, cf: Context, cc: Context) -> Interval:
+    """[a, b] / [c, d] (see :class:`Interval`)."""
+    if c <= 0 <= d:
+        raise ZeroDivisionError("interval division by an interval containing 0")
+    if not (a.is_signed() or c.is_signed()):
+        lo, hi = cf.divide(a, d), cc.divide(b, c)
+        if lo == cc.divide(a, d):  # exact: an earlier tie may differ
+            lo = min((cf.divide(a, c), lo, cf.divide(b, c), cf.divide(b, d)))
+        if hi == cf.divide(b, c):
+            hi = max((cc.divide(a, c), cc.divide(a, d), hi, cc.divide(b, d)))
+        return Interval(lo, hi)
+    return Interval(
+        min((cf.divide(a, c), cf.divide(a, d), cf.divide(b, c), cf.divide(b, d))),
+        max((cc.divide(a, c), cc.divide(a, d), cc.divide(b, c), cc.divide(b, d))),
+    )
 
 
 IntervalLike = Union[Interval, Fraction, int]
 
 
 def natural_log(x: IntervalLike) -> Interval:
-    return Interval._coerce(x).ln()
+    """ln x for an Interval, or for an int or Fraction x, its enclosure's log."""
+    if isinstance(x, Interval):
+        return x.ln()
+    return Interval(*_endpoints(x, *_contexts(_digits.get()), "x")).ln()
 
 
 # Entries per memoised function: a few hundred keys hold the working set of
@@ -501,19 +610,22 @@ def ln_prime(p: int) -> Interval:
     """Enclosure of ln p at the working precision, computed once per
     (p, precision) pair."""
     require_prime(p)
-    return natural_log(Fraction(p))
+    return natural_log(p)
 
 
 def log_base(x: IntervalLike, p: int) -> Interval:
-    """log_p(x) = ln(x)/ln(p), exact when x is an exact power of p."""
+    """log_p(x) = ln(x)/ln(p) for an Interval, int or Fraction x, exact when
+    x is an exact power of p: p^v or 1/p^v, decided on ints."""
     require_prime(p)
-    if isinstance(x, (int, Fraction)):
-        q = Fraction(x)
+    if not isinstance(x, Interval):
+        q = to_rational(x, "x")
         if q <= 0:
             raise ParamError(f"log of nonpositive value {q}")
-        v = _ord(q, p)
-        if q == Fraction(p) ** v:
-            return Interval.exact(v)
+        num, den = q.numerator, q.denominator
+        if num == 1 or den == 1:  # a power of p is p^v or 1/p^v
+            v = _int_ord(num * den, p)
+            if p**v == num * den:
+                return Interval.exact(v if den == 1 else -v)
     return natural_log(x) / ln_prime(p)
 
 
@@ -522,7 +634,7 @@ def euler_ratio() -> Interval:
     """The constant c = e/(e-1) (about 1.58198) from the bound formulas,
     computed once per precision."""
     # exp, like ln, rounds half-even in every context: widen by one ulp
-    cf, cc = _ctx_floor(), _ctx_ceil()
+    cf, cc = _contexts(_digits.get())
     e = Decimal(1).exp(cf)
     ulp = _ulp(e, cf.prec)
     e = Interval(cf.subtract(e, ulp), cc.add(e, ulp))

@@ -223,7 +223,8 @@ def cp_bound_per_equation(
 # near-one bounds at a caller's radii (cp_bound, cp_bound_per_equation,
 # log_inequality_check) are not memoised whole, since their radii rarely
 # repeat across requests; their one transcendental term, newton.near_one_log,
-# is, so the bounds and the radius at one (m, n, r, p) share it.
+# is, and so is newton.near_one_radius, so the bounds, the implication and
+# the containment check at one (m, n, r, p) share both.
 
 
 @_per_precision

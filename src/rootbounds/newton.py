@@ -105,13 +105,15 @@ class SparsePolynomial:
         return dict(self.terms)
 
     def evaluate(self, xs: Sequence[Fraction]) -> Fraction:
+        """The value at the point xs of ints and Fractions."""
+        xs = to_vec(xs, "xs")
         if len(xs) != self.n:
             raise ParamError("evaluation point has wrong dimension")
         total = Fraction(0)
         for exp, coeff in self.terms:
             term = coeff
             for x, e in zip(xs, exp):
-                term *= Fraction(x) ** e
+                term *= x**e
             total += term
         return total
 
@@ -387,8 +389,17 @@ def _validate_r(r: Sequence, n: int) -> tuple[Fraction, ...]:
 def near_one_radius(m: int, n: int, r: Sequence[Fraction], p: int) -> Interval:
     """c(m-1)[sum r_j + log_p((m-1)^n / (r_1...r_n ln^n p))]: the radius of
     the scaled simplex sum r_j t_j <= radius, the right-hand side of the
-    slow-decay implication, and the base of the general near-one bound."""
-    r = to_vec(r, "r")
+    slow-decay implication, and the base of the general near-one bound.
+    For m >= 2, n from 1 to MAX_VARS and n positive r_j; memoised on
+    (m, n, r, p) and the working digits once they are checked, so the
+    bounds, the implication and the containment check at one r share it."""
+    require_int("m", m, 2)
+    require_int("n", n, 1, MAX_VARS)
+    return _near_one_radius(m, n, _validate_r(r, n), require_prime(p))
+
+
+@_per_precision
+def _near_one_radius(m: int, n: int, r: tuple[Fraction, ...], p: int) -> Interval:
     s = sum(r, Fraction(0))
     return euler_ratio() * (m - 1) * (s + near_one_log(m, n, r, p))
 

@@ -1,10 +1,14 @@
 import contextvars
+import copy
+import operator
+import pickle
 import random
 import threading
 import time
-from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
+import interval_reference as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -250,37 +254,11 @@ REF_DIGITS = (30, 40, 80, 300)
 REF_PRIMES = (2, 3, 5, 7, 101, 2**61 - 1)
 
 
-def _ref_contexts(digits):
-    prec = digits + _GUARD_DIGITS
-    return Context(prec=prec, rounding=ROUND_FLOOR), Context(prec=prec, rounding=ROUND_CEILING)
-
-
-def _ref_ulp(x, prec):
-    if x == 0:
-        return Decimal(1).scaleb(-prec)
-    return Decimal(1).scaleb(x.adjusted() - prec + 1)
-
-
-def _ref_ln(lo, hi, digits):
-    cf, cc = _ref_contexts(digits)
-    lo_ln = lo.ln(cf)
-    hi_ln = hi.ln(cc)
-    return cf.subtract(lo_ln, _ref_ulp(lo_ln, cf.prec)), cc.add(hi_ln, _ref_ulp(hi_ln, cc.prec))
-
-
-def _ref_from_fraction(q, digits):
-    cf, cc = _ref_contexts(digits)
-    return (
-        cf.divide(Decimal(q.numerator), Decimal(q.denominator)),
-        cc.divide(Decimal(q.numerator), Decimal(q.denominator)),
-    )
-
-
 def _ref_euler_ratio(digits):
-    cf, cc = _ref_contexts(digits)
+    cf, cc = ref.contexts(digits)
     e = Decimal(1).exp(cf)
-    e_lo = cf.subtract(e, _ref_ulp(e, cf.prec))
-    e_hi = cc.add(e, _ref_ulp(e, cc.prec))
+    e_lo = cf.subtract(e, ref.ulp(e, cf.prec))
+    e_hi = cc.add(e, ref.ulp(e, cc.prec))
     d_lo, d_hi = cf.add(e_lo, Decimal(-1)), cc.add(e_hi, Decimal(-1))
     pairs = [(a, b) for a in (e_lo, e_hi) for b in (d_lo, d_hi)]
     return min(cf.divide(a, b) for a, b in pairs), max(cc.divide(a, b) for a, b in pairs)
@@ -299,11 +277,10 @@ def _at_precision(digits, fn):
 def test_ln_prime_and_euler_ratio_match_fresh_context_reference(digits):
     def check():
         for p in REF_PRIMES:
-            lo, hi = _ref_from_fraction(Fraction(p), digits)
-            ref = _ref_ln(lo, hi, digits)
+            want = ref.ln(ref.from_fraction(Fraction(p), digits), digits)
             for _ in range(2):  # the second call is served from the cache
                 iv = ln_prime(p)
-                assert (iv.lo, iv.hi) == ref
+                assert (iv.lo, iv.hi) == want
             assert natural_log(Fraction(p)) == iv
         for _ in range(2):
             c = euler_ratio()
@@ -323,7 +300,7 @@ def test_constants_follow_a_precision_switch():
         assert wide.lo < narrow.lo <= narrow.hi < wide.hi
         assert narrow.hi - narrow.lo < wide.hi - wide.lo
     for p, iv in zip(REF_PRIMES, at_80):
-        assert (iv.lo, iv.hi) == _ref_ln(*_ref_from_fraction(Fraction(p), 80), 80)
+        assert (iv.lo, iv.hi) == ref.ln(ref.from_fraction(Fraction(p), 80), 80)
 
 
 @pytest.mark.parametrize("digits", (40, 80))
@@ -333,19 +310,170 @@ def test_interval_ln_matches_two_call_reference(digits):
     def check():
         for trial in range(300):
             a = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
-            lo, hi = _ref_from_fraction(a, digits)
+            lo, hi = ref.from_fraction(a, digits)
             if trial % 3 == 0:
                 points = [(lo, lo), (hi, hi)]  # degenerate
             else:
                 b = a + Fraction(rng.randint(0, 10**6), rng.randint(1, 10**6))
-                points = [(lo, _ref_from_fraction(b, digits)[1])]
+                points = [(lo, ref.from_fraction(b, digits)[1])]
             points.append((Decimal(1), hi if a > 1 else Decimal(1) + hi))
             for x_lo, x_hi in points:
                 iv = Interval(x_lo, x_hi).ln()
-                ref = _ref_ln(x_lo, x_hi, digits)
-                assert (iv.lo.as_tuple(), iv.hi.as_tuple()) == (ref[0].as_tuple(), ref[1].as_tuple())
+                want = ref.ln((x_lo, x_hi), digits)
+                assert (iv.lo.as_tuple(), iv.hi.as_tuple()) == (want[0].as_tuple(), want[1].as_tuple())
 
     _at_precision(digits, check)
+
+
+# ---------------------------------------------------------------------------
+# Every interval operation against the four-candidate reference, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _same(iv, want):
+    return (iv.lo.as_tuple(), iv.hi.as_tuple()) == (want[0].as_tuple(), want[1].as_tuple())
+
+
+def _draw_endpoint(rng, cf, cc):
+    """A signed zero, a short exact value, one with all the working digits, or
+    a short value's neighbour; of either sign."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice((Decimal(0), Decimal("-0"), Decimal("0E-3")))
+    short = Decimal(f"{rng.randint(1, 999)}E{rng.randint(-4, 3)}")
+    if kind == 2:
+        short = Decimal(f"0.{rng.randint(10 ** (cf.prec - 1), 10**cf.prec - 1)}E{rng.randint(-3, 4)}")
+    elif kind == 3:
+        short = cf.next_minus(short)
+    elif kind == 4:
+        short = cc.next_plus(short)
+    return short if rng.random() < 0.7 else short.copy_negate()
+
+
+def _draw_interval(rng, cf, cc):
+    """A point, a short endpoint beside its neighbour, or two drawn endpoints
+    in order (so negative and zero-straddling intervals too)."""
+    x = _draw_endpoint(rng, cf, cc)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return x, x
+    if kind == 1:
+        return (x, cc.next_plus(x)) if rng.random() < 0.5 else (cf.next_minus(x), x)
+    return tuple(sorted((x, _draw_endpoint(rng, cf, cc))))
+
+
+def _draw_scalar(rng):
+    """An int below 10^30 in magnitude (an exact point), a longer int, or a
+    Fraction."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice((0, 1, 3, -7, 10**29 + 1, rng.randint(-(10**6), 10**6)))
+    if kind == 1:
+        return rng.choice((1, -1)) * (10**30 + rng.randint(0, 10**40))
+    return Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+
+
+def _binary(op, x, y):
+    """op on x and y (Interval or scalar), or the exception type it raised."""
+    try:
+        return op(x, y)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+def _check_pair(x, y, digits):
+    """Every binary operation on x and y against the reference; Intervals
+    stand in for the reference's pairs, and a scalar for itself."""
+    pair = lambda v: (v.lo, v.hi) if isinstance(v, Interval) else v
+    for op, ref_op in ((operator.add, ref.add), (operator.sub, ref.sub),
+                       (operator.mul, ref.mul), (operator.truediv, ref.div)):
+        got, want = _binary(op, x, y), _binary(lambda a, b: ref_op(a, b, digits), pair(x), pair(y))
+        if isinstance(want, type):
+            assert got is want, (op, x, y)
+        else:
+            assert _same(got, want), (op, x, y, got, want)
+    if isinstance(x, Interval):
+        assert x.certainly_le(y) == ref.certainly_le(pair(x), pair(y), digits), (x, y)
+        assert x.possibly_le(y) == ref.possibly_le(pair(x), pair(y), digits), (x, y)
+
+
+@pytest.mark.parametrize("digits", REF_DIGITS)
+def test_interval_operations_match_the_four_candidate_reference(digits):
+    # the fast products and quotients, the exact int points, the exact
+    # negation and the powers from the base against the reference
+    rng = random.Random(SEED + 7 * digits)
+    cf, cc = ref.contexts(digits)
+    assert ref.GUARD_DIGITS == _GUARD_DIGITS
+
+    def check():
+        for _ in range(600 if digits < 300 else 200):
+            x, y = (Interval(*_draw_interval(rng, cf, cc)) for _ in range(2))
+            s = _draw_scalar(rng)
+            _check_pair(x, y, digits)
+            _check_pair(x, s, digits)
+            _check_pair(s, x, digits)
+            assert _same(-x, ref.neg((x.lo, x.hi)))
+            assert _same(Interval.from_fraction(s), ref.from_fraction(s, digits)), s
+            if type(s) is int:
+                assert _same(Interval.exact(s), ref.exact(s))
+            if x.lo.as_tuple() == x.hi.as_tuple() or x.lo != x.hi:  # as the library builds them
+                n = rng.randrange(8)
+                assert _same(x**n, ref.power((x.lo, x.hi), n, digits)), (x, n)
+            if x.lo > 0:
+                assert _same(x.ln(), ref.ln((x.lo, x.hi), digits)), x
+        for _ in range(100):  # logs of rationals, and of powers of p to base p
+            p = rng.choice((2, 3, 5))
+            q = rng.choice((Fraction(rng.randint(1, 10**9), rng.randint(1, 10**9)),
+                            Fraction(p) ** rng.randint(-40, 40)))
+            ln_q = ref.ln(ref.from_fraction(q, digits), digits)
+            assert _same(natural_log(q), ln_q), q
+            v = int(ord_p_value(q, p))
+            want = ref.exact(v) if q == Fraction(p) ** v else ref.div(
+                ln_q, ref.ln(ref.from_fraction(p, digits), digits), digits)
+            assert _same(log_base(q, p), want), (q, p)
+
+    _at_precision(digits, check)
+
+
+def test_an_exact_upper_end_keeps_the_first_tie():
+    # [1.99...9, 2] * 7: ceil(1.99...9 * 7) = 14.00...0 ties with the exact
+    # 2 * 7 = 14 and comes first, so the product keeps its exponent; so does
+    # 60 / 3 = 20 before 60 / 3.0 = 2E+1
+    def check():
+        cf, _cc = ref.contexts(40)
+        below_2 = cf.next_minus(Decimal(2))
+        iv = Interval(below_2, Decimal(2)) * 7
+        assert iv.hi == 14 and len(iv.hi.as_tuple().digits) == cf.prec
+        quotient = Interval(Decimal(60), Decimal(61)) / Interval(Decimal(3), Decimal("3.0"))
+        assert quotient.lo.as_tuple() == Decimal(20).as_tuple()
+
+    _at_precision(40, check)
+
+
+def test_a_difference_encloses_its_exact_value_past_28_digits():
+    # decimal's unary minus rounds to its default context's 28 digits, half
+    # even; an interval difference built on it could miss its exact value
+    x = Decimal("1.23456789012345678901234567890123456789012345678")  # 48 digits
+    minus_x = x.copy_negate()
+    for iv in (Interval.exact(0) - Interval(x, x), -Interval(x, x), 0 - Interval(x, x)):
+        assert iv.lo <= minus_x <= iv.hi
+    assert (Interval(x, x) - Interval(x, x)).lo == 0
+
+
+def test_an_interval_is_an_immutable_value():
+    a, b = Interval(Decimal(1), Decimal(2)), Interval(Decimal(1), Decimal("2"))
+    assert a == b and hash(a) == hash(b) and a != Interval(Decimal(1), Decimal(3))
+    assert repr(a) == "Interval(lo=Decimal('1'), hi=Decimal('2'))"
+    assert a != (Decimal(1), Decimal(2))
+    with pytest.raises(AttributeError):
+        a.lo = Decimal(0)
+    with pytest.raises(AttributeError):
+        del a.hi
+    with pytest.raises(ValueError, match="inverted interval"):
+        Interval(Decimal(2), Decimal(1))
+    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+    point = Interval.from_fraction(7)  # an int below 10^30 is one exact point
+    assert point.lo is point.hi and point == Interval.exact(7)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 from rootbounds import bounds
-from rootbounds.arith import Interval, euler_ratio, get_precision, ln_prime, log_base, set_precision
+from rootbounds.arith import (Interval, euler_ratio, get_precision, ln_prime, log_base, natural_log,
+                              set_precision)
 from rootbounds.bounds import (
     FORMULA_COR2_1,
     FORMULA_COR3_1,
@@ -44,6 +45,7 @@ from rootbounds.newton import (
     SparseSystem,
     containment_check,
     facet_count,
+    _near_one_radius,
     near_one_log,
     near_one_radius,
     valuation_face_bound,
@@ -170,6 +172,15 @@ HUGE_M = 10**4999 + 7  # 5000 digits
     ("binomial-system-c-float", lambda: count_binomial_system([[2]], [0.5], 2), f"c {FLOAT} 0.5"),
     ("hull-point-float", lambda: convex_hull([(0, 0), (0.5, 1)]), f"points {FLOAT} 0.5"),
     ("face-w-float", lambda: face(SQUARE, (0.5, 1)), f"w {FLOAT} 0.5"),
+    ("from-fraction-float", lambda: Interval.from_fraction(0.1), f"q {FLOAT} 0.1"),
+    ("from-fraction-bool", lambda: Interval.from_fraction(True), f"q {FLOAT} True"),
+    ("natural-log-float", lambda: natural_log(0.5), f"x {FLOAT} 0.5"),
+    ("log-base-str", lambda: log_base("1/2", 2), f"x {FLOAT} '1/2'"),
+    ("evaluate-float", lambda: X2_MINUS_4.polynomials[0].evaluate([0.5]), f"xs {FLOAT} 0.5"),
+    ("radius-m-float", lambda: near_one_radius(2.5, 1, (Fraction(1),), 2),
+     "m must be an integer >= 2, got 2.5"),
+    ("radius-n-101", lambda: near_one_radius(3, 101, (Fraction(1),) * 101, 2),
+     "n must be an integer >= 1 and <= 100, got 101"),
     # shapes that ran unbounded, or escaped as decimal.Overflow
     ("n-1e5", lambda: local_bound(Q2, 10**5 + 1, 10**5, 10**5),
      "n must be an integer >= 1 and <= 100, got 100000"),
@@ -460,6 +471,25 @@ def test_near_one_layer_matches_the_inline_formula():
         _at_precision(digits, check)
 
 
+def test_one_radius_per_request():
+    # the implication, the general bound and the containment check at one
+    # (m, n, r, p) build the radius once; arguments are checked before the
+    # memo, so 3.0, equal to 3 and hashed alike, never reads 3's radius
+    system = SparseSystem.of([SparsePolynomial.from_dict({(0,): 1, (1,): -3, (2,): 2})])
+    r, t = (Fraction(5, 7),), (Fraction(2, 3),)
+    _near_one_radius.cache_clear()
+    log_inequality_check(r, t, 3, 5)
+    cp_bound(3, 1, r, 5)
+    containment_check(system, 5, r)
+    info = _near_one_radius.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert near_one_radius(3, 1, list(r), 5) is near_one_radius(3, 1, r, 5)
+    with pytest.raises(ParamError, match="^m must be an integer >= 2, got 3.0$"):
+        near_one_radius(3.0, 1, r, 5)
+    with pytest.raises(ParamError, match="^expected a prime >= 2, got 5.0$"):
+        near_one_radius(3, 1, r, 5.0)
+
+
 def test_geometry_reproduces_per_equation_product_form():
     # replacing the transcendental simplex radii by exact rationals, the
     # mixed volume of the scaled corner simplices is the product of the
@@ -534,7 +564,7 @@ BOUND_MEMOS = ("_local_interval", "_global_interval", "_facet_cp_interval", "_le
 
 def _clear_memos():
     memos = (getattr(bounds, name) for name in BOUND_MEMOS)
-    for fn in (ln_prime, euler_ratio, near_one_log, *memos):
+    for fn in (ln_prime, euler_ratio, near_one_log, _near_one_radius, *memos):
         fn.cache_clear()
 
 
@@ -547,16 +577,20 @@ def _at_precision(digits, fn):
         set_precision(saved)
 
 
+NEAR_ONE_KEYS = [
+    (m, n, r, p) for p in (2, 5) for n in (1, 2) for m in (n + 1, n + 4)
+    for r in ((Fraction(1, 3),) * n, tuple(Fraction(k, 7) for k in range(2, n + 2)))
+]
+
+
 def _memo_keys(rng, per_function):
     """(memoised function, argument tuple) over a grid of (p, d, e, f, m, n,
     delta), a seeded sample of per_function keys each when given."""
     grids = {
         ln_prime: [(p,) for p in (2, 3, 5, 7, 101)],
         euler_ratio: [()],
-        near_one_log: [
-            (m, n, r, p) for p in (2, 5) for n in (1, 2) for m in (n + 1, n + 4)
-            for r in ((Fraction(1, 3),) * n, tuple(Fraction(k, 7) for k in range(2, n + 2)))
-        ],
+        near_one_log: NEAR_ONE_KEYS,
+        _near_one_radius: NEAR_ONE_KEYS,
         bounds._local_interval: [
             (p, e * f, m, n) for p in (2, 3, 7) for e, f in ((1, 1), (2, 1), (1, 3))
             for m in (3, 6) for n in (1, 2, 3) if m > n

@@ -126,6 +126,7 @@ _KINDS = {
     "ints": (st.lists(_INT, max_size=3), lambda v: all(map(_is_int, v))),
     "ints or None": (st.one_of(st.none(), st.lists(_INT, max_size=3)),
                      lambda v: v is None or all(map(_is_int, v))),
+    "rational": (_RATIONAL, _is_rational),
     "rationals": (st.lists(_RATIONAL, max_size=3), lambda v: all(map(_is_rational, v))),
     "matrix": (st.integers(0, 3).flatmap(
         lambda cols: st.lists(st.lists(_INT, min_size=cols, max_size=cols), max_size=3)),
@@ -139,13 +140,19 @@ _KINDS = {
 
 _LOCAL = st.sampled_from([bounds.LocalField(2), bounds.LocalField(3, 2, 1)])
 _GLOBAL = st.sampled_from([bounds.GlobalField(1, 1), bounds.GlobalField(4, 6)])
-_F = st.just(newton.SparseSystem.of([newton.SparsePolynomial.from_dict({(2,): 1, (1,): 3, (0,): -4})]))
+_X2 = newton.SparsePolynomial.from_dict({(2,): 1, (1,): 3, (0,): -4})
+_F = st.just(newton.SparseSystem.of([_X2]))
 _SQUARE = st.just(polyhedra.convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)]))
 
 # every function that takes integer or rational arguments from a caller, with
 # the kind of each argument, or a strategy of well-formed ones
 _PROBES = {
     "from_dict": (newton.SparsePolynomial.from_dict, "terms"),
+    "evaluate": (_X2.evaluate, "rationals"),
+    "from_fraction": (arith.Interval.from_fraction, "rational"),
+    "natural_log": (arith.natural_log, "rational"),
+    "log_base": (arith.log_base, "rational", "prime"),
+    "near_one_radius": (newton.near_one_radius, "int", "int", "rationals", "prime"),
     "LocalField": (bounds.LocalField, "prime", "int", "int"),
     "GlobalField": (bounds.GlobalField, "int", "int"),
     "local_bound": (bounds.local_bound, _LOCAL, "int", "int", "int"),
